@@ -53,20 +53,13 @@ def matching_window(max_multiplicity, base=1e-6):
     return max(base, 20 * _EPS ** (1.0 / max_multiplicity))
 
 
-def _multiplicity_of(zeros, root):
-    for angle, mult in zeros.clusters:
-        if abs(np.angle(root) - angle) < 1e-9 or (
-            abs(abs(np.angle(root)) - np.pi) < 1e-9 and abs(abs(angle) - np.pi) < 1e-9
-        ):
-            return mult
-    return 1
-
-
 def write_zeros_csv(path, zeros, lam, delta, tag):
     lines = [f"# model={json.dumps(tag)}"]
     lines.append(f"# lambda={_fmt(lam)} delta={delta}")
     lines.append(f"# circle_deviation={_fmt(zeros.circle_deviation)}")
     lines.append("index,re,im,theta,abs_minus_1,multiplicity,predicted_time")
+    mults = [m for _, m in zeros.clusters]
+    multiplicity = np.repeat(mults, mults)
     for i, (z, theta) in enumerate(zip(zeros.roots, zeros.angles)):
         t = float(np.mod(-theta, 2 * np.pi)) / (lam * delta)
         lines.append(
@@ -77,7 +70,7 @@ def write_zeros_csv(path, zeros, lam, delta, tag):
                     _fmt(z.imag),
                     _fmt(theta),
                     _fmt(abs(z) - 1.0),
-                    str(_multiplicity_of(zeros, z)),
+                    str(multiplicity[i]),
                     _fmt(t),
                 ]
             )

@@ -12,21 +12,34 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .spins import HalfInt, projections
 
 ENUMERATION_CAP = 2_000_000
 
 
+def logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array, without overflow."""
+    peak = a.max()
+    return peak + np.log(np.exp(a - peak).sum())
+
+
 @dataclass(frozen=True)
 class PartitionPolynomial:
-    """Degree-2Ns polynomial in z with positive coefficients, stored in logs."""
+    """Degree-2Ns polynomial in z with positive coefficients, stored in logs.
+
+    ``factors`` is the polynomial's factorization by the bath's structure, as
+    (log_coeffs, count) pairs: the product of each factor raised to its count.
+    Builders fill it in when the bath splits into independent parts (coupling
+    components, or isolated spins at beta*J = 0); it is empty when the
+    polynomial is a single factor.
+    """
 
     two_ns: int
     beta: float
     log_coeffs: np.ndarray = field(repr=False)
     model_tag: dict = field(default_factory=dict)
+    factors: tuple = ()
 
     def __post_init__(self):
         lc = np.asarray(self.log_coeffs, dtype=float)
@@ -61,7 +74,9 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     """Exact enumeration over all projection configurations.
 
     ``couplings[i][j]`` is the pair coupling J_ij (units J, zero diagonal);
-    the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).
+    the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
+    connected component of the beta*J > 0 coupling graph is enumerated on its
+    own, identical components once, and the polynomial is their product.
     """
     _validate_beta(beta)
     spins = list(spins)
@@ -86,22 +101,44 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
             f"{count} configurations exceed the enumeration cap {ENUMERATION_CAP}"
         )
 
-    projs = [np.array([float(m) for m in projections(s)]) for s in spins]
-    grids = np.meshgrid(*projs, indexing="ij")
-    M = np.stack([g.ravel() for g in grids], axis=1)  # (count, n)
-    # zero diagonal makes the full quadratic form twice the i<j pair sum
-    expo = 0.5 * beta * np.einsum("ci,ij,cj->c", M, J, M)
-    s_total = sum(s.doubled for s in spins) / 2
-    n_idx = np.rint(s_total - M.sum(axis=1)).astype(int)
+    groups = {}  # identical blocks (same spins, same couplings) -> [indices, count]
+    for idx in _coupling_blocks(beta * J > 0):
+        key = (tuple(spins[i].doubled for i in idx), J[np.ix_(idx, idx)].tobytes())
+        groups.setdefault(key, [idx, 0])[1] += 1
+    factors = tuple(
+        (_enumerate([spins[i] for i in idx], J[np.ix_(idx, idx)], beta), count)
+        for idx, count in groups.values()
+    )
+    log_c = reduce(_log_convolve, [lc for lc, count in factors for _ in range(count)])
     two_ns = sum(s.doubled for s in spins)
-    log_c = np.array([logsumexp(expo[n_idx == k]) for k in range(two_ns + 1)])
     tag = {
         "kind": "exact",
         "n_spins": n,
         "two_spins": [s.doubled for s in spins],
         "beta": beta,
     }
-    return PartitionPolynomial(two_ns, beta, log_c, tag)
+    single = len(factors) == 1 and factors[0][1] == 1
+    return PartitionPolynomial(two_ns, beta, log_c, tag, () if single else factors)
+
+
+def _coupling_blocks(linked):
+    """Connected components of a boolean adjacency matrix, as index tuples."""
+    reach = linked | np.eye(len(linked), dtype=bool)
+    for _ in range(len(linked).bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return sorted({tuple(np.flatnonzero(row)) for row in reach})
+
+
+def _enumerate(spins, J, beta):
+    """Log sector weights of one block of spins, over all its configurations."""
+    projs = [np.array([float(m) for m in projections(s)]) for s in spins]
+    grids = np.meshgrid(*projs, indexing="ij")
+    M = np.stack([g.ravel() for g in grids], axis=1)  # (count, n)
+    # zero diagonal makes the full quadratic form twice the i<j pair sum
+    expo = 0.5 * beta * np.einsum("ci,ij,cj->c", M, J, M)
+    two_ns = sum(s.doubled for s in spins)
+    n_idx = np.rint(two_ns / 2 - M.sum(axis=1)).astype(int)
+    return np.array([logsumexp(expo[n_idx == k]) for k in range(two_ns + 1)])
 
 
 def _log_convolve(a, b):
@@ -112,6 +149,13 @@ def _log_convolve(a, b):
         i = np.arange(lo, hi + 1)
         out[k] = logsumexp(a[i] + b[k - i])
     return out
+
+
+def _isolated(N, s, beta_j):
+    """Factors of N uncoupled spins when beta*J = 0, else none."""
+    if beta_j > 0 or N == 1:
+        return ()
+    return ((np.zeros(s.doubled + 1), N),)
 
 
 def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial:
@@ -132,7 +176,7 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
     ns = two_ns / 2
     pref = a * (ns - np.arange(two_ns + 1)) ** 2
     tag = {"kind": "long_range", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
-    return PartitionPolynomial(two_ns, beta, pref + log_w, tag)
+    return PartitionPolynomial(two_ns, beta, pref + log_w, tag, _isolated(N, s, beta * J))
 
 
 def long_range_integral_oracle(N: int, s: HalfInt, J: float, beta: float, n: int) -> float:
@@ -214,7 +258,9 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
         raise RuntimeError("transfer-matrix coefficient underflowed to zero")
     two_ns = N * s.doubled
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
-    return PartitionPolynomial(two_ns, beta, np.log(coeff) + log_scale, tag)
+    return PartitionPolynomial(
+        two_ns, beta, np.log(coeff) + log_scale, tag, _isolated(N, s, beta * J)
+    )
 
 
 def eval_ratio(poly: PartitionPolynomial, z: complex) -> complex:

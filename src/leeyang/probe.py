@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spins import ProbeState, ladder_overlap
-from .zeros import ZeroSet, predicted_zero_times
+from .zeros import ZeroSet, bracket_root, predicted_zero_times
 
 _EPS = np.finfo(float).eps
 _P = np.polynomial.polynomial
@@ -134,7 +133,7 @@ def _balance_refine(g, t_c, halfwidth, period, scale):
             return lo
         if dhi == 0 or dlo * dhi > 0:
             return None
-        return brentq(diff, lo, hi, xtol=1e-14)
+        return bracket_root(diff, lo, hi, dlo, dhi, 1e-14)
 
     t1 = balance_point(h)
     t2 = balance_point(h / 2)
@@ -146,9 +145,10 @@ def _balance_refine(g, t_c, halfwidth, period, scale):
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """Zero times of the sampled signal, refined by exact re-evaluation.
 
-    Grid local minima of |f| are refined by golden-section search; sign-change
-    zeros of a real signal are then sharpened with a bracketed root solve and
-    touching zeros with the balance method.  Candidates whose refined residual
+    Each grid local minimum of |f| is a candidate.  Where a real signal
+    changes sign across it, the zero is solved as a bracketed root; otherwise
+    it is a touching zero, located by golden-section search on |f| and
+    centered with the balance method.  Candidates whose refined residual
     |f|/|f(0)| exceeds magnitude_tol are discarded.
     """
     if magnitude_tol <= 0:
@@ -170,13 +170,11 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
             continue
         a, b = float(series.times[i - 1]), float(series.times[i + 1])
-        t_c = _golden_min(g, a, b)
-        refined = None
-        if real_signal:
-            ra, rb = float(f(a).real), float(f(b).real)
-            if ra * rb < 0:
-                refined = brentq(lambda t: float(f(t).real), a, b, xtol=1e-14)
-        if refined is None:
+        ra, rb = series.values[i - 1].real, series.values[i + 1].real
+        if real_signal and ra * rb < 0:
+            refined = bracket_root(lambda t: float(f(t).real), a, b, ra, rb, 1e-14)
+        else:
+            t_c = _golden_min(g, a, b)
             refined = _balance_refine(g, t_c, (b - a) / 2, series.period, scale)
         residual = g(refined)
         if residual <= magnitude_tol * scale:

@@ -1,30 +1,47 @@
 """Locating the complex zeros of the partition polynomial.
 
-Simultaneous (Aberth-Ehrlich) iteration on the max-normalized coefficients,
-Newton polishing, then multiplicity-aware cluster refinement: a cluster of m
-numerically-split copies of a multiple root is replaced by the Newton root of
-the (m-1)-th derivative, which is simple there and recovers full precision.
+The coefficients are palindromic and, by the Lee-Yang circle theorem, every
+zero lies on the unit circle.  On z = exp(i theta) the polynomial is
+exp(i Ns theta) times the real cosine series F(theta) = sum_n c_n
+cos((n - Ns) theta), so the zeros are the real roots of F on [0, pi] and their
+mirror images.  Multiplicities come from the bath's structure: each distinct
+factor (``PartitionPolynomial.factors``) is solved once and counted per copy.
 """
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
-_GOLDEN_FRAC = 0.3819660112501051
-_CLUSTER_LINK_TOL = 0.05
-
 _P = np.polynomial.polynomial
+
+# The sign-change grid has _GRID_PER_DEGREE points per unit of degree.  While
+# sign changes are missing, up to _MAX_REFINEMENTS times, the grid is halved
+# and its dips of |F| are resampled _REFINE_FACTOR times more finely, which
+# splits pairs of zeros closer than the grid spacing.
+_GRID_PER_DEGREE = 8
+_REFINE_FACTOR = 64
+_MAX_REFINEMENTS = 3
+_MAX_SOLVER_STEPS = 200
 
 
 class RootConvergenceError(RuntimeError):
-    """Raised when the simultaneous iteration fails to converge."""
+    """Raised when not every zero of the polynomial could be located."""
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """All roots of the partition polynomial, with multiplicity bookkeeping."""
+    """All roots of the partition polynomial, with multiplicity bookkeeping.
+
+    ``clusters`` lists each distinct zero as (angle, multiplicity) in
+    ascending angle on (-pi, pi]; ``angles`` and ``roots`` repeat each cluster
+    by its multiplicity, in the same order.  The roots are built as
+    exp(i theta), so they lie on the unit circle by construction and
+    ``circle_deviation`` is rounding-level.  What proves the circle theorem for
+    a given polynomial is the count certificate: find_zeros returns only when
+    sign changes of F account for all 2Ns roots.
+    """
 
     roots: np.ndarray = field(repr=False)
     angles: np.ndarray = field(repr=False)
@@ -33,188 +50,118 @@ class ZeroSet:
     max_residual: float
 
 
-def _aberth(c, max_sweeps=200):
-    deg = len(c) - 1
-    dc = _P.polyder(c)
-    scale = np.abs(c).sum()
-    z = (1 + 1e-3) * np.exp(2j * np.pi * (np.arange(deg) + _GOLDEN_FRAC) / deg)
-    converged = False
-    for _ in range(max_sweeps):
-        p = _P.polyval(z, c)
-        if np.max(np.abs(p)) < 100 * _EPS * scale:
-            converged = True
-            break
-        dp = _P.polyval(z, dc)
-        w = p / np.where(dp == 0, 1e-300, dp)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * repulsion
-        step = w / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1 + np.max(np.abs(z))):
-            converged = True
-            break
-    worst = float(np.max(np.abs(_P.polyval(z, c))))
-    if not converged and worst > 1e-8 * scale:
-        raise RootConvergenceError(
-            f"root iteration stalled after {max_sweeps} sweeps, worst residual {worst:g}"
-        )
-    # Newton polish; the step cap keeps clustered iterates from jumping away
-    for _ in range(3):
-        p = _P.polyval(z, c)
-        dp = _P.polyval(z, dc)
-        step = np.where(np.abs(dp) > 0, p / np.where(dp == 0, 1, dp), 0)
-        step = np.where(np.abs(step) > 1e-2, 0, step)
-        z = z - step
-    return z
+def bracket_root(f, a, b, fa, fb, xtol):
+    """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite sign.
 
-
-def _components(z, indices, tol):
-    """Single-linkage components of the points z[indices] at distance tol."""
-    remaining = list(indices)
-    comps = []
-    while remaining:
-        stack = [remaining.pop()]
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            linked = [j for j in remaining if abs(z[i] - z[j]) < tol]
-            for j in linked:
-                remaining.remove(j)
-            stack.extend(linked)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _refine_cluster(c, z, members):
-    """Newton on the (m-1)-th derivative; validate against the expected spread.
-
-    Returns (accepted, refined_root).  The expected spread of a numerical
-    multiplicity-m root is (eps * sum|c| / |local leading coeff|)^(1/m); a far
-    larger observed spread means the component is a genuine near-degenerate
-    group, not one multiple root.
+    Illinois method: secant steps that keep the root bracketed, halving the
+    stored value of an end that survives two steps in a row so that both ends
+    converge.  Returns the bracket's midpoint once it is narrower than xtol or
+    cannot shrink further in floating point.
     """
-    m = len(members)
-    if m == 1:
-        return True, z[members[0]]
-    d = c
-    for _ in range(m - 1):
-        d = _P.polyder(d)
-    dd = _P.polyder(d)
-    zc = z[members].mean()
-    for _ in range(100):
-        val = _P.polyval(zc, d)
-        dval = _P.polyval(zc, dd)
-        if dval == 0:
+    side = 0
+    for _ in range(_MAX_SOLVER_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = (a + b) / 2
+        if abs(b - a) <= xtol or c == a or c == b:
             break
-        step = val / dval
-        zc = zc - step
-        if abs(step) < 1e-15 * (1 + abs(zc)):
-            break
-    lead = _P.polyval(zc, _P.polyder(d)) / math.factorial(m)
-    if lead == 0 or not np.isfinite(lead):
-        return False, zc
-    r_pred = (_EPS * np.abs(c).sum() / abs(lead)) ** (1.0 / m)
-    spread = np.max(np.abs(z[members] - zc))
-    if spread >= max(100 * r_pred, 1e-6):
-        return False, zc
-    # At a genuine m-fold root every lower derivative vanishes at zc up to
-    # evaluation noise; a near-degenerate group of simple roots does not.
-    dk = c
-    for _ in range(m - 1):
-        if abs(_P.polyval(zc, dk)) > 1e6 * _EPS * np.abs(dk).sum():
-            return False, zc
-        dk = _P.polyder(dk)
-    return True, zc
-
-
-def _cluster_and_refine(c, z):
-    final = z.copy()
-    clusters = []
-    multiple = np.zeros(len(z), bool)
-
-    def handle(indices, tol):
-        for comp in _components(z, indices, tol):
-            ok, zc = _refine_cluster(c, z, comp)
-            if ok or len(comp) == 1 or tol / 5 < 1e-12:
-                final[comp] = zc if ok else z[comp]
-                if ok:
-                    clusters.append((zc, len(comp)))
-                    multiple[comp] = len(comp) > 1
-                else:
-                    clusters.extend((z[i], 1) for i in comp)
-            else:
-                handle(comp, tol / 5)
-
-    handle(list(range(len(z))), _CLUSTER_LINK_TOL)
-    # merge bookkeeping clusters that refined onto the same point
-    merged = []
-    for zc, m in sorted(clusters, key=lambda t: np.angle(t[0])):
-        if merged and abs(merged[-1][0] - zc) < 1e-9:
-            merged[-1][1] += m
+        fc = f(c)
+        if fc == 0:
+            return c
+        if (fc > 0) == (fb > 0):
+            b, fb = c, fc
+            fa = fa / 2 if side == -1 else fa
+            side = -1
         else:
-            merged.append([zc, m])
-    return final, [(float(np.angle(zc)), m) for zc, m in merged], multiple
+            a, fa = c, fc
+            fb = fb / 2 if side == 1 else fb
+            side = 1
+    return (a + b) / 2
 
 
-def _polish_extended(c, z, multiple):
-    """Newton polish of the simple roots in extended precision.
+def _cosine_roots(c):
+    """Angles in (0, pi) of the zeros of the palindromic polynomial sum c_n z^n.
 
-    Near-degenerate simple roots are conditioning-limited to ~1e-7 in double
-    precision; a few clongdouble Newton steps recover two to three digits.
-    Accepted multiple-root copies are left alone (Newton is unstable there).
+    Sign changes of F on a grid are solved in extended precision.  For odd
+    degree F(pi) = 0 identically; the caller adds that zero.  Raises
+    RootConvergenceError unless floor(degree / 2) sign changes are found.
     """
-    cl = c.astype(np.clongdouble)
-    dcl = _P.polyder(cl)
-    zl = z.astype(np.clongdouble)
-    free = ~multiple
-    for _ in range(4):
-        p = _P.polyval(zl[free], cl)
-        dp = _P.polyval(zl[free], dcl)
-        step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0)
-        zl[free] = zl[free] - np.where(np.abs(step) > 1e-2, 0, step)
-    return zl
+    d = len(c) - 1
+    # F(theta) = sum_k w_k cos(k theta) over the upper half of the palindrome,
+    # symmetrized because the builders are palindromic only to rounding
+    upper = np.arange((d + 1) // 2, d + 1)
+    k = (upper - d / 2).astype(np.longdouble)
+    w = (c[upper] + c[::-1][upper]).astype(np.longdouble)
+    if d % 2 == 0:
+        w[0] /= 2
+    F = lambda t: sum(wk * np.cos(kk * t) for kk, wk in zip(k, w))
+    expected = d // 2
+    theta = np.linspace(0.0, np.pi, _GRID_PER_DEGREE * (d + 1) + 1).astype(np.longdouble)
+    for _ in range(_MAX_REFINEMENTS + 1):
+        vals = F(theta)
+        if d % 2:
+            # in place of F(pi) = 0, F(pi - h) to first order, which has its sign
+            vals[-1] = (theta[-1] - theta[-2]) * (w * k * np.sin(k * np.pi)).sum()
+        change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        if len(change) >= expected:
+            break
+        # Halve the grid spacing, and resample around the deepest local minima
+        # of |F| (mirrored about pi; F(0) is its maximum) much more finely.
+        mag = np.abs(np.append(vals, vals[-2]))
+        dips = np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
+        dips = dips[np.argsort(mag[dips])[:expected]]
+        last = len(theta) - 1
+        theta = np.unique(np.concatenate([theta, (theta[:-1] + theta[1:]) / 2] + [
+            np.linspace(theta[i - 1], theta[min(i + 1, last)], 2 * _REFINE_FACTOR + 1)
+            for i in dips
+        ]))
+    if len(change) != expected:
+        raise RootConvergenceError(
+            f"found {len(change)} of {expected} sign changes of the cosine series "
+            f"on [0, pi] for degree {d}; the zeros are multiple or off the unit circle"
+        )
+    return [
+        float(bracket_root(F, theta[i], theta[i + 1], vals[i], vals[i + 1], 1e-17))
+        for i in change
+    ]
 
 
-def _symmetrize(zl):
-    """Enforce exact closure under conjugation (the coefficients are real).
-
-    Pairs each root with its conjugate partner by optimal assignment and
-    averages the two estimates; self-paired roots become exactly real.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    dist = np.abs(zl[:, None] - np.conj(zl)[None, :]).astype(float)
-    rows, cols = linear_sum_assignment(dist)
-    perm = np.empty(len(zl), int)
-    perm[rows] = cols
-    if not np.array_equal(perm[perm], np.arange(len(zl))):
-        return zl  # no consistent pairing; leave the roots as found
-    return (zl + np.conj(zl[perm])) / 2
+def _factor_zeros(log_coeffs):
+    """Zeros of one factor in (0, pi]: (exact ones as fractions of a turn, angles)."""
+    d = len(log_coeffs) - 1
+    if np.all(log_coeffs == log_coeffs[0]):
+        # 1 + z + ... + z^d: the (d+1)-th roots of unity other than 1
+        return [Fraction(j, d + 1) for j in range(1, (d + 1) // 2 + 1)], []
+    angles = _cosine_roots(np.exp(log_coeffs - log_coeffs.max()))
+    return [Fraction(1, 2)] * (d % 2), angles
 
 
 def find_zeros(poly) -> ZeroSet:
-    """All 2Ns roots of sum_n p_n z^n, clustered by multiplicity."""
+    """All 2Ns roots of sum_n p_n z^n, clustered by multiplicity.
+
+    Raises RootConvergenceError when a factor's zeros cannot all be located
+    as sign changes, for example a multiple root the bath's structure does
+    not account for.
+    """
     if poly.two_ns < 1:
         raise ValueError("polynomial degree must be at least 1")
-    c = poly.coeffs()
-    raw = _aberth(c)
-    refined, clusters, multiple = _cluster_and_refine(c, raw)
-    roots = np.asarray(_symmetrize(_polish_extended(c, refined, multiple)), complex)
-    angles = np.angle(roots)
-    angles[angles == -np.pi] = np.pi
-    order = np.argsort(angles, kind="stable")
-    roots = roots[order]
-    angles = angles[order]
-    residuals = np.abs(_P.polyval(roots, c))
+    exact, clusters = Counter(), []
+    for log_coeffs, count in poly.factors or ((poly.log_coeffs, 1),):
+        turns, angles = _factor_zeros(log_coeffs)
+        for turn in turns:
+            exact[turn] += count
+        clusters += [(theta, count) for theta in angles]
+    clusters += [(2 * np.pi * float(turn), mult) for turn, mult in exact.items()]
+    clusters += [(-theta, mult) for theta, mult in clusters if theta != np.pi]
+    clusters.sort()
+    angles = np.repeat([a for a, _ in clusters], [m for _, m in clusters])
+    roots = np.exp(1j * angles)
     return ZeroSet(
         roots=roots,
         angles=angles,
         clusters=clusters,
         circle_deviation=float(np.max(np.abs(np.abs(roots) - 1.0))),
-        max_residual=float(residuals.max()),
+        max_residual=float(np.max(np.abs(_P.polyval(roots, poly.coeffs())))),
     )
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.spins import HalfInt
 
 
@@ -62,3 +63,17 @@ def multiplicities(spin_list):
     for s in spin_list:
         acc = np.convolve(acc, np.ones(s.doubled + 1, dtype=object))
     return acc.astype(float)
+
+
+def figure_panels():
+    """The 12 figure-panel configurations: (name, polynomial, probe spin)."""
+    panels = []
+    for b in (0.0, 1 / 32, 1 / 8, 1.0):
+        panels.append(
+            (f"fig2 beta={b}", build_exact(spins(5, 2), uniform_couplings(2, 1.0), b), HalfInt(5))
+        )
+    for b in (0.0, 1 / 8, 2.0, 16.0):
+        panels.append((f"fig4 beta={b}", build_long_range(4, HalfInt(1), 1.0, b), HalfInt(1)))
+    for b in (0.0, 1 / 8, 1 / 2, 4.0):
+        panels.append((f"fig6 beta={b}", build_ring(10, HalfInt(2), 1.0, b), HalfInt(1)))
+    return panels

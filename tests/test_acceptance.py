@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import assert_roots_match, ring_couplings, spins, uniform_couplings
+from helpers import (
+    assert_roots_match,
+    figure_panels,
+    ring_couplings,
+    spins,
+    uniform_couplings,
+)
 from leeyang.cli import main
 from leeyang.partition import (
     build_exact,
@@ -24,40 +30,35 @@ from leeyang.spins import HalfInt, sx_top_eigenstate
 from leeyang.zeros import find_zeros
 
 
-def figure_panels():
-    """The 12 figure-panel configurations: (name, polynomial, probe spin)."""
-    panels = []
-    for b in (0.0, 1 / 32, 1 / 8, 1.0):
-        panels.append(
-            (f"fig2 beta={b}", build_exact(spins(5, 2), uniform_couplings(2, 1.0), b), HalfInt(5))
-        )
-    for b in (0.0, 1 / 8, 2.0, 16.0):
-        panels.append((f"fig4 beta={b}", build_long_range(4, HalfInt(1), 1.0, b), HalfInt(1)))
-    for b in (0.0, 1 / 8, 1 / 2, 4.0):
-        panels.append((f"fig6 beta={b}", build_ring(10, HalfInt(2), 1.0, b), HalfInt(1)))
-    return panels
-
-
 def report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}  criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
 
 def test_criterion_1_circle_theorem():
+    # Independent oracle: companion-matrix roots (numpy.roots), grouped by the
+    # reported clusters.  Each group must hold exactly its multiplicity, and
+    # its centroid must lie on the unit circle.
     start = time.perf_counter()
     worst = 0.0
     for name, poly, _ in figure_panels():
         zs = find_zeros(poly)
-        clustered = any(m > 1 for _, m in zs.clusters)
-        limit = 1e-4 if clustered else 1e-8
-        assert zs.circle_deviation < limit, (name, zs.circle_deviation)
-        worst = max(worst, zs.circle_deviation / limit)
+        oracle = np.roots(poly.coeffs()[::-1])
+        centers = np.exp(1j * np.array([angle for angle, _ in zs.clusters]))
+        group = np.argmin(np.abs(oracle[:, None] - centers[None, :]), axis=1)
+        for j, (angle, mult) in enumerate(zs.clusters):
+            members = oracle[group == j]
+            assert len(members) == mult, (name, angle, len(members), mult)
+            limit = 1e-4 if mult > 1 else 1e-8
+            deviation = abs(abs(members.mean()) - 1.0)
+            assert deviation < limit, (name, angle, deviation)
+            worst = max(worst, deviation / limit)
     elapsed = time.perf_counter() - start
     report(
         1,
         elapsed < 2.0,
-        f"circle theorem holds on 12 panels (worst deviation {worst:.1e} of limit), "
-        f"runtime {elapsed:.2f}s < 2s",
+        f"circle theorem holds on 12 panels against companion-matrix roots "
+        f"(worst centroid deviation {worst:.1e} of limit), runtime {elapsed:.2f}s < 2s",
     )
 
 

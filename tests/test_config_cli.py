@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leeyang
 from leeyang.cli import main
 from leeyang.config import ConfigError, RunConfig, load_config
 
@@ -194,3 +199,16 @@ class TestCliCommands:
                 a = (tmp_path / "one" / "fig2" / panel / name).read_text()
                 b = (tmp_path / "two" / "fig2" / panel / name).read_text()
                 assert a == b
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(leeyang.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, leeyang; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -51,6 +51,20 @@ class TestBuildExact:
         with pytest.raises(ValueError, match="ferromagnetic"):
             build_exact(spins(1, 2), bad, 1.0)
 
+    def test_split_bath_is_product_of_blocks(self):
+        a = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        b = np.array([[0.0, 0.8], [0.8, 0.0]])
+        couplings = np.zeros((5, 5))
+        couplings[:3, :3], couplings[3:, 3:] = a, b
+        poly = build_exact(spins(2, 5), couplings, 0.7)
+        pa = np.exp(build_exact(spins(2, 3), a, 0.7).log_coeffs)
+        pb = np.exp(build_exact(spins(2, 2), b, 0.7).log_coeffs)
+        np.testing.assert_allclose(np.exp(poly.log_coeffs), np.convolve(pa, pb), rtol=1e-13)
+        assert sorted(count for _, count in poly.factors) == [1, 1]
+
+    def test_connected_bath_is_one_factor(self):
+        assert build_exact(spins(1, 3), uniform_couplings(3, 1.0), 0.5).factors == ()
+
     def test_enumeration_cap(self):
         n = 21  # 2^21 > cap
         with pytest.raises(ValueError, match=str(ENUMERATION_CAP)):

@@ -1,12 +1,20 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import assert_roots_match, spins, uniform_couplings
-from leeyang.partition import PartitionPolynomial, build_exact, build_ring
+from helpers import assert_roots_match, figure_panels, spins, uniform_couplings
+from leeyang.partition import (
+    PartitionPolynomial,
+    build_exact,
+    build_long_range,
+    build_ring,
+)
 from leeyang.spins import HalfInt
 from leeyang.zeros import (
+    RootConvergenceError,
     ZeroSet,
     circle_deviation,
     find_zeros,
@@ -19,9 +27,22 @@ def poly_from_coeffs(coeffs, beta=0.0):
     return PartitionPolynomial(len(coeffs) - 1, beta, np.log(coeffs), {"kind": "test"})
 
 
+def reference_angles(poly):
+    """Sorted zero angles of the max-normalized double coefficients, to 60 digits."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(float(c)) for c in poly.coeffs()]
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=500, extraprec=400)
+        return np.sort([float(mpmath.arg(z)) for z in roots])
+
+
+def two_free_spins():
+    """1 + 2z + z^2 as two uncoupled spin-1/2, which carries its factorization."""
+    return build_long_range(2, HalfInt(1), 1.0, 0.0)
+
+
 class TestFindZeros:
     def test_double_root_at_minus_one(self):
-        zs = find_zeros(poly_from_coeffs([1, 2, 1]))
+        zs = find_zeros(two_free_spins())
         np.testing.assert_allclose(zs.roots, [-1, -1], atol=1e-8)
         np.testing.assert_allclose(np.abs(zs.angles), [np.pi, np.pi], atol=1e-8)
         assert zs.clusters == [(pytest.approx(np.pi, abs=1e-8), 2)]
@@ -79,10 +100,67 @@ class TestFindZeros:
         with pytest.raises(ValueError):
             find_zeros(poly_from_coeffs([1.0]))
 
+    def test_unexplained_double_root_refused_quickly(self):
+        # raw [1, 2, 1] has a touching zero at -1 that no factor accounts for:
+        # F never changes sign, so the count certificate fails
+        start = time.perf_counter()
+        with pytest.raises(RootConvergenceError, match="found 0 of 1"):
+            find_zeros(poly_from_coeffs([1, 2, 1]))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("panel", [p for p in figure_panels() if p[1].beta > 0],
+                             ids=lambda p: p[0])
+    def test_against_60_digit_reference(self, panel):
+        _, poly, _ = panel
+        np.testing.assert_allclose(
+            find_zeros(poly).angles, reference_angles(poly), rtol=0, atol=1e-13
+        )
+
+    def test_close_pair_split_by_refinement(self):
+        # just above beta = 0 each double zero of two spin-1 splits by ~2e-3,
+        # far below the initial grid spacing
+        poly = build_exact(spins(2, 2), uniform_couplings(2, 1.0), 1e-6)
+        zs = find_zeros(poly)
+        assert [m for _, m in zs.clusters] == [1, 1, 1, 1]
+        np.testing.assert_allclose(zs.angles, reference_angles(poly), rtol=0, atol=1e-12)
+
+
+class TestStructuralMultiplicity:
+    def test_identical_blocks_multiply_block_zeros(self):
+        block = np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.7], [0.3, 0.7, 0.0]])
+        alone = find_zeros(build_exact(spins(2, 3), block, 0.8))
+        poly = build_exact(spins(2, 9), np.kron(np.eye(3), block), 0.8)
+        assert len(poly.factors) == 1 and poly.factors[0][1] == 3
+        zs = find_zeros(poly)
+        assert [m for _, m in zs.clusters] == [3] * len(alone.clusters)
+        np.testing.assert_allclose(
+            [a for a, _ in zs.clusters], [a for a, _ in alone.clusters], atol=1e-14
+        )
+        assert len(zs.roots) == poly.two_ns == 18
+
+    def test_different_blocks_share_pi(self):
+        a = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        b = np.array([[0.0, 0.8, 0.0], [0.8, 0.0, 1.2], [0.0, 1.2, 0.0]])
+        couplings = np.zeros((6, 6))
+        couplings[:3, :3], couplings[3:, 3:] = a, b
+        zs = find_zeros(build_exact(spins(1, 6), couplings, 0.5))
+        assert len(zs.roots) == 6
+        assert zs.clusters[-1] == (np.pi, 2)
+        assert [m for _, m in zs.clusters[:-1]] == [1, 1, 1, 1]
+
+    def test_mixed_free_spins_closed_form(self):
+        zs = find_zeros(build_exact([HalfInt(2), HalfInt(5)], np.zeros((2, 2)), 0.0))
+        expected = [(-2 * np.pi / 3, 2), (-np.pi / 3, 1), (np.pi / 3, 1),
+                    (2 * np.pi / 3, 2), (np.pi, 1)]
+        assert [m for _, m in zs.clusters] == [m for _, m in expected]
+        np.testing.assert_allclose(
+            [a for a, _ in zs.clusters], [a for a, _ in expected], rtol=0, atol=1e-15
+        )
+
 
 class TestCircleDeviation:
     def test_exact_double_root(self):
-        zs = find_zeros(poly_from_coeffs([1, 2, 1]))
+        zs = find_zeros(two_free_spins())
         assert circle_deviation(zs) < 1e-10
 
     def test_triangle(self):
@@ -117,7 +195,7 @@ class TestCircleDeviation:
 
 class TestPredictedZeroTimes:
     def test_angle_pi(self):
-        zs = find_zeros(poly_from_coeffs([1, 2, 1]))
+        zs = find_zeros(two_free_spins())
         np.testing.assert_allclose(
             predicted_zero_times(zs, 1.0, 1), [np.pi, np.pi], atol=1e-8
         )
@@ -154,7 +232,7 @@ class TestPredictedZeroTimes:
         assert_roots_match(np.exp(-1j * lam * delta * times), zs.roots, atol=1e-9)
 
     def test_invalid_arguments(self):
-        zs = find_zeros(poly_from_coeffs([1, 2, 1]))
+        zs = find_zeros(two_free_spins())
         with pytest.raises(ValueError):
             predicted_zero_times(zs, 0.0, 1)
         with pytest.raises(ValueError):
