@@ -27,7 +27,6 @@ from .spins import (
 from .zeros import (
     RootConvergenceError,
     ZeroSet,
-    circle_deviation,
     find_zeros,
     predicted_zero_times,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "build_exact",
     "build_long_range",
     "build_ring",
-    "circle_deviation",
     "correlate",
     "detect_zero_times",
     "eval_ratio",

@@ -5,11 +5,16 @@ polynomial in z = exp(-beta*h), with p_n the zero-field partition function of
 the sector where the total projection equals N*s - n.  Coefficients are kept
 as natural logs because the Boltzmann weights span hundreds of orders of
 magnitude at low temperature.
+
+All three builders are one operation: a power of a small matrix polynomial,
+taken in the log domain by repeated squaring (O(log N) products).  The
+long-range model is the N-th power of the 1x1 single-site factor, the ring is
+the trace of the N-th power of its transfer matrix, and a split exact bath is
+the product of its block factors, each raised to its count.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -18,10 +23,13 @@ from .spins import HalfInt, projections
 ENUMERATION_CAP = 2_000_000
 
 
-def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D array, without overflow."""
-    peak = a.max()
-    return peak + np.log(np.exp(a - peak).sum())
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` without overflow; all -inf gives -inf."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,9 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         (_enumerate([spins[i] for i in idx], J[np.ix_(idx, idx)], beta), count)
         for idx, count in groups.values()
     )
-    log_c = reduce(_log_convolve, [lc for lc, count in factors for _ in range(count)])
+    log_c = np.zeros((1, 1, 1))  # log of the constant polynomial 1
+    for lc, count in factors:
+        log_c = _log_polymat_mul(log_c, _log_polymat_power(lc[:, None, None], count))
     two_ns = sum(s.doubled for s in spins)
     tag = {
         "kind": "exact",
@@ -118,7 +128,7 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         "beta": beta,
     }
     single = len(factors) == 1 and factors[0][1] == 1
-    return PartitionPolynomial(two_ns, beta, log_c, tag, () if single else factors)
+    return PartitionPolynomial(two_ns, beta, log_c[:, 0, 0], tag, () if single else factors)
 
 
 def _coupling_blocks(linked):
@@ -141,14 +151,36 @@ def _enumerate(spins, J, beta):
     return np.array([logsumexp(expo[n_idx == k]) for k in range(two_ns + 1)])
 
 
-def _log_convolve(a, b):
-    out = np.empty(len(a) + len(b) - 1)
-    for k in range(len(out)):
-        lo = max(0, k - len(b) + 1)
-        hi = min(len(a) - 1, k)
-        i = np.arange(lo, hi + 1)
-        out[k] = logsumexp(a[i] + b[k - i])
-    return out
+def _log_polymat_mul(A, B):
+    """Product of matrix polynomials of shape (deg+1, D, D) stored as logs.
+
+    Absent terms are -inf.  Output degree k sums A[p] @ B[k-p] over p, as one
+    log-sum-exp over (p, inner index) per degree.
+    """
+    da, db = A.shape[0] - 1, B.shape[0] - 1
+    D = A.shape[1]
+    # A as (i, p, l) and B degree-reversed as (j, db - q, l): the terms of each
+    # output degree are then contiguous slices, summed over one trailing axis.
+    At = np.ascontiguousarray(A.transpose(1, 0, 2))
+    Br = np.ascontiguousarray(B[::-1].transpose(2, 0, 1))
+    C = np.empty((da + db + 1, D, D))
+    for k in range(da + db + 1):
+        lo, hi = max(0, k - db), min(da, k) + 1
+        terms = At[:, None, lo:hi] + Br[None, :, db - k + lo:db - k + hi]
+        C[k] = logsumexp(terms.reshape(D, D, -1), axis=2)
+    return C
+
+
+def _log_polymat_power(V, n):
+    """n-th power (n >= 1) of a log-domain matrix polynomial, by repeated squaring."""
+    power = None
+    while True:
+        if n & 1:
+            power = V if power is None else _log_polymat_mul(power, V)
+        n >>= 1
+        if not n:
+            return power
+        V = _log_polymat_mul(V, V)
 
 
 def _isolated(N, s, beta_j):
@@ -161,8 +193,8 @@ def _isolated(N, s, beta_j):
 def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial:
     """All-pairs coupling J/N: energy -(J/2N)[(sum m_i)^2 - sum m_i^2].
 
-    The sector weights are an N-fold convolution of single-site factors
-    exp(-(beta*J/2N) m^2), multiplied by the prefactor
+    The sector weights are the N-th power of the single-site factor
+    sum_m exp(-(beta*J/2N) m^2) z^{s-m}, multiplied by the prefactor
     exp((beta*J/2N)(Ns - n)^2).
     """
     if not isinstance(N, int) or N < 1:
@@ -171,7 +203,7 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
     _validate_beta(beta)
     a = beta * J / (2 * N)
     site = np.array([-a * float(m) ** 2 for m in projections(s)])
-    log_w = reduce(_log_convolve, [site] * N)
+    log_w = _log_polymat_power(site[:, None, None], N)[:, 0, 0]
     two_ns = N * s.doubled
     ns = two_ns / 2
     pref = a * (ns - np.arange(two_ns + 1)) ** 2
@@ -217,23 +249,12 @@ def long_range_integral_oracle(N: int, s: HalfInt, J: float, beta: float, n: int
     return math.exp(a * target**2) * val
 
 
-def _polymat_mul(A, B):
-    """Product of two matrix-valued polynomials, exact in the degree index."""
-    da, db = A.shape[0] - 1, B.shape[0] - 1
-    D = A.shape[1]
-    C = np.zeros((da + db + 1, D, D))
-    for i in range(da + 1):
-        for j in range(db + 1):
-            C[i + j] += A[i] @ B[j]
-    return C
-
-
 def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial:
     """Nearest-neighbor ring via a transfer matrix with polynomial entries.
 
     V[m, m'] = exp(beta*J*m*m') z^{s-m}; the coefficients of Tr[V^N] are the
-    p_n.  Matrix entries are rescaled after every multiplication and the log
-    scale accumulated, so arbitrary beta*J stays representable.
+    p_n.  V^N is taken in the log domain, so arbitrary beta*J stays
+    representable.
     """
     if not isinstance(N, int) or N < 3:
         raise ValueError(f"ring needs N >= 3 spins, got {N!r}")
@@ -241,26 +262,15 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
     _validate_beta(beta)
     ms = np.array([float(m) for m in projections(s)])
     D = s.doubled + 1
-    bond = np.exp(beta * J * np.outer(ms, ms) - beta * J * float(s) ** 2)
-    log_scale = N * beta * J * float(s) ** 2
-    V = np.zeros((s.doubled + 1, D, D))
+    V = np.full((D, D, D), -np.inf)
     for row, m in enumerate(projections(s)):
         k = (s.doubled - m.doubled) // 2  # z-power carried by this row
-        V[k, row, :] = bond[row, :]
-    acc = V
-    for _ in range(N - 1):
-        acc = _polymat_mul(acc, V)
-        peak = acc.max()
-        acc /= peak
-        log_scale += math.log(peak)
-    coeff = np.trace(acc, axis1=1, axis2=2)
-    if np.any(coeff <= 0):
-        raise RuntimeError("transfer-matrix coefficient underflowed to zero")
+        V[k, row, :] = beta * J * float(m) * ms
+    power = _log_polymat_power(V, N)
+    log_c = logsumexp(np.diagonal(power, axis1=1, axis2=2), axis=1)
     two_ns = N * s.doubled
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
-    return PartitionPolynomial(
-        two_ns, beta, np.log(coeff) + log_scale, tag, _isolated(N, s, beta * J)
-    )
+    return PartitionPolynomial(two_ns, beta, log_c, tag, _isolated(N, s, beta * J))
 
 
 def eval_ratio(poly: PartitionPolynomial, z: complex) -> complex:

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .partition import eval_ratio
 from .spins import ProbeState, ladder_overlap
 from .zeros import ZeroSet, bracket_root, predicted_zero_times
 
 _EPS = np.finfo(float).eps
-_P = np.polynomial.polynomial
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class CorrelationReport:
 
 def _signal(poly, state, lam, delta, h0, t):
     t = np.asarray(t, dtype=float)
-    c = poly.coeffs()
-    z = np.exp(-1j * lam * delta * t)
-    ratio = _P.polyval(z, c) / c.sum()
+    ratio = eval_ratio(poly, np.exp(-1j * lam * delta * t))
     ns = poly.two_ns / 2
     phase = np.exp(1j * (ns * lam - h0) * delta * t)
     return phase * ratio * ladder_overlap(state, delta)

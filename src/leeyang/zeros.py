@@ -165,13 +165,6 @@ def find_zeros(poly) -> ZeroSet:
     )
 
 
-def circle_deviation(zeros: ZeroSet) -> float:
-    """Max over roots of | |z_n| - 1 |, the quantitative circle-theorem check."""
-    if len(zeros.roots) == 0:
-        raise ValueError("empty zero set")
-    return float(np.max(np.abs(np.abs(zeros.roots) - 1.0)))
-
-
 def predicted_zero_times(zeros: ZeroSet, lam: float, delta: int):
     """Times t_n = ((-theta_n) mod 2pi) / (lam * delta), sorted ascending."""
     if lam <= 0:

@@ -13,13 +13,7 @@ from leeyang.partition import (
     build_ring,
 )
 from leeyang.spins import HalfInt
-from leeyang.zeros import (
-    RootConvergenceError,
-    ZeroSet,
-    circle_deviation,
-    find_zeros,
-    predicted_zero_times,
-)
+from leeyang.zeros import RootConvergenceError, find_zeros, predicted_zero_times
 
 
 def poly_from_coeffs(coeffs, beta=0.0):
@@ -161,26 +155,11 @@ class TestStructuralMultiplicity:
 class TestCircleDeviation:
     def test_exact_double_root(self):
         zs = find_zeros(two_free_spins())
-        assert circle_deviation(zs) < 1e-10
+        assert zs.circle_deviation < 1e-10
 
     def test_triangle(self):
         poly = build_exact(spins(1, 2), uniform_couplings(2, 1.0), 1.0)
-        assert circle_deviation(find_zeros(poly)) < 1e-10
-
-    def test_applies_to_any_root_set(self):
-        zs = ZeroSet(
-            roots=np.array([2.0 + 0j, -1.0 + 0j]),
-            angles=np.array([0.0, np.pi]),
-            clusters=[(0.0, 1), (np.pi, 1)],
-            circle_deviation=1.0,
-            max_residual=0.0,
-        )
-        assert circle_deviation(zs) == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        zs = ZeroSet(np.array([]), np.array([]), [], 0.0, 0.0)
-        with pytest.raises(ValueError):
-            circle_deviation(zs)
+        assert find_zeros(poly).circle_deviation < 1e-10
 
     @pytest.mark.parametrize("beta", [0.0, 1 / 32, 1 / 8, 0.5, 1.0, 4.0])
     def test_ferromagnetic_circle_theorem(self, beta):
