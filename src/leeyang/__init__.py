@@ -6,7 +6,6 @@ from .partition import (
     build_exact,
     build_long_range,
     build_ring,
-    eval_ratio,
     long_range_integral_oracle,
 )
 from .probe import (
@@ -46,7 +45,6 @@ __all__ = [
     "build_ring",
     "correlate",
     "detect_zero_times",
-    "eval_ratio",
     "expectation_series",
     "find_zeros",
     "ladder_overlap",

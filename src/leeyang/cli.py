@@ -12,10 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .probe import correlate, expectation_series
+# matching_window is re-exported for callers that widen a window themselves
+from .probe import correlate, expectation_series, matching_window  # noqa: F401
 from .zeros import RootConvergenceError, find_zeros
-
-_EPS = np.finfo(float).eps
 
 
 def _fmt(x):
@@ -39,18 +38,6 @@ FIGURE_PRESETS = {
         "panels": [("a", "inf"), ("b", 8), ("c", 2), ("d", 0.25)],
     },
 }
-
-
-def matching_window(max_multiplicity, base=1e-6):
-    """Widen the match window for degenerate zeros.
-
-    A touching zero of multiplicity m flattens the signal to |t - t_n|^m, so
-    its time cannot be localized from signal values better than roughly
-    eps^(1/m); simple and double zeros still resolve to well below 1e-6.
-    """
-    if max_multiplicity <= 2:
-        return base
-    return max(base, 20 * _EPS ** (1.0 / max_multiplicity))
 
 
 def write_zeros_csv(path, zeros, lam, delta, tag):
@@ -141,7 +128,7 @@ def cmd_evolve(args):
     return 0
 
 
-def _run_correlation(cfg, window=None):
+def _run_correlation(cfg):
     if cfg.h0 != 0:
         raise ConfigError("probe.h0: correlation requires h0 = 0")
     poly = cfg.build_polynomial()
@@ -149,11 +136,8 @@ def _run_correlation(cfg, window=None):
     series = expectation_series(
         poly, cfg.probe_state(), cfg.lam, cfg.delta, 0.0, cfg.t_max, cfg.steps
     )
-    if window is None:
-        max_mult = max(m for _, m in zeros.clusters)
-        window = matching_window(max_mult, cfg.match_window)
     report = correlate(
-        zeros, series, window=window, magnitude_tol=cfg.magnitude_tol,
+        zeros, series, window=cfg.match_window, magnitude_tol=cfg.magnitude_tol,
         lam=cfg.lam, delta=cfg.delta,
     )
     return poly, zeros, series, report

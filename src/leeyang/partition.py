@@ -84,7 +84,8 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     ``couplings[i][j]`` is the pair coupling J_ij (units J, zero diagonal);
     the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
     connected component of the beta*J > 0 coupling graph is enumerated on its
-    own, identical components once, and the polynomial is their product.
+    own; components with equal polynomials (for example mirror images) form
+    one factor, and the polynomial is the product of the factors.
     """
     _validate_beta(beta)
     spins = list(spins)
@@ -109,14 +110,18 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
             f"{count} configurations exceed the enumeration cap {ENUMERATION_CAP}"
         )
 
-    groups = {}  # identical blocks (same spins, same couplings) -> [indices, count]
+    groups = []  # [log_coeffs, count] per distinct block polynomial
     for idx in _coupling_blocks(beta * J > 0):
-        key = (tuple(spins[i].doubled for i in idx), J[np.ix_(idx, idx)].tobytes())
-        groups.setdefault(key, [idx, 0])[1] += 1
-    factors = tuple(
-        (_enumerate([spins[i] for i in idx], J[np.ix_(idx, idx)], beta), count)
-        for idx, count in groups.values()
-    )
+        lc = _enumerate([spins[i] for i in idx], J[np.ix_(idx, idx)], beta)
+        for group in groups:
+            if group[0].shape == lc.shape and np.all(
+                np.abs(group[0] - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc))
+            ):
+                group[1] += 1
+                break
+        else:
+            groups.append([lc, 1])
+    factors = tuple((lc, count) for lc, count in groups)
     log_c = np.zeros((1, 1, 1))  # log of the constant polynomial 1
     for lc, count in factors:
         log_c = _log_polymat_mul(log_c, _log_polymat_power(lc[:, None, None], count))
@@ -272,12 +277,3 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
     return PartitionPolynomial(two_ns, beta, log_c, tag, _isolated(N, s, beta * J))
 
-
-def eval_ratio(poly: PartitionPolynomial, z: complex) -> complex:
-    """Z(beta, h_complex) / Z(beta, 0) at z = exp(-beta*h_complex).
-
-    Evaluated on max-normalized coefficients; for |z| = 1 the modulus is
-    bounded by 1 up to rounding.
-    """
-    c = poly.coeffs()
-    return np.polynomial.polynomial.polyval(z, c) / c.sum()

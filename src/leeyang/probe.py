@@ -1,10 +1,14 @@
 """Probe-spin dynamics: the signal <(S+)^delta>(t) and its zero times.
 
-The signal factorizes into the complex-field partition ratio evaluated at
-z = exp(-i*lam*delta*t) (times the sector phase exp(i*Ns*lam*delta*t)), a
-probe-field phase, and a time-independent ladder overlap of the initial
-state.  Detected zero times of the signal are matched against the times
-predicted from the Lee-Yang zero angles.
+Up to normalization and phase, the signal is the partition function at a
+complex field.  With probe field h0 it factorizes as
+
+    f(t) = <(S+)^delta>_0 * exp(-i h0 delta t) * F(lam delta t) / F(0),
+
+where <(S+)^delta>_0 is the ladder overlap of the initial probe state and F
+is the real cosine series of the partition polynomial, the same series whose
+roots are the Lee-Yang zero angles.  Detected zero times of the signal are
+matched against the times predicted from those angles.
 """
 
 import math
@@ -12,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import eval_ratio
 from .spins import ProbeState, ladder_overlap
-from .zeros import ZeroSet, bracket_root, predicted_zero_times
+from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms, predicted_zero_times
 
 _EPS = np.finfo(float).eps
+# |F|/F(0) at or below this is rounding noise: grid minima of |F| with only
+# such values between them belong to one zero.
+_NOISE_FLOOR = 1e4 * _EPS
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,9 @@ class TimeSeries:
     h0: float
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    poly: object = field(repr=False, default=None)
-    state: object = field(repr=False, default=None)
+    poly: object = field(repr=False)
+    overlap: complex  # <(S+)^delta> of the initial probe state
+    terms: tuple = field(repr=False)  # (k, w) of F in double precision, F(0) = 1
 
     @property
     def period(self):
@@ -37,7 +44,7 @@ class TimeSeries:
 
     def evaluate(self, t):
         """Exact signal value at arbitrary time(s), not an interpolation."""
-        return _signal(self.poly, self.state, self.lam, self.delta, self.h0, t)
+        return _signal(self.overlap, self.terms, self.lam, self.delta, self.h0, t)
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,9 @@ class CorrelationReport:
         return not self.unmatched_predicted
 
 
-def _signal(poly, state, lam, delta, h0, t):
+def _signal(overlap, terms, lam, delta, h0, t):
     t = np.asarray(t, dtype=float)
-    ratio = eval_ratio(poly, np.exp(-1j * lam * delta * t))
-    ns = poly.two_ns / 2
-    phase = np.exp(1j * (ns * lam - h0) * delta * t)
-    return phase * ratio * ladder_overlap(state, delta)
+    return overlap * np.exp(-1j * h0 * delta * t) * cosine_series(*terms, lam * delta * t)
 
 
 def expectation_series(
@@ -89,123 +93,95 @@ def expectation_series(
         t_max = 2 * np.pi / (lam * delta)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    k, w = cosine_terms(poly.coeffs())
+    terms = (k.astype(float), (w / w.sum()).astype(float))
+    overlap = ladder_overlap(state, delta)
     times = np.linspace(0.0, t_max, steps, endpoint=False)
-    values = _signal(poly, state, lam, delta, h0, times)
-    return TimeSeries(lam, delta, h0, times, values, poly, state)
+    values = _signal(overlap, terms, lam, delta, h0, times)
+    return TimeSeries(lam, delta, h0, times, values, poly, overlap, terms)
 
 
-def _golden_min(f, a, b, tol=1e-13):
-    invphi = (math.sqrt(5) - 1) / 2
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+def _balance(F, t0, h, h_cap):
+    """Center of a touching (sign-keeping) zero of F near t0.
 
-
-def _balance_refine(g, t_c, halfwidth, period, scale):
-    """Center a touching (even-multiplicity) zero by balancing |f(t +/- h)|.
-
-    Solves |f(tau+h)| = |f(tau-h)| at a sampling offset h where the signal is
-    well above rounding noise, then removes the leading O(h^2) bias by
-    Richardson extrapolation over h and h/2.
+    Solves |F(tau + h)| = |F(tau - h)| at an offset h where F is well above
+    rounding noise, then removes the leading O(h^2) bias by Richardson
+    extrapolation over h and h/2.  t0 must lie within h of the zero.
     """
-    h = max(1e-6, halfwidth)
-    h_cap = period / 16
-    while h < h_cap and 0.5 * (g(t_c + h) + g(t_c - h)) < 1e-8 * scale:
+    while h < h_cap and abs(F(t0 + h)) + abs(F(t0 - h)) < 2e-8:
         h *= 2
 
-    def balance_point(h):
-        diff = lambda tau: g(tau + h) - g(tau - h)
-        lo, hi = t_c - h / 2, t_c + h / 2
+    def balance_point(center, h):
+        diff = lambda tau: abs(F(tau + h)) - abs(F(tau - h))
+        lo, hi = center - h, center + h
         dlo, dhi = diff(lo), diff(hi)
-        if dlo == 0:
-            return lo
-        if dhi == 0 or dlo * dhi > 0:
-            return None
+        if dlo * dhi > 0:
+            return center  # no balance point within reach; the residual decides
         return bracket_root(diff, lo, hi, dlo, dhi, 1e-14)
 
-    t1 = balance_point(h)
-    t2 = balance_point(h / 2)
-    if t1 is None or t2 is None:
-        return t2 if t2 is not None else (t1 if t1 is not None else t_c)
-    return (4 * t2 - t1) / 3
+    t1 = balance_point(t0, h)
+    return (4 * balance_point(t1, h / 2) - t1) / 3
 
 
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
-    """Zero times of the sampled signal, refined by exact re-evaluation.
+    """Zero times of the sampled signal, each refined once by exact re-evaluation.
 
-    Each grid local minimum of |f| is a candidate.  Where a real signal
-    changes sign across it, the zero is solved as a bracketed root; otherwise
-    it is a touching zero, located by golden-section search on |f| and
-    centered with the balance method.  Candidates whose refined residual
-    |f|/|f(0)| exceeds magnitude_tol are discarded.
+    The real amplitude F(lam*delta*t)/F(0) is recovered from the samples by
+    dividing out the overlap and the h0 phase.  Grid minima of |F| with only
+    rounding noise between them form one zero.  Where F changes sign across a
+    zero, the zero is solved as a bracketed root; otherwise it is a touching
+    zero, centered with the balance method.  Zeros whose refined |F|/F(0)
+    exceeds magnitude_tol are discarded.  Returns (time, |f| residual) pairs
+    in ascending time.
     """
     if magnitude_tol <= 0:
         raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
     if len(series.times) < 3:
         raise ValueError("series too short for zero detection")
-    f = series.evaluate
-    g = lambda t: abs(complex(f(t)))
-    mags = np.abs(series.values)
-    scale = abs(complex(f(0.0)))
-    if scale == 0:
-        scale = float(mags.max()) or 1.0
-    real_signal = float(np.max(np.abs(series.values.imag))) < 1e-9 * max(
-        scale, float(mags.max())
-    )
+    if series.overlap == 0:
+        raise ValueError(
+            "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "
+            "signal vanishes identically and has no zero times"
+        )
+    times = series.times
+    phase = np.exp(-1j * series.h0 * series.delta * times)
+    amp = (series.values / (series.overlap * phase)).real
+    mags = np.abs(amp)
+    k, w = series.terms
+    rate = series.lam * series.delta
+    F = lambda t: cosine_series(k, w, rate * t)
+
+    groups = []  # [first, last] grid minima of one zero
+    for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
+        if groups and mags[groups[-1][1]:i + 1].max() <= _NOISE_FLOOR:
+            groups[-1][1] = i
+        else:
+            groups.append([i, i])
 
     found = []
-    for i in range(1, len(mags) - 1):
-        if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
-            continue
-        a, b = float(series.times[i - 1]), float(series.times[i + 1])
-        ra, rb = series.values[i - 1].real, series.values[i + 1].real
-        if real_signal and ra * rb < 0:
-            refined = bracket_root(lambda t: float(f(t).real), a, b, ra, rb, 1e-14)
+    for first, last in groups:
+        a, b = times[first - 1], times[last + 1]
+        fa, fb = amp[first - 1], amp[last + 1]
+        if fa * fb < 0:
+            t = bracket_root(F, a, b, fa, fb, 1e-14)
         else:
-            t_c = _golden_min(g, a, b)
-            refined = _balance_refine(g, t_c, (b - a) / 2, series.period, scale)
-        residual = g(refined)
-        if residual <= magnitude_tol * scale:
-            found.append((float(refined), float(residual)))
+            t = _balance(F, (times[first] + times[last]) / 2, (b - a) / 2, series.period / 16)
+        residual = abs(F(t))
+        if residual <= magnitude_tol:
+            found.append((float(t), float(residual * abs(series.overlap))))
+    return found
 
-    found.sort()
 
-    noise_floor = 1e4 * _EPS * scale
+def matching_window(max_multiplicity, base=1e-6):
+    """Widen the match window for degenerate zeros.
 
-    def same_valley(t1, t2):
-        # one flat (high-multiplicity) zero can seed several candidates; they
-        # belong together iff the signal stays at rounding noise in between
-        if abs(t2 - t1) < 1e-7 * series.period:
-            return True
-        probes = np.linspace(t1, t2, 9)[1:-1]
-        return all(g(t) <= noise_floor for t in probes)
-
-    groups = []
-    for t, r in found:
-        if groups and same_valley(groups[-1][-1][0], t):
-            groups[-1].append((t, r))
-        else:
-            groups.append([(t, r)])
-
-    merged = []
-    for group in groups:
-        if len(group) == 1:
-            merged.append(group[0])
-            continue
-        lo, hi = group[0][0], group[-1][0]
-        center = _balance_refine(g, 0.5 * (lo + hi), hi - lo, series.period, scale)
-        merged.append((float(center), float(g(center))))
-    return merged
+    A touching zero of multiplicity m flattens the signal to |t - t_n|^m, so
+    its time cannot be localized from signal values better than roughly
+    eps^(1/m); simple and double zeros still resolve to well below 1e-6.
+    """
+    if max_multiplicity <= 2:
+        return base
+    return max(base, 20 * _EPS ** (1.0 / max_multiplicity))
 
 
 def _circular_distance(a, b, period):
@@ -219,8 +195,10 @@ def correlate(
 ) -> CorrelationReport:
     """Match detected zero times against the times predicted from the roots.
 
-    Coincident predictions (degenerate roots) are merged before the greedy
-    nearest-neighbor pairing; distances wrap around the fundamental period.
+    The window is widened by the zeros' largest multiplicity
+    (matching_window).  Coincident predictions (degenerate roots) are merged
+    before the greedy nearest-neighbor pairing; distances wrap around the
+    fundamental period.
     """
     if lam is not None and not math.isclose(lam, series.lam, rel_tol=0, abs_tol=0):
         raise ValueError(
@@ -233,6 +211,7 @@ def correlate(
     if series.h0 != 0:
         raise ValueError("correlate requires a series computed with h0 = 0")
 
+    window = matching_window(max(m for _, m in zeros.clusters), window)
     period = series.period
     raw = predicted_zero_times(zeros, series.lam, series.delta)
     predicted = []

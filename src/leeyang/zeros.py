@@ -14,8 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-_P = np.polynomial.polynomial
-
 # The sign-change grid has _GRID_PER_DEGREE points per unit of degree.  While
 # sign changes are missing, up to _MAX_REFINEMENTS times, the grid is halved
 # and its dips of |F| are resampled _REFINE_FACTOR times more finely, which
@@ -79,6 +77,28 @@ def bracket_root(f, a, b, fa, fb, xtol):
     return (a + b) / 2
 
 
+def cosine_terms(c):
+    """Terms (k, w), in extended precision, of a palindromic polynomial's cosine series.
+
+    On the unit circle, sum_n c_n exp(i n theta) = exp(i d theta / 2) F(theta)
+    with F(theta) = sum_k w_k cos(k theta), k = n - d/2 over the upper half of
+    the palindrome.  The pairs c_n, c_{d-n} are symmetrized because the
+    builders are palindromic only to rounding.
+    """
+    d = len(c) - 1
+    upper = np.arange((d + 1) // 2, d + 1)
+    k = (upper - d / 2).astype(np.longdouble)
+    w = (c[upper] + c[::-1][upper]).astype(np.longdouble)
+    if d % 2 == 0:
+        w[0] /= 2
+    return k, w
+
+
+def cosine_series(k, w, theta):
+    """F(theta) = sum_k w_k cos(k theta), for a scalar or an array of angles."""
+    return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
+
+
 def _cosine_roots(c):
     """Angles in (0, pi) of the zeros of the palindromic polynomial sum c_n z^n.
 
@@ -87,14 +107,8 @@ def _cosine_roots(c):
     RootConvergenceError unless floor(degree / 2) sign changes are found.
     """
     d = len(c) - 1
-    # F(theta) = sum_k w_k cos(k theta) over the upper half of the palindrome,
-    # symmetrized because the builders are palindromic only to rounding
-    upper = np.arange((d + 1) // 2, d + 1)
-    k = (upper - d / 2).astype(np.longdouble)
-    w = (c[upper] + c[::-1][upper]).astype(np.longdouble)
-    if d % 2 == 0:
-        w[0] /= 2
-    F = lambda t: sum(wk * np.cos(kk * t) for kk, wk in zip(k, w))
+    k, w = cosine_terms(c)
+    F = lambda t: cosine_series(k, w, t)
     expected = d // 2
     theta = np.linspace(0.0, np.pi, _GRID_PER_DEGREE * (d + 1) + 1).astype(np.longdouble)
     for _ in range(_MAX_REFINEMENTS + 1):
@@ -156,12 +170,13 @@ def find_zeros(poly) -> ZeroSet:
     clusters.sort()
     angles = np.repeat([a for a, _ in clusters], [m for _, m in clusters])
     roots = np.exp(1j * angles)
+    k, w = cosine_terms(poly.coeffs())
     return ZeroSet(
         roots=roots,
         angles=angles,
         clusters=clusters,
         circle_deviation=float(np.max(np.abs(np.abs(roots) - 1.0))),
-        max_residual=float(np.max(np.abs(_P.polyval(roots, poly.coeffs())))),
+        max_residual=float(np.max(np.abs(cosine_series(k, w, angles)))),
     )
 
 

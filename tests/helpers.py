@@ -57,6 +57,17 @@ def assert_roots_match(got, expected, atol=1e-9):
     assert worst < atol, f"root sets differ by {worst:.3e}"
 
 
+def eval_ratio(poly, z):
+    """Z(beta, h_complex) / Z(beta, 0) at z = exp(-beta*h_complex).
+
+    Complex Horner evaluation of the max-normalized coefficients: an oracle
+    independent of the package's cosine-series evaluator.  For |z| = 1 the
+    modulus is bounded by 1 up to rounding.
+    """
+    c = poly.coeffs()
+    return np.polynomial.polynomial.polyval(z, c) / c.sum()
+
+
 def multiplicities(spin_list):
     """Exact integer sector multiplicities via convolution of uniform vectors."""
     acc = np.array([1], dtype=object)

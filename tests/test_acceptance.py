@@ -13,18 +13,14 @@ import pytest
 
 from helpers import (
     assert_roots_match,
+    eval_ratio,
     figure_panels,
     ring_couplings,
     spins,
     uniform_couplings,
 )
 from leeyang.cli import main
-from leeyang.partition import (
-    build_exact,
-    build_long_range,
-    build_ring,
-    eval_ratio,
-)
+from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
 from leeyang.zeros import find_zeros

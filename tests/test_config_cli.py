@@ -163,6 +163,27 @@ class TestCliCommands:
         assert len(report["matches"]) == len(report["predicted"])
         assert report["circle_deviation"] < 1e-8
 
+    def test_correlate_mirror_image_blocks(self, tmp_path):
+        # a 3-spin path J01=1, J12=2 and its mirror image have one polynomial,
+        # so every zero of the bath is triple
+        path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+        couplings = np.zeros((9, 9))
+        for i, block in enumerate((path, path[::-1, ::-1], path)):
+            couplings[3 * i:3 * i + 3, 3 * i:3 * i + 3] = block
+        data = base_config(
+            model={"kind": "exact", "n_spins": 9, "two_s": 2, "couplings": couplings.tolist()},
+            temperature={"beta": 0.5},
+        )
+        assert [count for _, count in RunConfig(data).build_polynomial().factors] == [3]
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_correlate_refuses_state_without_coherence(self, tmp_path, capsys):
+        data = base_config(probe={"two_s0": 1, "state": [1, 0]}, temperature={"beta": 1.0})
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        assert "error: probe state has no coherence" in capsys.readouterr().err
+
     def test_correlate_rejects_nonzero_h0(self, tmp_path):
         data = base_config(probe={"two_s0": 1, "delta": 1, "h0": 0.5})
         cfg = write_config(tmp_path, data)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import multiplicities, ring_couplings, spins, uniform_couplings
+from helpers import eval_ratio, multiplicities, ring_couplings, spins, uniform_couplings
 from leeyang.partition import (
     ENUMERATION_CAP,
     PartitionPolynomial,
     build_exact,
     build_long_range,
     build_ring,
-    eval_ratio,
     long_range_integral_oracle,
 )
 from leeyang.spins import HalfInt

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import spins, uniform_couplings
+from helpers import eval_ratio, figure_panels, spins, uniform_couplings
 from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
-from leeyang.spins import HalfInt, sx_top_eigenstate
+from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
 from leeyang.zeros import find_zeros
 
 
@@ -97,6 +97,24 @@ class TestSignalInvariants:
         phase = np.exp(-1j * 0.7 * base.times)
         np.testing.assert_allclose(shifted.values, base.values * phase, atol=1e-13)
 
+    @pytest.mark.parametrize("h0", [0.0, 0.7])
+    def test_signal_is_partition_ratio_at_complex_field(self, h0):
+        # the oracle: complex Horner evaluation of Z(z)/Z(1) at z = exp(-i lam delta t)
+        t = np.linspace(0.0, 7.0, 97)
+        for name, poly, s0 in figure_panels():
+            state = sx_top_eigenstate(s0)
+            for delta in range(1, min(2, s0.doubled) + 1):
+                ser = expectation_series(poly, state, 1.0, delta, h0=h0, steps=2)
+                ns = poly.two_ns / 2
+                expected = (
+                    ladder_overlap(state, delta)
+                    * np.exp(1j * (ns - h0) * delta * t)
+                    * eval_ratio(poly, np.exp(-1j * delta * t))
+                )
+                np.testing.assert_allclose(
+                    ser.evaluate(t), expected, rtol=0, atol=1e-13, err_msg=f"{name} delta={delta}"
+                )
+
 
 class TestDetectZeroTimes:
     def test_cosine_squared_touching_zero(self, two_half_t_inf):
@@ -123,6 +141,32 @@ class TestDetectZeroTimes:
         )
         assert np.min(np.abs(ser.values)) > 0.1
         assert detect_zero_times(ser, 1e-6) == []
+
+    def test_state_without_coherence_refused(self, two_half_t_inf):
+        state = ProbeState(HalfInt(1), np.array([1.0, 0.0]))
+        ser = expectation_series(two_half_t_inf, state, 1.0, 1)
+        assert np.all(ser.values == 0)
+        with pytest.raises(ValueError, match="no coherence"):
+            detect_zero_times(ser, 1e-6)
+
+    @pytest.mark.parametrize("poly", [
+        build_ring(10, HalfInt(2), 1.0, 1 / 8), build_long_range(4, HalfInt(1), 1.0, 1 / 8),
+    ], ids=["fig6 beta=1/8", "fig4 beta=1/8"])
+    def test_complex_overlap_detects_same_times(self, poly):
+        x_state = sx_top_eigenstate(HalfInt(1))
+        y_state = ProbeState(HalfInt(1), np.array([1.0, 1j]) / np.sqrt(2))
+        x_times = [t for t, _ in detect_zero_times(expectation_series(poly, x_state, 1.0, 1))]
+        y_times = [t for t, _ in detect_zero_times(expectation_series(poly, y_state, 1.0, 1))]
+        assert len(y_times) == len(x_times) == poly.two_ns
+        np.testing.assert_allclose(y_times, x_times, rtol=0, atol=1e-12)
+
+    def test_flat_zero_detected_once(self):
+        # (1 + z)^12: one 12-fold zero at t = pi, flat to rounding over +-0.2
+        poly = build_long_range(12, HalfInt(1), 1.0, 0.0)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        detected = detect_zero_times(ser, 1e-6)
+        assert len(detected) == 1
+        assert detected[0][0] == pytest.approx(np.pi, abs=1e-6)
 
     def test_invalid_tolerance(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_roots_match, spins, uniform_couplings
-from leeyang.partition import (
-    build_exact,
-    build_long_range,
-    build_ring,
-    eval_ratio,
-)
+from helpers import assert_roots_match, eval_ratio, spins, uniform_couplings
+from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.spins import HalfInt, ladder_product_coeff
 from leeyang.zeros import find_zeros
 
