@@ -40,43 +40,55 @@ FIGURE_PRESETS = {
 }
 
 
+# Rows per `%` formatting operation; the writers hold the text of one block.
+_BLOCK_ROWS = 1024
+
+
+def _write_block(f, row_format, columns):
+    """Write equal-length columns as CSV rows with one `%` formatting operation.
+
+    ``%.17g`` of a Python float gives the digits of ``format(x, ".17g")``, and
+    ``%d`` writes the integer-valued columns.
+    """
+    rows = np.column_stack(columns)
+    f.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def write_zeros_csv(path, zeros, lam, delta, tag):
-    lines = [f"# model={json.dumps(tag)}"]
-    lines.append(f"# lambda={_fmt(lam)} delta={delta}")
-    lines.append(f"# circle_deviation={_fmt(zeros.circle_deviation)}")
-    lines.append("index,re,im,theta,abs_minus_1,multiplicity,predicted_time")
     mults = [m for _, m in zeros.clusters]
     multiplicity = np.repeat(mults, mults)
-    for i, (z, theta) in enumerate(zip(zeros.roots, zeros.angles)):
-        t = float(np.mod(-theta, 2 * np.pi)) / (lam * delta)
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(z.real),
-                    _fmt(z.imag),
-                    _fmt(theta),
-                    _fmt(abs(z) - 1.0),
-                    str(multiplicity[i]),
-                    _fmt(t),
-                ]
-            )
+    times = zeros.times(lam, delta)
+    with open(path, "w") as f:
+        f.write(
+            f"# model={json.dumps(tag)}\n"
+            f"# lambda={_fmt(lam)} delta={delta}\n"
+            f"# circle_deviation={_fmt(zeros.circle_deviation)}\n"
+            "index,re,im,theta,abs_minus_1,multiplicity,predicted_time\n"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for lo in range(0, len(times), _BLOCK_ROWS):
+            b = slice(lo, lo + _BLOCK_ROWS)
+            z = zeros.roots[b]
+            # hypot is the scalar abs() of a complex; numpy's vectorised
+            # complex abs can differ from it in the last bit
+            _write_block(f, "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n", [
+                np.arange(lo, lo + len(z)), z.real, z.imag, zeros.angles[b],
+                np.hypot(z.real, z.imag) - 1.0, multiplicity[b], times[b],
+            ])
 
 
 def write_series_csv(path, series, tag):
-    lines = [f"# model={json.dumps(tag)}"]
-    lines.append(
-        f"# beta={_fmt(series.poly.beta)} lambda={_fmt(series.lam)} "
-        f"delta={series.delta} h0={_fmt(series.h0)}"
-    )
-    lines.append("t,re,im,abs")
-    for t, v in zip(series.times, series.values):
-        lines.append(
-            ",".join([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
+    with open(path, "w") as f:
+        f.write(
+            f"# model={json.dumps(tag)}\n"
+            f"# beta={_fmt(series.poly.beta)} lambda={_fmt(series.lam)} "
+            f"delta={series.delta} h0={_fmt(series.h0)}\n"
+            "t,re,im,abs\n"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        for lo in range(0, len(series.times), _BLOCK_ROWS):
+            v = series.values[lo:lo + _BLOCK_ROWS]
+            _write_block(f, "%.17g,%.17g,%.17g,%.17g\n", [
+                series.times[lo:lo + _BLOCK_ROWS], v.real, v.imag, np.hypot(v.real, v.imag)
+            ])
 
 
 def write_report_json(path, report, circle_dev):

@@ -21,6 +21,8 @@ import numpy as np
 from .spins import HalfInt, projections
 
 ENUMERATION_CAP = 2_000_000
+# Configurations decoded at a time by build_exact.
+_ENUMERATION_CHUNK = 2**16
 
 
 def logsumexp(a, axis=None):
@@ -145,15 +147,32 @@ def _coupling_blocks(linked):
 
 
 def _enumerate(spins, J, beta):
-    """Log sector weights of one block of spins, over all its configurations."""
+    """Log sector weights of one block of spins, over all its configurations.
+
+    Configurations are decoded from their mixed-radix index _ENUMERATION_CHUNK
+    at a time, so memory stays bounded; the chunks' sector sums are merged in
+    the log domain.
+    """
     projs = [np.array([float(m) for m in projections(s)]) for s in spins]
-    grids = np.meshgrid(*projs, indexing="ij")
-    M = np.stack([g.ravel() for g in grids], axis=1)  # (count, n)
-    # zero diagonal makes the full quadratic form twice the i<j pair sum
-    expo = 0.5 * beta * np.einsum("ci,ij,cj->c", M, J, M)
+    count = math.prod(len(p) for p in projs)
     two_ns = sum(s.doubled for s in spins)
-    n_idx = np.rint(two_ns / 2 - M.sum(axis=1)).astype(int)
-    return np.array([logsumexp(expo[n_idx == k]) for k in range(two_ns + 1)])
+    log_w = np.full(two_ns + 1, -np.inf)
+    for lo in range(0, count, _ENUMERATION_CHUNK):
+        rest = np.arange(lo, min(lo + _ENUMERATION_CHUNK, count))
+        M = np.empty((len(rest), len(projs)))  # the first spin varies slowest
+        for i in reversed(range(len(projs))):
+            rest, digit = np.divmod(rest, len(projs[i]))
+            M[:, i] = projs[i][digit]
+        # zero diagonal makes the full quadratic form twice the i<j pair sum
+        expo = 0.5 * beta * np.einsum("ci,ij,cj->c", M, J, M)
+        n_idx = np.rint(two_ns / 2 - M.sum(axis=1)).astype(int)
+        peak = np.full(two_ns + 1, -np.inf)
+        np.maximum.at(peak, n_idx, expo)
+        total = np.bincount(n_idx, np.exp(expo - peak[n_idx]), two_ns + 1)
+        with np.errstate(divide="ignore"):  # sectors absent from this chunk
+            log_total = np.log(total)
+        log_w = np.logaddexp(log_w, peak + log_total)
+    return log_w
 
 
 def _log_polymat_mul(A, B):

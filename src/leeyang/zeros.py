@@ -47,6 +47,14 @@ class ZeroSet:
     circle_deviation: float
     max_residual: float
 
+    def times(self, lam: float, delta: int):
+        """Zero times t_n = ((-theta_n) mod 2pi) / (lam * delta), in root order."""
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
+        if not isinstance(delta, int) or delta < 1:
+            raise ValueError(f"delta must be a positive integer, got {delta!r}")
+        return np.mod(-self.angles, 2 * np.pi) / (lam * delta)
+
 
 def bracket_root(f, a, b, fa, fb, xtol):
     """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite sign.
@@ -181,10 +189,5 @@ def find_zeros(poly) -> ZeroSet:
 
 
 def predicted_zero_times(zeros: ZeroSet, lam: float, delta: int):
-    """Times t_n = ((-theta_n) mod 2pi) / (lam * delta), sorted ascending."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError(f"delta must be a positive integer, got {delta!r}")
-    times = np.mod(-zeros.angles, 2 * np.pi) / (lam * delta)
-    return np.sort(times)
+    """The zero times of ``zeros.times(lam, delta)``, sorted ascending."""
+    return np.sort(zeros.times(lam, delta))

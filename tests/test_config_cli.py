@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import leeyang
+from leeyang import cli
 from leeyang.cli import main
 from leeyang.config import ConfigError, RunConfig, load_config
+from leeyang.partition import build_long_range
+from leeyang.probe import TimeSeries
+from leeyang.spins import HalfInt
 
 
 def base_config(**overrides):
@@ -220,6 +224,95 @@ class TestCliCommands:
                 a = (tmp_path / "one" / "fig2" / panel / name).read_text()
                 b = (tmp_path / "two" / "fig2" / panel / name).read_text()
                 assert a == b
+
+
+def _ref(x):
+    return format(float(x), ".17g")
+
+
+def reference_series_csv(series, tag):
+    """series.csv written one value at a time, as the reference for the writer."""
+    lines = [
+        f"# model={json.dumps(tag)}",
+        f"# beta={_ref(series.poly.beta)} lambda={_ref(series.lam)} "
+        f"delta={series.delta} h0={_ref(series.h0)}",
+        "t,re,im,abs",
+    ]
+    for t, v in zip(series.times, series.values):
+        lines.append(",".join(_ref(x) for x in (t, v.real, v.imag, abs(v))))
+    return "\n".join(lines) + "\n"
+
+
+def reference_zeros_csv(zeros, lam, delta, tag):
+    """zeros.csv written one value at a time, as the reference for the writer."""
+    mults = [m for _, m in zeros.clusters]
+    multiplicity = np.repeat(mults, mults)
+    lines = [
+        f"# model={json.dumps(tag)}",
+        f"# lambda={_ref(lam)} delta={delta}",
+        f"# circle_deviation={_ref(zeros.circle_deviation)}",
+        "index,re,im,theta,abs_minus_1,multiplicity,predicted_time",
+    ]
+    for i, (z, theta) in enumerate(zip(zeros.roots, zeros.angles)):
+        t = float(np.mod(-theta, 2 * np.pi)) / (lam * delta)
+        fields = [_ref(z.real), _ref(z.imag), _ref(theta), _ref(abs(z) - 1.0)]
+        lines.append(",".join([str(i), *fields, str(multiplicity[i]), _ref(t)]))
+    return "\n".join(lines) + "\n"
+
+
+def read_columns(path):
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return np.array([[float(x) for x in row.split(",")] for row in rows]).T
+
+
+def check_series_file(path, series, tag):
+    cli.write_series_csv(path, series, tag)
+    assert path.read_text() == reference_series_csv(series, tag)
+    t, re, im, mag = read_columns(path)
+    assert np.array_equal(t, series.times)
+    assert np.array_equal(re, series.values.real)
+    assert np.array_equal(im, series.values.imag)
+    assert np.array_equal(mag, [abs(v) for v in series.values])
+
+
+class TestWriters:
+    @pytest.mark.parametrize("figure, panel", [("fig2", "c"), ("fig4", "d"), ("fig6", "b")])
+    def test_panel_files_match_reference_and_round_trip(self, tmp_path, figure, panel):
+        preset = cli.FIGURE_PRESETS[figure]
+        t_over_j = dict(preset["panels"])[panel]
+        cfg = RunConfig({
+            "model": dict(preset["model"]),
+            "temperature": {"T_over_J": t_over_j},
+            "probe": dict(preset["probe"]),
+            "lambda": 1.0,
+        })
+        poly, zeros, series, _ = cli._run_correlation(cfg)
+        tag = poly.model_tag
+        check_series_file(tmp_path / "series.csv", series, tag)
+
+        path = tmp_path / "zeros.csv"
+        cli.write_zeros_csv(path, zeros, cfg.lam, cfg.delta, tag)
+        assert path.read_text() == reference_zeros_csv(zeros, cfg.lam, cfg.delta, tag)
+        index, re, im, theta, _, _, times = read_columns(path)
+        assert np.array_equal(index, np.arange(len(zeros.roots)))
+        assert np.array_equal(re, zeros.roots.real)
+        assert np.array_equal(im, zeros.roots.imag)
+        assert np.array_equal(theta, zeros.angles)
+        assert np.array_equal(np.sort(times), leeyang.predicted_zero_times(zeros, cfg.lam, cfg.delta))
+
+    def test_special_values_over_a_partial_block(self, tmp_path):
+        n = 2 * cli._BLOCK_ROWS + 5
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values *= 10.0 ** rng.integers(-300, 300, n)
+        values[:3] = [complex(-0.0, 0.0), complex(5e-324, -0.0), complex(1e300, -1e300)]
+        times = np.linspace(0.0, 3.0, n, endpoint=False)
+        times[0] = -0.0
+        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+        series = TimeSeries(1.0, 1, 0.0, times, values, poly, 1.0, None)
+        path = tmp_path / "series.csv"
+        check_series_file(path, series, poly.model_tag)
+        assert path.read_text().splitlines()[3] == "-0,-0,0,0"
 
 
 def test_import_does_not_load_scipy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,26 @@ class TestBuildExact:
 
     def test_connected_bath_is_one_factor(self):
         assert build_exact(spins(1, 3), uniform_couplings(3, 1.0), 0.5).factors == ()
+
+    def test_bounded_memory_matches_long_range(self):
+        # 2^18 configurations: a table of all of them at once peaks near 80 MB
+        n, beta = 18, 0.5
+        tracemalloc.start()
+        try:
+            poly = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
+        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    def test_partial_last_chunk_matches_long_range(self):
+        # 3^11 = 177147 configurations, not a multiple of the chunk size
+        n, beta = 11, 0.7
+        poly = build_exact(spins(2, n), uniform_couplings(n, 1.0 / n), beta)
+        lc = build_long_range(n, HalfInt(2), 1.0, beta).log_coeffs
+        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     def test_enumeration_cap(self):
         n = 21  # 2^21 > cap
