@@ -114,8 +114,8 @@ def _apply_overrides(cfg, args):
             raise ConfigError("--steps must be at least 2")
         cfg.steps = args.steps
     if getattr(args, "t_max", None) is not None:
-        if args.t_max <= 0:
-            raise ConfigError("--t-max must be positive")
+        if not 0 < args.t_max < np.inf:
+            raise ConfigError("--t-max must be positive and finite")
         cfg.t_max = args.t_max
 
 

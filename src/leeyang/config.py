@@ -1,6 +1,7 @@
 """JSON run configuration: parsing, validation, and object construction."""
 
 import json
+import math
 
 import numpy as np
 
@@ -23,7 +24,12 @@ def _require(mapping, key, where):
 def _number(value, where, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: must be a finite number, got {v}")
     if minimum is not None and (v <= minimum if strict else v < minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"{where}: must be {op} {minimum}, got {v}")
@@ -63,7 +69,14 @@ class RunConfig:
                 # default: every pair coupled with strength J
                 mat = self.J * (np.ones((self.n_spins, self.n_spins)) - np.eye(self.n_spins))
             else:
-                mat = np.asarray(raw, dtype=float) * self.J
+                try:
+                    entries = np.asarray(raw, dtype=float)
+                    finite = bool(np.all(np.isfinite(entries)))
+                except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+                    finite = False
+                if not finite:
+                    raise ConfigError("model.couplings: expected a matrix of finite numbers")
+                mat = entries * self.J
                 if mat.shape != (self.n_spins, self.n_spins):
                     raise ConfigError(
                         f"model.couplings: expected {self.n_spins}x{self.n_spins} matrix"
@@ -119,14 +132,13 @@ class RunConfig:
                 )
             amps = []
             for k, entry in enumerate(state):
-                if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                    amps.append(complex(entry))
-                elif isinstance(entry, list) and len(entry) == 2:
-                    amps.append(complex(entry[0], entry[1]))
+                where = f"probe.state[{k}]"
+                if isinstance(entry, list) and len(entry) == 2:
+                    amps.append(complex(_number(entry[0], where), _number(entry[1], where)))
+                elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                    amps.append(complex(_number(entry, where)))
                 else:
-                    raise ConfigError(
-                        f"probe.state[{k}]: expected a number or [re, im] pair"
-                    )
+                    raise ConfigError(f"{where}: expected a number or [re, im] pair")
             amps = np.asarray(amps)
             norm = float(np.sum(np.abs(amps) ** 2))
             if norm == 0:

@@ -13,15 +13,16 @@ the trace of the N-th power of its transfer matrix, and a split exact bath is
 the product of its block factors, each raised to its count.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spins import HalfInt, projections
+from .spins import HalfInt, _check_magnitude, projections
 
 ENUMERATION_CAP = 2_000_000
-# Configurations decoded at a time by build_exact.
+# Configurations summed at a time by build_exact.
 _ENUMERATION_CHUNK = 2**16
 
 
@@ -60,10 +61,6 @@ class PartitionPolynomial:
         if self.beta < 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         object.__setattr__(self, "log_coeffs", lc)
-
-    @property
-    def degree(self):
-        return self.two_ns
 
     def coeffs(self) -> np.ndarray:
         """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
@@ -106,6 +103,7 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
 
     count = 1
     for s in spins:
+        _check_magnitude(s)
         count *= s.doubled + 1
     if count > ENUMERATION_CAP:
         raise ValueError(
@@ -149,30 +147,65 @@ def _coupling_blocks(linked):
 def _enumerate(spins, J, beta):
     """Log sector weights of one block of spins, over all its configurations.
 
-    Configurations are decoded from their mixed-radix index _ENUMERATION_CHUNK
-    at a time, so memory stays bounded; the chunks' sector sums are merged in
-    the log domain.
+    The energy is a quadratic form, so with the spins split into leading spins
+    H and trailing spins L it reads E(h, l) = E_H(h) + E_L(l) + m_h J_HL m_l.
+    Trailing spins join L while |L|^2 < count, so each part's configuration
+    table has about sqrt(count) rows and is built once.  The cross term of a
+    chunk of H rows against all of L is one matrix product, with the chunk
+    sized to hold about _ENUMERATION_CHUNK configurations.  Each chunk sums
+    every sector relative to its own peak exponent, which keeps low
+    temperatures finite, and the chunks' sector sums are merged in the log
+    domain.
     """
-    projs = [np.array([float(m) for m in projections(s)]) for s in spins]
-    count = math.prod(len(p) for p in projs)
-    two_ns = sum(s.doubled for s in spins)
-    log_w = np.full(two_ns + 1, -np.inf)
-    for lo in range(0, count, _ENUMERATION_CHUNK):
-        rest = np.arange(lo, min(lo + _ENUMERATION_CHUNK, count))
-        M = np.empty((len(rest), len(projs)))  # the first spin varies slowest
-        for i in reversed(range(len(projs))):
-            rest, digit = np.divmod(rest, len(projs[i]))
-            M[:, i] = projs[i][digit]
-        # zero diagonal makes the full quadratic form twice the i<j pair sum
-        expo = 0.5 * beta * np.einsum("ci,ij,cj->c", M, J, M)
-        n_idx = np.rint(two_ns / 2 - M.sum(axis=1)).astype(int)
-        peak = np.full(two_ns + 1, -np.inf)
-        np.maximum.at(peak, n_idx, expo)
-        total = np.bincount(n_idx, np.exp(expo - peak[n_idx]), two_ns + 1)
-        with np.errstate(divide="ignore"):  # sectors absent from this chunk
-            log_total = np.log(total)
-        log_w = np.logaddexp(log_w, peak + log_total)
-    return log_w
+    dims = [s.doubled + 1 for s in spins]
+    count = math.prod(dims)
+    split, size_l = len(dims), 1
+    while size_l**2 < count:
+        split -= 1
+        size_l *= dims[split]
+    H, up_H = _configurations(spins[:split])
+    L, up_L = _configurations(spins[split:])
+    bJ = beta * J
+    HJ = H @ bJ[:split]
+    cross = HJ[:, split:]
+    # zero diagonal makes each full quadratic form twice its i<j pair sum
+    e_H = 0.5 * (HJ[:, :split] * H).sum(axis=1)
+    e_L = 0.5 * ((L @ bJ[split:, split:]) * L).sum(axis=1)
+    sectors = sum(s.doubled for s in spins) + 1
+    rows = max(1, _ENUMERATION_CHUNK // size_l)
+    chunks = (
+        _log_sector_sums(
+            (e_H[lo:lo + rows, None] + e_L + cross[lo:lo + rows] @ L.T).ravel(),
+            (up_H[lo:lo + rows, None] + up_L).ravel(),
+            sectors,
+        )
+        for lo in range(0, len(H), rows)
+    )
+    # indexed by raising steps from all-down, which is 2Ns - n
+    return functools.reduce(np.logaddexp, chunks)[::-1]
+
+
+def _log_sector_sums(expo, sector, sectors):
+    """log of the sums of exp(expo) by sector, each relative to its own peak.
+
+    Sectors absent from ``sector`` are -inf.
+    """
+    peak = np.full(sectors, -np.inf)
+    np.maximum.at(peak, sector, expo)
+    total = np.bincount(sector, np.exp(expo - peak[sector]), sectors)
+    # a present sector's peak term adds exactly 1; an absent one's peak is -inf
+    return peak + np.log(np.maximum(total, 1.0))
+
+
+def _configurations(spins):
+    """Every projection configuration of ``spins``, the first varying slowest.
+
+    Returns the table of projections m, one configuration per row, and each
+    row's count of raising steps sum(m + s) from the all-down configuration.
+    """
+    dims = [s.doubled + 1 for s in spins]
+    up = np.indices(dims).reshape(len(dims), math.prod(dims)).T
+    return up - [s.doubled / 2 for s in spins], up.sum(axis=1)
 
 
 def _log_polymat_mul(A, B):

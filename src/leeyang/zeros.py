@@ -36,9 +36,10 @@ class ZeroSet:
     ascending angle on (-pi, pi]; ``angles`` and ``roots`` repeat each cluster
     by its multiplicity, in the same order.  The roots are built as
     exp(i theta), so they lie on the unit circle by construction and
-    ``circle_deviation`` is rounding-level.  What proves the circle theorem for
-    a given polynomial is the count certificate: find_zeros returns only when
-    sign changes of F account for all 2Ns roots.
+    ``circle_deviation``, the largest | hypot(re, im) - 1 |, is
+    rounding-level.  What proves the circle theorem for a given polynomial is
+    the count certificate: find_zeros returns only when sign changes of F
+    account for all 2Ns roots.
     """
 
     roots: np.ndarray = field(repr=False)
@@ -183,7 +184,7 @@ def find_zeros(poly) -> ZeroSet:
         roots=roots,
         angles=angles,
         clusters=clusters,
-        circle_deviation=float(np.max(np.abs(np.abs(roots) - 1.0))),
+        circle_deviation=float(np.max(np.abs(np.hypot(roots.real, roots.imag) - 1.0))),
         max_residual=float(np.max(np.abs(cosine_series(k, w, angles)))),
     )
 

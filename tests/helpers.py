@@ -1,5 +1,6 @@
 """Shared dense-matrix oracles and small builders for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +67,29 @@ def eval_ratio(poly, z):
     """
     c = poly.coeffs()
     return np.polynomial.polynomial.polyval(z, c) / c.sum()
+
+
+def brute_force_log_sectors(spin_list, couplings, beta):
+    """Log sector weights log p_n, one configuration at a time.
+
+    Each configuration's exponent beta * sum_{i<j} J_ij m_i m_j is a Python
+    sum, and sector n = Ns - sum m is summed relative to its largest exponent,
+    so large beta stays finite.  An oracle independent of build_exact's tables.
+    """
+    ms = [[d / 2 for d in range(-s.doubled, s.doubled + 1, 2)] for s in spin_list]
+    size = len(spin_list)
+    two_ns = sum(s.doubled for s in spin_list)
+    exponents = [[] for _ in range(two_ns + 1)]
+    for conf in itertools.product(*ms):
+        energy = sum(
+            couplings[i][j] * conf[i] * conf[j] for i in range(size) for j in range(i + 1, size)
+        )
+        exponents[round(two_ns / 2 - sum(conf))].append(beta * energy)
+    log_w = []
+    for sector in exponents:
+        peak = max(sector)
+        log_w.append(peak + math.log(math.fsum(math.exp(e - peak) for e in sector)))
+    return np.array(log_w)
 
 
 def multiplicities(spin_list):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,20 @@ def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# Each numeric field of a run configuration, set to a given value.
+NUMBER_FIELDS = {
+    "model.J": lambda v: base_config(model={"kind": "exact", "n_spins": 2, "two_s": 1, "J": v}),
+    "temperature.beta": lambda v: base_config(temperature={"beta": v}),
+    "temperature.T_over_J": lambda v: base_config(temperature={"T_over_J": v}),
+    "lambda": lambda v: base_config(**{"lambda": v}),
+    "probe.h0": lambda v: base_config(probe={"two_s0": 1, "delta": 1, "h0": v}),
+    "probe.state[0]": lambda v: base_config(probe={"two_s0": 1, "delta": 1, "state": [v, 1]}),
+    "model.couplings": lambda v: base_config(
+        model={"kind": "exact", "n_spins": 2, "two_s": 1, "couplings": [[0, v], [v, 0]]}
+    ),
+}
 
 
 class TestRunConfigValidation:
@@ -108,6 +123,20 @@ class TestRunConfigValidation:
     def test_tolerances_positive(self):
         with pytest.raises(ConfigError, match="magnitude_tol"):
             RunConfig(base_config(tolerances={"magnitude_tol": -1.0}))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["nan", "inf", "-inf", "int-beyond-float"],
+    )
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    def test_non_finite_number_rejected(self, tmp_path, field, value):
+        data = NUMBER_FIELDS[field](value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: .*finite number"):
+            RunConfig(data)
+        cfg = write_config(tmp_path, data)  # json writes NaN and Infinity
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 2
 
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -197,6 +226,23 @@ class TestCliCommands:
         cfg = write_config(tmp_path, base_config(temperature={"T_over_J": 0}))
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
+    def test_t_max_override_must_be_positive_and_finite(self, tmp_path, t_max):
+        cfg = write_config(tmp_path, base_config())
+        out = str(tmp_path / "s.csv")
+        assert main(["evolve", "--config", cfg, "--t-max", t_max, "--out", out]) == 2
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig4", "fig6"])
+    def test_circle_deviation_is_the_abs_minus_1_maximum(self, tmp_path, figure):
+        assert main(["reproduce", figure, "--out-dir", str(tmp_path)]) == 0
+        for panel in "abcd":
+            base = tmp_path / figure / panel
+            column_max = np.max(np.abs(read_columns(base / "zeros.csv")[4]))
+            header = (base / "zeros.csv").read_text().split("# circle_deviation=")[1]
+            assert float(header.split()[0]) == column_max
+            report = json.loads((base / "report.json").read_text())
+            assert report["circle_deviation"] == column_max
 
     def test_reproduce_fig4(self, tmp_path):
         assert main(["reproduce", "fig4", "--out-dir", str(tmp_path)]) == 0

@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import eval_ratio, multiplicities, ring_couplings, spins, uniform_couplings
+from helpers import (
+    brute_force_log_sectors,
+    eval_ratio,
+    multiplicities,
+    ring_couplings,
+    spins,
+    uniform_couplings,
+)
 from leeyang.partition import (
     ENUMERATION_CAP,
     PartitionPolynomial,
@@ -84,6 +91,43 @@ class TestBuildExact:
         poly = build_exact(spins(2, n), uniform_couplings(n, 1.0 / n), beta)
         lc = build_long_range(n, HalfInt(2), 1.0, beta).log_coeffs
         assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    def test_twenty_spins_bounded_memory(self):
+        # 2^20 configurations, enumerated as two 2^10-row half-tables
+        n, beta = 20, 0.5
+        tracemalloc.start()
+        try:
+            poly = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
+        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    # Trailing spins join the L part while |L|^2 < count; the rest are H.
+    @pytest.mark.parametrize("beta", [0.5, 50.0, 400.0])
+    @pytest.mark.parametrize(
+        "two_spins",
+        [
+            [1, 2, 3, 5, 1, 2],  # H = 1/2, 1, 3/2 and L = 5/2, 1/2, 1
+            [2, 3, 2, 1, 2],  # half-integer total on each side: H = 1, 3/2
+            [3, 1, 2],  # H is the single spin 3/2
+            [5, 1],  # H is empty
+        ],
+    )
+    def test_matches_brute_force_oracle(self, two_spins, beta):
+        n = len(two_spins)
+        upper = np.triu(np.random.default_rng(sum(two_spins)).uniform(0.0, 1.5, (n, n)), 1)
+        couplings = upper + upper.T
+        block = [HalfInt(d) for d in two_spins]
+        lc = brute_force_log_sectors(block, couplings, beta)
+        got = build_exact(block, couplings, beta).log_coeffs
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    def test_invalid_spin_rejected(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            build_exact([HalfInt(1), HalfInt(0)], uniform_couplings(2, 1.0), 1.0)
 
     def test_enumeration_cap(self):
         n = 21  # 2^21 > cap
