@@ -76,7 +76,12 @@ class RunConfig:
                     finite = False
                 if not finite:
                     raise ConfigError("model.couplings: expected a matrix of finite numbers")
-                mat = entries * self.J
+                with np.errstate(over="ignore"):
+                    mat = entries * self.J
+                if not np.all(np.isfinite(mat)):
+                    raise ConfigError(
+                        "model.couplings: J times each entry must be a finite number"
+                    )
                 if mat.shape != (self.n_spins, self.n_spins):
                     raise ConfigError(
                         f"model.couplings: expected {self.n_spins}x{self.n_spins} matrix"
@@ -140,10 +145,11 @@ class RunConfig:
                 else:
                     raise ConfigError(f"{where}: expected a number or [re, im] pair")
             amps = np.asarray(amps)
-            norm = float(np.sum(np.abs(amps) ** 2))
-            if norm == 0:
+            scale = np.max(np.abs(amps))
+            if scale == 0:
                 raise ConfigError("probe.state: amplitudes must not all vanish")
-            self.state_amplitudes = amps / np.sqrt(norm)
+            amps = amps / scale  # the largest is 1, so squaring cannot overflow
+            self.state_amplitudes = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
         else:
             raise ConfigError(
                 f"probe.state: expected 'sx_max' or an amplitude list, got {state!r}"

@@ -10,7 +10,10 @@ All three builders are one operation: a power of a small matrix polynomial,
 taken in the log domain by repeated squaring (O(log N) products).  The
 long-range model is the N-th power of the 1x1 single-site factor, the ring is
 the trace of the N-th power of its transfer matrix, and a split exact bath is
-the product of its block factors, each raised to its count.
+the product of its block factors, each raised to its count.  Each product
+sums its output degrees a block at a time (_log_polymat_mul): a product of
+low degree is a few array operations, and one of high degree takes about one
+per output degree, its time then set by the exponentials.
 """
 
 import functools
@@ -22,7 +25,8 @@ import numpy as np
 from .spins import HalfInt, _check_magnitude, projections
 
 ENUMERATION_CAP = 2_000_000
-# Configurations summed at a time by build_exact.
+# Terms summed at a time: configurations by build_exact's enumeration, and
+# products of coefficients by _log_polymat_mul.
 _ENUMERATION_CHUNK = 2**16
 
 
@@ -100,6 +104,10 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         raise ValueError("couplings matrix must have zero diagonal")
     if np.any(J < 0):
         raise ValueError("couplings must be non-negative (ferromagnetic)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bJ = beta * J
+    if not np.all(np.isfinite(bJ)):
+        raise ValueError("beta * J must be finite for every coupling")
 
     count = 1
     for s in spins:
@@ -111,8 +119,8 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         )
 
     groups = []  # [log_coeffs, count] per distinct block polynomial
-    for idx in _coupling_blocks(beta * J > 0):
-        lc = _enumerate([spins[i] for i in idx], J[np.ix_(idx, idx)], beta)
+    for idx in _coupling_blocks(bJ > 0):
+        lc = _enumerate([spins[i] for i in idx], bJ[np.ix_(idx, idx)])
         for group in groups:
             if group[0].shape == lc.shape and np.all(
                 np.abs(group[0] - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc))
@@ -144,8 +152,10 @@ def _coupling_blocks(linked):
     return sorted({tuple(np.flatnonzero(row)) for row in reach})
 
 
-def _enumerate(spins, J, beta):
+def _enumerate(spins, bJ):
     """Log sector weights of one block of spins, over all its configurations.
+
+    ``bJ`` is the block's couplings times beta.
 
     The energy is a quadratic form, so with the spins split into leading spins
     H and trailing spins L it reads E(h, l) = E_H(h) + E_L(l) + m_h J_HL m_l.
@@ -165,7 +175,6 @@ def _enumerate(spins, J, beta):
         size_l *= dims[split]
     H, up_H = _configurations(spins[:split])
     L, up_L = _configurations(spins[split:])
-    bJ = beta * J
     HJ = H @ bJ[:split]
     cross = HJ[:, split:]
     # zero diagonal makes each full quadratic form twice its i<j pair sum
@@ -212,19 +221,41 @@ def _log_polymat_mul(A, B):
     """Product of matrix polynomials of shape (deg+1, D, D) stored as logs.
 
     Absent terms are -inf.  Output degree k sums A[p] @ B[k-p] over p, as one
-    log-sum-exp over (p, inner index) per degree.
+    log-sum-exp over (p, inner index).  The output degrees are taken a block
+    at a time, with one broadcast sum and one log-sum-exp per block: a block
+    runs over the union of its degrees' p ranges, where a term outside a
+    degree's own range is -inf and adds nothing.  A block holds at most
+    _ENUMERATION_CHUNK terms, or the terms of a single degree.
     """
     da, db = A.shape[0] - 1, B.shape[0] - 1
     D = A.shape[1]
-    # A as (i, p, l) and B degree-reversed as (j, db - q, l): the terms of each
-    # output degree are then contiguous slices, summed over one trailing axis.
+    # A as (i, p, l); B degree-reversed and padded with da -inf degrees on
+    # each side, as (j, r, l) with r = db + da - q.  The factor B[k - p] of
+    # output degree k then sits at r = db + da - k + p: for each degree one
+    # contiguous run over (p, l), lined up with A's, read in place.
     At = np.ascontiguousarray(A.transpose(1, 0, 2))
-    Br = np.ascontiguousarray(B[::-1].transpose(2, 0, 1))
+    R = db + 1 + 2 * da
+    Br = np.full((D, R, D), -np.inf)
+    Br[:, da:da + db + 1] = B[::-1].transpose(2, 0, 1)
+    # windows[r], a view into Br, is the run of da + 1 degrees from r on, over
+    # (p, l), for each j
+    step = Br.itemsize
+    windows = np.ndarray(
+        (R - da, D, (da + 1) * D), Br.dtype, Br, strides=(D * step, R * D * step, step)
+    )
+    # A block of `rows` degrees sums over at most min(da, db) + rows values
+    # of p, so it holds at most _ENUMERATION_CHUNK terms when each part of
+    # rows * (min(da, db) + rows) * D**3 is at most half of that.
+    half = _ENUMERATION_CHUNK // (2 * D**3)
+    rows = max(1, min(half // (min(da, db) + 1), math.isqrt(half)))
     C = np.empty((da + db + 1, D, D))
-    for k in range(da + db + 1):
-        lo, hi = max(0, k - db), min(da, k) + 1
-        terms = At[:, None, lo:hi] + Br[None, :, db - k + lo:db - k + hi]
-        C[k] = logsumexp(terms.reshape(D, D, -1), axis=2)
+    for k0 in range(0, da + db + 1, rows):
+        k1 = min(k0 + rows, da + db + 1)
+        lo, hi = max(0, k0 - db), min(da, k1 - 1) + 1
+        first = db + da - (k1 - 1) + lo  # r of degree k1 - 1 at p = lo
+        Bk = windows[first:first + k1 - k0, :, :(hi - lo) * D][::-1]  # (k, j, (p, l))
+        terms = At[None, :, None, lo:hi].reshape(1, D, 1, -1) + Bk[:, None]
+        C[k0:k1] = logsumexp(terms, axis=3)
     return C
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spins import ProbeState, ladder_overlap
-from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms, predicted_zero_times
+from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
 
 _EPS = np.finfo(float).eps
 # |F|/F(0) at or below this is rounding noise: grid minima of |F| with only
@@ -51,7 +51,7 @@ class TimeSeries:
 class CorrelationReport:
     """Pairing of predicted and detected zero times within a matching window."""
 
-    predicted: list  # merged predicted times
+    predicted: list  # one time per root cluster, ascending
     detected: list  # (time, |f| residual)
     matches: list  # (predicted, detected, deviation)
     max_deviation: float
@@ -196,9 +196,9 @@ def correlate(
     """Match detected zero times against the times predicted from the roots.
 
     The window is widened by the zeros' largest multiplicity
-    (matching_window).  Coincident predictions (degenerate roots) are merged
-    before the greedy nearest-neighbor pairing; distances wrap around the
-    fundamental period.
+    (matching_window).  Each cluster of roots predicts one time, and the
+    pairing is greedy nearest-neighbor; distances wrap around the fundamental
+    period.
     """
     if lam is not None and not math.isclose(lam, series.lam, rel_tol=0, abs_tol=0):
         raise ValueError(
@@ -213,16 +213,8 @@ def correlate(
 
     window = matching_window(max(m for _, m in zeros.clusters), window)
     period = series.period
-    raw = predicted_zero_times(zeros, series.lam, series.delta)
-    predicted = []
-    group = [raw[0]]
-    for t in raw[1:]:
-        if t - group[-1] < 1e-6:
-            group.append(t)
-        else:
-            predicted.append(float(np.mean(group)))
-            group = [t]
-    predicted.append(float(np.mean(group)))
+    # one time per cluster: a cluster's angle repeats by its multiplicity
+    predicted = sorted(set(zeros.times(series.lam, series.delta).tolist()))
 
     detected = detect_zero_times(series, magnitude_tol)
 

@@ -104,7 +104,15 @@ def cosine_terms(c):
 
 
 def cosine_series(k, w, theta):
-    """F(theta) = sum_k w_k cos(k theta), for a scalar or an array of angles."""
+    """F(theta) = sum_k w_k cos(k theta), for a scalar or an array of angles.
+
+    A scalar angle is one dot product over the terms.  With extended-precision
+    terms it sums them in the term loop's order, so it equals the matching
+    element of an array evaluation.  An array of angles is summed term by
+    term, which holds one array of the angles' size at a time.
+    """
+    if np.ndim(theta) == 0:
+        return w @ np.cos(k * theta)
     return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from leeyang.partition import build_exact, build_long_range, build_ring
+from leeyang.partition import build_exact, build_long_range, build_ring, logsumexp
 from leeyang.spins import HalfInt
 
 
@@ -90,6 +90,24 @@ def brute_force_log_sectors(spin_list, couplings, beta):
         peak = max(sector)
         log_w.append(peak + math.log(math.fsum(math.exp(e - peak) for e in sector)))
     return np.array(log_w)
+
+
+def log_polymat_mul_reference(A, B):
+    """Product of log-domain matrix polynomials, one output degree at a time.
+
+    Degree k is one log-sum-exp over (p, inner index) of A[p] + B[k-p]: the
+    per-degree loop that the package's blocked product must reproduce.
+    """
+    da, db = A.shape[0] - 1, B.shape[0] - 1
+    D = A.shape[1]
+    At = np.ascontiguousarray(A.transpose(1, 0, 2))
+    Br = np.ascontiguousarray(B[::-1].transpose(2, 0, 1))
+    C = np.empty((da + db + 1, D, D))
+    for k in range(da + db + 1):
+        lo, hi = max(0, k - db), min(da, k) + 1
+        terms = At[:, None, lo:hi] + Br[None, :, db - k + lo:db - k + hi]
+        C[k] = logsumexp(terms.reshape(D, D, -1), axis=2)
+    return C
 
 
 def multiplicities(spin_list):

@@ -138,6 +138,30 @@ class TestRunConfigValidation:
         cfg = write_config(tmp_path, data)  # json writes NaN and Infinity
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_coupling_times_j_overflow_rejected(self, tmp_path, beta):
+        data = base_config(
+            model={
+                "kind": "exact", "n_spins": 2, "two_s": 1, "J": 10,
+                "couplings": [[0, 1e308], [1e308, 0]],
+            },
+            temperature={"beta": beta},
+        )
+        with pytest.raises(ConfigError, match="^model.couplings: .*finite"):
+            RunConfig(data)
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_state_amplitude_scaled_before_squaring(self, tmp_path):
+        data = base_config(
+            temperature={"beta": 0.5}, probe={"two_s0": 1, "delta": 1, "state": [1e200, 1]}
+        )
+        np.testing.assert_array_equal(RunConfig(data).state_amplitudes, [1.0, 1e-200])
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "model": }')

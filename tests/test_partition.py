@@ -7,20 +7,25 @@ import pytest
 from helpers import (
     brute_force_log_sectors,
     eval_ratio,
+    log_polymat_mul_reference,
     multiplicities,
     ring_couplings,
     spins,
     uniform_couplings,
 )
+import leeyang.partition
 from leeyang.partition import (
+    _ENUMERATION_CHUNK,
     ENUMERATION_CAP,
     PartitionPolynomial,
+    _log_polymat_mul,
     build_exact,
     build_long_range,
     build_ring,
     long_range_integral_oracle,
 )
 from leeyang.spins import HalfInt
+from leeyang.zeros import find_zeros
 
 
 def rel_coeff_diff(a, b):
@@ -125,6 +130,14 @@ class TestBuildExact:
         got = build_exact(block, couplings, beta).log_coeffs
         assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coupling, beta", [(math.inf, 0.0), (1e308, 10.0)], ids=["inf-at-beta-0", "overflow"]
+    )
+    def test_non_finite_beta_j_rejected(self, coupling, beta):
+        with pytest.raises(ValueError, match="finite"):
+            build_exact(spins(1, 2), [[0.0, coupling], [coupling, 0.0]], beta)
+
     def test_invalid_spin_rejected(self):
         with pytest.raises(ValueError, match="magnitude"):
             build_exact([HalfInt(1), HalfInt(0)], uniform_couplings(2, 1.0), 1.0)
@@ -198,6 +211,22 @@ class TestBuildRing:
     def test_ten_spin_one_degree(self):
         assert build_ring(10, HalfInt(2), 1.0, 1.0).two_ns == 20
 
+    @pytest.mark.parametrize("beta_j", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [9, 10, 14])
+    def test_spin_half_zeros_match_closed_form(self, n, beta_j):
+        # Lee & Yang 1952: sin^2(theta_k / 2) = sin^2 phi_k + e^{-beta J} cos^2 phi_k,
+        # phi_k = (2k + 1) pi / (2N); k and N - 1 - k give the same angle.
+        # Written as an arctangent, which stays well conditioned near pi.
+        phi = (2 * np.arange((n + 1) // 2) + 1) * np.pi / (2 * n)
+        a = math.exp(-beta_j)
+        half = np.arctan2(
+            np.sqrt(np.sin(phi) ** 2 + a * np.cos(phi) ** 2),
+            np.abs(np.cos(phi)) * math.sqrt(-math.expm1(-beta_j)),
+        )
+        expected = np.sort(np.concatenate([2 * half, -2 * half[: n // 2]]))
+        got = find_zeros(build_ring(n, HalfInt(1), 1.0, beta_j)).angles
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
     def test_open_chain_rejected(self):
         with pytest.raises(ValueError):
             build_ring(2, HalfInt(1), 1.0, 1.0)
@@ -260,6 +289,61 @@ class TestInvariants:
         ]) + a * (n / 2 - k) ** 2 - n * a / 4
         lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
         assert np.all(np.abs(lc - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def random_log_polymat(rng, degree, D):
+    """Log entries up to 1e3 in magnitude, about 30% of them -inf."""
+    A = rng.uniform(-1e3, 1e3, (degree + 1, D, D))
+    A[rng.random(A.shape) < 0.3] = -np.inf
+    return A
+
+
+class TestLogPolymatMul:
+    # (da, db): shorter first, longer first, equal, degree 0, and products
+    # long enough to span several blocks of output degrees
+    DEGREES = [(3, 11), (11, 3), (7, 7), (0, 5), (5, 0), (0, 0), (40, 300), (300, 40), (200, 200)]
+
+    # a chunk of 64 terms makes blocks of a few degrees even at low degree
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["default-chunk", "chunk-64"])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("da, db", DEGREES)
+    def test_matches_per_degree_reference(self, monkeypatch, da, db, D, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(leeyang.partition, "_ENUMERATION_CHUNK", chunk)
+        rng = np.random.default_rng(1000 * da + 10 * db + D)
+        A, B = random_log_polymat(rng, da, D), random_log_polymat(rng, db, D)
+        got, ref = _log_polymat_mul(A, B), log_polymat_mul_reference(A, B)
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        assert np.all(np.isfinite(got) == finite)
+        err = np.abs(got[finite] - ref[finite])
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref[finite])))
+
+    @pytest.mark.parametrize(
+        "build, two_s", [(build_ring, 2), (build_long_range, 2)], ids=["ring", "long_range"]
+    )
+    def test_degree_2000_bounded_memory(self, build, two_s):
+        # a block holds at most _ENUMERATION_CHUNK terms; log-sum-exp keeps
+        # three arrays of that size, and the product its own output
+        tracemalloc.start()
+        try:
+            build(1000, HalfInt(two_s), 1.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _ENUMERATION_CHUNK
+
+    def test_long_times_short_bounded_memory(self):
+        # a block's p range grows with its row count when da > db
+        rng = np.random.default_rng(5)
+        A, B = random_log_polymat(rng, 2000, 1), random_log_polymat(rng, 1, 1)
+        tracemalloc.start()
+        try:
+            _log_polymat_mul(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _ENUMERATION_CHUNK
 
 
 class TestEvalRatio:

@@ -203,6 +203,15 @@ class TestCorrelate:
         assert report.all_matched
         assert report.max_deviation < 1e-6
 
+    def test_one_prediction_per_cluster(self):
+        # (1 + z + z^2)^6: two zeros, each of multiplicity 6
+        poly = build_ring(6, HalfInt(2), 1.0, 0.0)
+        zs = find_zeros(poly)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        report = correlate(zs, ser)
+        assert report.predicted == sorted(np.mod(-a, 2 * np.pi) for a, _ in zs.clusters)
+        assert report.all_matched
+
     def test_lambda_metadata_mismatch(self, triangle_beta_one):
         zs = find_zeros(triangle_beta_one)
         ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)

@@ -13,7 +13,13 @@ from leeyang.partition import (
     build_ring,
 )
 from leeyang.spins import HalfInt
-from leeyang.zeros import RootConvergenceError, find_zeros, predicted_zero_times
+from leeyang.zeros import (
+    RootConvergenceError,
+    cosine_series,
+    cosine_terms,
+    find_zeros,
+    predicted_zero_times,
+)
 
 
 def poly_from_coeffs(coeffs, beta=0.0):
@@ -216,6 +222,27 @@ class TestPredictedZeroTimes:
             predicted_zero_times(zs, 0.0, 1)
         with pytest.raises(ValueError):
             predicted_zero_times(zs, 1.0, 0)
+
+
+class TestCosineSeries:
+    @pytest.fixture
+    def terms(self):
+        return cosine_terms(build_ring(7, HalfInt(3), 1.0, 0.6).coeffs())
+
+    def test_scalar_equals_array_element_in_extended_precision(self, terms):
+        k, w = terms
+        theta = np.linspace(0.0, np.pi, 101).astype(np.longdouble)
+        grid = cosine_series(k, w, theta)
+        for i in range(len(theta)):
+            assert cosine_series(k, w, theta[i]) == grid[i]
+
+    def test_scalar_matches_array_element_in_double(self, terms):
+        k, w = terms
+        k, w = k.astype(float), (w / w.sum()).astype(float)  # F(0) = 1
+        theta = np.linspace(-2.0, 9.0, 101)
+        grid = cosine_series(k, w, theta)
+        for i in range(len(theta)):
+            assert abs(cosine_series(k, w, float(theta[i])) - grid[i]) <= 1e-15
 
 
 class TestAngleSymmetry:
