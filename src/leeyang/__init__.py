@@ -23,12 +23,7 @@ from .spins import (
     projections,
     sx_top_eigenstate,
 )
-from .zeros import (
-    RootConvergenceError,
-    ZeroSet,
-    find_zeros,
-    predicted_zero_times,
-)
+from .zeros import RootConvergenceError, ZeroSet, find_zeros
 
 __all__ = [
     "ConfigError",
@@ -51,7 +46,6 @@ __all__ = [
     "ladder_product_coeff",
     "load_config",
     "long_range_integral_oracle",
-    "predicted_zero_times",
     "projections",
     "sx_top_eigenstate",
 ]

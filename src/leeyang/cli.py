@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _integer, _number, load_config
 # matching_window is re-exported for callers that widen a window themselves
 from .probe import correlate, expectation_series, matching_window  # noqa: F401
 from .zeros import RootConvergenceError, find_zeros
@@ -110,13 +110,9 @@ def write_report_json(path, report, circle_dev):
 
 def _apply_overrides(cfg, args):
     if getattr(args, "steps", None) is not None:
-        if args.steps < 2:
-            raise ConfigError("--steps must be at least 2")
-        cfg.steps = args.steps
+        cfg.steps = _integer(args.steps, "--steps", 2)
     if getattr(args, "t_max", None) is not None:
-        if not 0 < args.t_max < np.inf:
-            raise ConfigError("--t-max must be positive and finite")
-        cfg.t_max = args.t_max
+        cfg.t_max = _number(args.t_max, "--t-max", 0.0, strict=True)
 
 
 def cmd_zeros(args):
@@ -141,12 +137,10 @@ def cmd_evolve(args):
 
 
 def _run_correlation(cfg):
-    if cfg.h0 != 0:
-        raise ConfigError("probe.h0: correlation requires h0 = 0")
     poly = cfg.build_polynomial()
     zeros = find_zeros(poly)
     series = expectation_series(
-        poly, cfg.probe_state(), cfg.lam, cfg.delta, 0.0, cfg.t_max, cfg.steps
+        poly, cfg.probe_state(), cfg.lam, cfg.delta, cfg.h0, cfg.t_max, cfg.steps
     )
     report = correlate(
         zeros, series, window=cfg.match_window, magnitude_tol=cfg.magnitude_tol,

@@ -1,7 +1,8 @@
 """Probe-spin dynamics: the signal <(S+)^delta>(t) and its zero times.
 
 Up to normalization and phase, the signal is the partition function at a
-complex field.  With probe field h0 it factorizes as
+complex field.  With H = -sum_{i<j} J_ij m_i m_j - (h0 + lam sum_j m_j) S0z,
+every field entering as -h S^z as in z = exp(-beta h), it factorizes as
 
     f(t) = <(S+)^delta>_0 * exp(-i h0 delta t) * F(lam delta t) / F(0),
 
@@ -101,18 +102,29 @@ def expectation_series(
     return TimeSeries(lam, delta, h0, times, values, poly, overlap, terms)
 
 
-def _balance(F, t0, h, h_cap):
-    """Center of a touching (sign-keeping) zero of F near t0.
+def _balance(F, t0, h, h_cap, step=None):
+    """Center of a multiple zero of F near t0.
 
     Solves |F(tau + h)| = |F(tau - h)| at an offset h where F is well above
     rounding noise, then removes the leading O(h^2) bias by Richardson
-    extrapolation over h and h/2.  t0 must lie within h of the zero.
+    extrapolation over h and h/2.  t0 must lie within h of the zero.  A sign
+    change of odd multiplicity within step/2 of t0 has, for h >= 2 * step, a
+    monotone, nearly linear balance function: three secant steps solve it.
     """
     while h < h_cap and abs(F(t0 + h)) + abs(F(t0 - h)) < 2e-8:
         h *= 2
 
     def balance_point(center, h):
         diff = lambda tau: abs(F(tau + h)) - abs(F(tau - h))
+        if step:
+            a, b = center - step / 2, center + step / 2
+            da, db = diff(a), diff(b)
+            for _ in range(3):
+                if da == db:
+                    break
+                a, da, b = b, db, b - db * (b - a) / (db - da)
+                db = diff(b)
+            return b
         lo, hi = center - h, center + h
         dlo, dhi = diff(lo), diff(hi)
         if dlo * dhi > 0:
@@ -128,9 +140,9 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
 
     The real amplitude F(lam*delta*t)/F(0) is recovered from the samples by
     dividing out the overlap and the h0 phase.  Grid minima of |F| with only
-    rounding noise between them form one zero.  Where F changes sign across a
-    zero, the zero is solved as a bracketed root; otherwise it is a touching
-    zero, centered with the balance method.  Zeros whose refined |F|/F(0)
+    rounding noise between them form one zero.  A simple sign change is solved
+    as a bracketed root; a touching zero, or a sign change of odd multiplicity
+    >= 3, is centered with the balance method.  Zeros whose refined |F|/F(0)
     exceeds magnitude_tol are discarded.  Returns (time, |f| residual) pairs
     in ascending time.
     """
@@ -162,10 +174,15 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     for first, last in groups:
         a, b = times[first - 1], times[last + 1]
         fa, fb = amp[first - 1], amp[last + 1]
-        if fa * fb < 0:
-            t = bracket_root(F, a, b, fa, fb, 1e-14)
+        t, h = (times[first] + times[last]) / 2, (b - a) / 2
+        if fa * fb >= 0:
+            t = _balance(F, t, h, series.period / 16)
+        elif all(abs(F(t + 4 * d)) > 4 * abs(F(t + 2 * d)) for d in (h, -h)):
+            # |F| grows like |tau - t|^m: from 2h to 4h away by 2^m, 2 for a
+            # simple zero, 8 for a triple one, on both sides unlike a neighbour's
+            t = _balance(F, t, 4 * h, series.period / 16, step=h)
         else:
-            t = _balance(F, (times[first] + times[last]) / 2, (b - a) / 2, series.period / 16)
+            t = bracket_root(F, a, b, fa, fb, 1e-14)
         residual = abs(F(t))
         if residual <= magnitude_tol:
             found.append((float(t), float(residual * abs(series.overlap))))
@@ -208,8 +225,6 @@ def correlate(
         raise ValueError(
             f"delta metadata mismatch: series has {series.delta}, expected {delta}"
         )
-    if series.h0 != 0:
-        raise ValueError("correlate requires a series computed with h0 = 0")
 
     window = matching_window(max(m for _, m in zeros.clusters), window)
     period = series.period

@@ -9,8 +9,9 @@ factor (``PartitionPolynomial.factors``) is solved once and counted per copy.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +31,32 @@ class RootConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """All roots of the partition polynomial, with multiplicity bookkeeping.
+    """All roots of the partition polynomial, as distinct zeros with multiplicity.
 
     ``clusters`` lists each distinct zero as (angle, multiplicity) in
-    ascending angle on (-pi, pi]; ``angles`` and ``roots`` repeat each cluster
-    by its multiplicity, in the same order.  The roots are built as
-    exp(i theta), so they lie on the unit circle by construction and
-    ``circle_deviation``, the largest | hypot(re, im) - 1 |, is
-    rounding-level.  What proves the circle theorem for a given polynomial is
-    the count certificate: find_zeros returns only when sign changes of F
-    account for all 2Ns roots.
+    ascending angle on (-pi, pi].  By the circle theorem that is the whole
+    answer; ``angles`` and ``roots`` repeat each cluster by its multiplicity,
+    in the same order.  The roots are built as exp(i theta), so they lie on
+    the unit circle by construction and ``circle_deviation``, the largest
+    | hypot(re, im) - 1 |, is rounding-level.  What proves the circle theorem
+    for a given polynomial is the count certificate: find_zeros returns only
+    when sign changes of F account for all 2Ns roots.
     """
 
-    roots: np.ndarray = field(repr=False)
-    angles: np.ndarray = field(repr=False)
     clusters: list  # (representative angle, multiplicity)
-    circle_deviation: float
-    max_residual: float
+
+    @cached_property
+    def angles(self):
+        return np.repeat([a for a, _ in self.clusters], [m for _, m in self.clusters])
+
+    @cached_property
+    def roots(self):
+        return np.exp(1j * self.angles)
+
+    @cached_property
+    def circle_deviation(self):
+        z = self.roots
+        return float(np.max(np.abs(np.hypot(z.real, z.imag) - 1.0)))
 
     def times(self, lam: float, delta: int):
         """Zero times t_n = ((-theta_n) mod 2pi) / (lam * delta), in root order."""
@@ -185,18 +195,4 @@ def find_zeros(poly) -> ZeroSet:
     clusters += [(2 * np.pi * float(turn), mult) for turn, mult in exact.items()]
     clusters += [(-theta, mult) for theta, mult in clusters if theta != np.pi]
     clusters.sort()
-    angles = np.repeat([a for a, _ in clusters], [m for _, m in clusters])
-    roots = np.exp(1j * angles)
-    k, w = cosine_terms(poly.coeffs())
-    return ZeroSet(
-        roots=roots,
-        angles=angles,
-        clusters=clusters,
-        circle_deviation=float(np.max(np.abs(np.hypot(roots.real, roots.imag) - 1.0))),
-        max_residual=float(np.max(np.abs(cosine_series(k, w, angles)))),
-    )
-
-
-def predicted_zero_times(zeros: ZeroSet, lam: float, delta: int):
-    """The zero times of ``zeros.times(lam, delta)``, sorted ascending."""
-    return np.sort(zeros.times(lam, delta))
+    return ZeroSet(clusters)

@@ -69,6 +69,41 @@ def eval_ratio(poly, z):
     return np.polynomial.polynomial.polyval(z, c) / c.sum()
 
 
+def probe_coherence_oracle(spin_list, couplings, beta, state, lam, h0, delta, times):
+    """<(S0+)^delta>(t) by explicit evolution of the probe density matrix.
+
+    The Hamiltonian is
+
+        H = -sum_{i<j} J_ij m_i m_j - (h0 + lam * sum_j m_j) S0z,
+
+    with m_j the z projections of the bath spins.  Sign convention: a field h
+    enters as -h S^z, as in the bath's Lee-Yang variable z = exp(-beta h)
+    (Boltzmann weight exp(+beta h sum m)).  The bath starts in its thermal
+    state, weights exp(beta sum_{i<j} J_ij m_i m_j) over every configuration,
+    and the probe in |psi><psi|.  In each configuration the probe evolves as
+    rho(t) = U rho U^dagger with U = exp(-iHt) = exp(i (h0 + lam M) S0z t);
+    everything is diagonal in z, so this is exact.  With the opposite sign,
+    H = +(h0 + lam M) S0z, the result is that for -h0 (the thermal weights
+    are even in M at zero bath field), so its h0 phase is exp(+i h0 delta t).
+    """
+    ms = [[d / 2 for d in range(-s.doubled, s.doubled + 1, 2)] for s in spin_list]
+    confs = np.array(list(itertools.product(*ms)))
+    energy = np.einsum("ci,ij,cj->c", confs, np.triu(couplings, 1), confs)
+    weights = np.exp(beta * (energy - energy.max()))
+    weights /= weights.sum()
+    field = h0 + lam * confs.sum(axis=1)
+    d0 = state.s0.doubled
+    m0 = np.arange(-d0, d0 + 1, 2) / 2
+    rho0 = np.outer(state.amplitudes, np.conj(state.amplitudes))
+    op = np.linalg.matrix_power(splus_matrix(d0), delta)
+    out = []
+    for t in times:
+        u = np.exp(1j * np.outer(field * t, m0))  # diagonal of U, per configuration
+        rho = np.tensordot(weights, u[:, :, None] * rho0 * np.conj(u)[:, None, :], axes=1)
+        out.append(np.trace(rho @ op))
+    return np.array(out)
+
+
 def brute_force_log_sectors(spin_list, couplings, beta):
     """Log sector weights log p_n, one configuration at a time.
 

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import leeyang
+from helpers import figure_panels
 from leeyang import cli
 from leeyang.cli import main
 from leeyang.config import ConfigError, RunConfig, load_config
 from leeyang.partition import build_long_range
-from leeyang.probe import TimeSeries
-from leeyang.spins import HalfInt
+from leeyang.probe import TimeSeries, correlate, expectation_series
+from leeyang.spins import HalfInt, sx_top_eigenstate
+from leeyang.zeros import find_zeros
 
 
 def base_config(**overrides):
@@ -241,15 +243,42 @@ class TestCliCommands:
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
         assert "error: probe state has no coherence" in capsys.readouterr().err
 
-    def test_correlate_rejects_nonzero_h0(self, tmp_path):
-        data = base_config(probe={"two_s0": 1, "delta": 1, "h0": 0.5})
-        cfg = write_config(tmp_path, data)
-        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    def test_correlate_with_probe_field_matches_every_zero(self, tmp_path):
+        # detection divides out the h0 phase, so h0 moves no detected time
+        for name, poly, s0 in figure_panels():
+            zs = find_zeros(poly)
+            state = sx_top_eigenstate(s0)
+            for delta in range(1, min(2, s0.doubled) + 1):
+                at_zero = correlate(zs, expectation_series(poly, state, 1.0, delta))
+                for h0 in (0.7, -3.1):
+                    report = correlate(zs, expectation_series(poly, state, 1.0, delta, h0))
+                    assert report.all_matched and not report.unmatched_detected, name
+                    np.testing.assert_allclose(
+                        [t for t, _ in report.detected], [t for t, _ in at_zero.detected],
+                        rtol=0, atol=1e-12, err_msg=f"{name} delta={delta} h0={h0}",
+                    )
+        data = base_config(probe={"two_s0": 1, "delta": 1, "h0": 0.5}, temperature={"beta": 1.0})
+        cfg, out = write_config(tmp_path, data), tmp_path / "r.json"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["unmatched_predicted"] == [] and report["unmatched_detected"] == []
+        assert len(report["matches"]) == len(report["predicted"]) == 2
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(temperature={"T_over_J": 0}))
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "reproduce"])
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_steps_override_below_two_refused(self, tmp_path, capsys, command, steps):
+        if command == "reproduce":
+            args = ["reproduce", "fig4", "--out-dir", str(tmp_path)]
+        else:
+            args = ["evolve", "--config", write_config(tmp_path, base_config()),
+                    "--out", str(tmp_path / "s.csv")]
+        assert main(args + ["--steps", steps]) == 2
+        assert "error: --steps: must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
     def test_t_max_override_must_be_positive_and_finite(self, tmp_path, t_max):
@@ -368,7 +397,7 @@ class TestWriters:
         assert np.array_equal(re, zeros.roots.real)
         assert np.array_equal(im, zeros.roots.imag)
         assert np.array_equal(theta, zeros.angles)
-        assert np.array_equal(np.sort(times), leeyang.predicted_zero_times(zeros, cfg.lam, cfg.delta))
+        assert np.array_equal(np.sort(times), np.sort(zeros.times(cfg.lam, cfg.delta)))
 
     def test_special_values_over_a_partial_block(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 5

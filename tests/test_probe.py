@@ -1,9 +1,17 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import eval_ratio, figure_panels, spins, uniform_couplings
+from helpers import (
+    eval_ratio,
+    figure_panels,
+    probe_coherence_oracle,
+    ring_couplings,
+    spins,
+    uniform_couplings,
+)
 from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
@@ -18,6 +26,31 @@ def two_half_t_inf():
 @pytest.fixture
 def triangle_beta_one():
     return build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0)
+
+
+def oracle_baths():
+    """Baths of N <= 6 spins up to 3/2: name -> (spins, couplings, builder of beta)."""
+    rng = np.random.default_rng(7)
+    baths = {}
+    for name, spin_list in (("6 x 1/2", spins(1, 6)),
+                            ("1/2,1,3/2,1", [HalfInt(d) for d in (1, 2, 3, 2)])):
+        upper = np.triu(rng.uniform(0.2, 1.5, (len(spin_list),) * 2), 1)
+        J = upper + upper.T
+        baths[f"exact {name}"] = (spin_list, J, partial(build_exact, spin_list, J))
+    for n, d in ((5, 2), (6, 3)):
+        baths[f"ring {n} x {HalfInt(d)}"] = (
+            spins(d, n), ring_couplings(n, 0.8), partial(build_ring, n, HalfInt(d), 0.8)
+        )
+    for n, d in ((6, 1), (4, 3)):
+        # all pairs coupled by J/N
+        baths[f"long_range {n} x {HalfInt(d)}"] = (
+            spins(d, n), uniform_couplings(n, 1.2 / n),
+            partial(build_long_range, n, HalfInt(d), 1.2),
+        )
+    return baths
+
+
+ORACLE_BATHS = oracle_baths()
 
 
 class TestExpectationSeries:
@@ -115,6 +148,26 @@ class TestSignalInvariants:
                     ser.evaluate(t), expected, rtol=0, atol=1e-13, err_msg=f"{name} delta={delta}"
                 )
 
+    @pytest.mark.parametrize("h0", [0.0, 0.7])
+    @pytest.mark.parametrize("bath", ORACLE_BATHS)
+    def test_signal_matches_quantum_dynamics_oracle(self, bath, h0):
+        # the oracle: explicit evolution of the probe in every bath configuration
+        rng = np.random.default_rng(7)
+        spin_list, couplings, build = ORACLE_BATHS[bath]
+        beta, lam = 0.6, 1.3
+        poly = build(beta)
+        t = np.linspace(0.0, 9.0, 41)
+        for d0 in (1, 2, 3):
+            amps = rng.normal(size=d0 + 1) + 1j * rng.normal(size=d0 + 1)
+            state = ProbeState(HalfInt(d0), amps / np.linalg.norm(amps))
+            for delta in range(1, d0 + 1):
+                ser = expectation_series(poly, state, lam, delta, h0=h0, steps=2)
+                np.testing.assert_allclose(
+                    ser.evaluate(t),
+                    probe_coherence_oracle(spin_list, couplings, beta, state, lam, h0, delta, t),
+                    rtol=0, atol=1e-12, err_msg=f"2s0={d0} delta={delta}",
+                )
+
 
 class TestDetectZeroTimes:
     def test_cosine_squared_touching_zero(self, two_half_t_inf):
@@ -168,6 +221,24 @@ class TestDetectZeroTimes:
         assert len(detected) == 1
         assert detected[0][0] == pytest.approx(np.pi, abs=1e-6)
 
+    def test_odd_multiplicity_centred(self):
+        # three identical blocks make every zero triple: F changes sign, but
+        # bisection inside the rounding noise lands up to (eps/C)^(1/3) off
+        worst = 0.0
+        for seed in range(1, 61):
+            rng = np.random.default_rng(seed)
+            for two_s, blocks, size in ((1, 3, 4), (2, 3, 2)):
+                upper = np.triu(rng.uniform(0.5, 1.5, (size, size)), 1)
+                couplings = np.kron(np.eye(blocks), upper + upper.T)
+                poly = build_exact(spins(two_s, blocks * size), couplings, 0.5)
+                zs = find_zeros(poly)
+                assert {m for _, m in zs.clusters} == {3}
+                ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+                report = correlate(zs, ser)
+                assert report.all_matched, f"seed {seed}, 2s={two_s}"
+                worst = max(worst, report.max_deviation / report.window)
+        assert worst <= 0.01
+
     def test_invalid_tolerance(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         with pytest.raises(ValueError):
@@ -219,14 +290,6 @@ class TestCorrelate:
             correlate(zs, ser, lam=2.0)
         with pytest.raises(ValueError, match="delta"):
             correlate(zs, ser, delta=2)
-
-    def test_nonzero_probe_field_rejected(self, triangle_beta_one):
-        zs = find_zeros(triangle_beta_one)
-        ser = expectation_series(
-            triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1, h0=0.3
-        )
-        with pytest.raises(ValueError, match="h0"):
-            correlate(zs, ser)
 
     def test_susceptibility_channel_times_halved(self, triangle_beta_one):
         state = sx_top_eigenstate(HalfInt(5))

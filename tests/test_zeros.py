@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import assert_roots_match, figure_panels, spins, uniform_couplings
+from helpers import assert_roots_match, eval_ratio, figure_panels, spins, uniform_couplings
 from leeyang.partition import (
     PartitionPolynomial,
     build_exact,
@@ -18,7 +19,6 @@ from leeyang.zeros import (
     cosine_series,
     cosine_terms,
     find_zeros,
-    predicted_zero_times,
 )
 
 
@@ -92,9 +92,10 @@ class TestFindZeros:
         assert_roots_match(find_zeros(poly).roots, np.roots(c[::-1]), atol=1e-9)
 
     def test_residuals_small_for_simple_roots(self):
-        poly = build_ring(10, HalfInt(2), 1.0, 0.5)
-        zs = find_zeros(poly)
-        assert zs.max_residual < 1e-10
+        # the oracle: complex Horner evaluation of Z(z)/Z(1) at every root
+        for name, poly, _ in figure_panels():
+            residual = np.max(np.abs(eval_ratio(poly, find_zeros(poly).roots)))
+            assert residual < 1e-12, f"{name}: residual {residual:.3g}"
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +159,19 @@ class TestStructuralMultiplicity:
         )
 
 
+class TestZeroSet:
+    def test_is_its_clusters(self):
+        # the one stored field; angles, roots and circle deviation follow from it
+        zs = find_zeros(build_exact(spins(2, 9), np.kron(np.eye(3), uniform_couplings(3, 1.0)), 0.8))
+        assert [f.name for f in dataclasses.fields(zs)] == ["clusters"]
+        angles = [a for a, m in zs.clusters for _ in range(m)]
+        np.testing.assert_array_equal(zs.angles, angles)
+        np.testing.assert_allclose(
+            zs.roots, [complex(math.cos(a), math.sin(a)) for a in angles], rtol=0, atol=1e-15
+        )
+        assert zs.circle_deviation == max(abs(math.hypot(z.real, z.imag) - 1) for z in zs.roots)
+
+
 class TestCircleDeviation:
     def test_exact_double_root(self):
         zs = find_zeros(two_free_spins())
@@ -182,14 +196,14 @@ class TestPredictedZeroTimes:
     def test_angle_pi(self):
         zs = find_zeros(two_free_spins())
         np.testing.assert_allclose(
-            predicted_zero_times(zs, 1.0, 1), [np.pi, np.pi], atol=1e-8
+            np.sort(zs.times(1.0, 1)), [np.pi, np.pi], atol=1e-8
         )
 
     def test_conjugate_pair_mapping(self):
         poly = build_exact(spins(1, 2), uniform_couplings(2, 1.0), 1.0)
         zs = find_zeros(poly)
         theta = math.acos(-math.exp(-0.5))
-        times = predicted_zero_times(zs, 1.0, 1)
+        times = np.sort(zs.times(1.0, 1))
         np.testing.assert_allclose(times, [theta, 2 * np.pi - theta], atol=1e-12)
         # conjugate roots map to (t, period - t)
         assert times[0] + times[1] == pytest.approx(2 * np.pi, rel=1e-12)
@@ -197,15 +211,15 @@ class TestPredictedZeroTimes:
     def test_delta_scaling(self):
         poly = build_exact(spins(1, 2), uniform_couplings(2, 1.0), 1.0)
         zs = find_zeros(poly)
-        t1 = predicted_zero_times(zs, 1.0, 1)
-        t2 = predicted_zero_times(zs, 1.0, 2)
+        t1 = np.sort(zs.times(1.0, 1))
+        t2 = np.sort(zs.times(1.0, 2))
         np.testing.assert_allclose(t2, t1 / 2, rtol=1e-14)
 
     def test_times_in_fundamental_period(self):
         poly = build_ring(8, HalfInt(1), 1.0, 0.6)
         zs = find_zeros(poly)
         lam, delta = 2.0, 2
-        times = predicted_zero_times(zs, lam, delta)
+        times = np.sort(zs.times(lam, delta))
         assert np.all(times >= 0)
         assert np.all(times < 2 * np.pi / (lam * delta))
 
@@ -213,15 +227,15 @@ class TestPredictedZeroTimes:
         poly = build_ring(5, HalfInt(2), 1.0, 0.9)
         zs = find_zeros(poly)
         lam, delta = 1.5, 1
-        times = predicted_zero_times(zs, lam, delta)
+        times = np.sort(zs.times(lam, delta))
         assert_roots_match(np.exp(-1j * lam * delta * times), zs.roots, atol=1e-9)
 
     def test_invalid_arguments(self):
         zs = find_zeros(two_free_spins())
         with pytest.raises(ValueError):
-            predicted_zero_times(zs, 0.0, 1)
+            zs.times(0.0, 1)
         with pytest.raises(ValueError):
-            predicted_zero_times(zs, 1.0, 0)
+            zs.times(1.0, 0)
 
 
 class TestCosineSeries:
