@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _integer, _number, load_config
+from .config import MAX_STEPS, ConfigError, RunConfig, _integer, _number, load_config
 # matching_window is re-exported for callers that widen a window themselves
 from .probe import correlate, expectation_series, matching_window  # noqa: F401
 from .zeros import RootConvergenceError, find_zeros
@@ -110,7 +110,7 @@ def write_report_json(path, report, circle_dev):
 
 def _apply_overrides(cfg, args):
     if getattr(args, "steps", None) is not None:
-        cfg.steps = _integer(args.steps, "--steps", 2)
+        cfg.steps = _integer(args.steps, "--steps", 2, MAX_STEPS)
     if getattr(args, "t_max", None) is not None:
         cfg.t_max = _number(args.t_max, "--t-max", 0.0, strict=True)
 

@@ -9,6 +9,8 @@ from .partition import build_exact, build_long_range, build_ring
 from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
+# Largest time grid: the series and detection at 2**20 steps trace a 72 MiB peak.
+MAX_STEPS = 2**20
 
 
 class ConfigError(ValueError):
@@ -36,11 +38,13 @@ def _number(value, where, minimum=None, strict=False):
     return v
 
 
-def _integer(value, where, minimum=None):
+def _integer(value, where, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -160,7 +164,7 @@ class RunConfig:
         grid = data.get("grid", {})
         if not isinstance(grid, dict):
             raise ConfigError("grid: expected an object")
-        self.steps = _integer(grid.get("steps", 4096), "grid.steps", 2)
+        self.steps = _integer(grid.get("steps", 4096), "grid.steps", 2, MAX_STEPS)
         self.t_max = None
         if "t_max" in grid:
             self.t_max = _number(grid["t_max"], "grid.t_max", 0.0, strict=True)

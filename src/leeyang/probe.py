@@ -102,34 +102,28 @@ def expectation_series(
     return TimeSeries(lam, delta, h0, times, values, poly, overlap, terms)
 
 
-def _balance(F, t0, h, h_cap, step=None):
+def _balance(F, t0, h, step, h_cap):
     """Center of a multiple zero of F near t0.
 
     Solves |F(tau + h)| = |F(tau - h)| at an offset h where F is well above
     rounding noise, then removes the leading O(h^2) bias by Richardson
-    extrapolation over h and h/2.  t0 must lie within h of the zero.  A sign
-    change of odd multiplicity within step/2 of t0 has, for h >= 2 * step, a
-    monotone, nearly linear balance function: three secant steps solve it.
+    extrapolation over h and h/2.  Within h of the zero the balance function
+    is monotone and nearly linear, so three secant steps from t0 -+ step/2
+    solve it; t0 must lie within step of the zero.
     """
     while h < h_cap and abs(F(t0 + h)) + abs(F(t0 - h)) < 2e-8:
         h *= 2
 
     def balance_point(center, h):
         diff = lambda tau: abs(F(tau + h)) - abs(F(tau - h))
-        if step:
-            a, b = center - step / 2, center + step / 2
-            da, db = diff(a), diff(b)
-            for _ in range(3):
-                if da == db:
-                    break
-                a, da, b = b, db, b - db * (b - a) / (db - da)
-                db = diff(b)
-            return b
-        lo, hi = center - h, center + h
-        dlo, dhi = diff(lo), diff(hi)
-        if dlo * dhi > 0:
-            return center  # no balance point within reach; the residual decides
-        return bracket_root(diff, lo, hi, dlo, dhi, 1e-14)
+        a, b = center - step / 2, center + step / 2
+        da, db = diff(a), diff(b)
+        for _ in range(3):
+            if da == db:
+                break
+            a, da, b = b, db, b - db * (b - a) / (db - da)
+            db = diff(b)
+        return b
 
     t1 = balance_point(t0, h)
     return (4 * balance_point(t1, h / 2) - t1) / 3
@@ -141,10 +135,10 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     The real amplitude F(lam*delta*t)/F(0) is recovered from the samples by
     dividing out the overlap and the h0 phase.  Grid minima of |F| with only
     rounding noise between them form one zero.  A simple sign change is solved
-    as a bracketed root; a touching zero, or a sign change of odd multiplicity
-    >= 3, is centered with the balance method.  Zeros whose refined |F|/F(0)
-    exceeds magnitude_tol are discarded.  Returns (time, |f| residual) pairs
-    in ascending time.
+    as a bracketed root; every multiple zero, touching or a sign change of odd
+    multiplicity >= 3, is centered with the balance method.  Zeros whose
+    refined |F|/F(0) exceeds magnitude_tol are discarded.  Returns
+    (time, |f| residual) pairs in ascending time.
     """
     if magnitude_tol <= 0:
         raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
@@ -176,11 +170,11 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         fa, fb = amp[first - 1], amp[last + 1]
         t, h = (times[first] + times[last]) / 2, (b - a) / 2
         if fa * fb >= 0:
-            t = _balance(F, t, h, series.period / 16)
+            t = _balance(F, t, h, h, series.period / 16)
         elif all(abs(F(t + 4 * d)) > 4 * abs(F(t + 2 * d)) for d in (h, -h)):
             # |F| grows like |tau - t|^m: from 2h to 4h away by 2^m, 2 for a
             # simple zero, 8 for a triple one, on both sides unlike a neighbour's
-            t = _balance(F, t, 4 * h, series.period / 16, step=h)
+            t = _balance(F, t, 4 * h, h, series.period / 16)
         else:
             t = bracket_root(F, a, b, fa, fb, 1e-14)
         residual = abs(F(t))

@@ -117,15 +117,32 @@ def test_criterion_3_closed_form_zero_sets():
     report(3, True, "infinite-temperature zero sets match their factorizations")
 
 
+# Infinite-temperature panels: closed-form zero times (-theta mod 2pi at
+# lam = delta = 1) and the bound on a detected time's error.  A zero of
+# multiplicity m is flat to |t - t_n|^m, so the bound widens with m.
+CLOSED_FORM_TIMES = {
+    "fig2 beta=0.0": ([k * np.pi / 3 for k in range(1, 6)], 1e-10),  # double
+    "fig4 beta=0.0": ([np.pi], 1e-9),  # 4-fold
+    "fig6 beta=0.0": ([2 * np.pi / 3, 4 * np.pi / 3], 5e-3),  # 10-fold
+}
+
+
 def test_criterion_4_zero_time_correspondence():
     worst_dev = 0.0
     worst_res = 0.0
+    degenerate = []
     for name, poly, s0 in figure_panels():
+        series = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
         if poly.beta == 0.0:
-            continue  # degenerate panels are covered by criteria 1 and 3
+            expected, bound = CLOSED_FORM_TIMES[name]
+            detected = sorted(t for t, _ in detect_zero_times(series))
+            assert len(detected) == len(expected), name
+            error = max(abs(t - want) for t, want in zip(detected, expected))
+            assert error <= bound, (name, error)
+            degenerate.append(f"{name} {error:.1e} <= {bound:.0e}")
+            continue
         zs = find_zeros(poly)
         assert all(m == 1 for _, m in zs.clusters), name
-        series = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
         rep = correlate(zs, series, window=1e-6)
         assert rep.all_matched and not rep.unmatched_detected, name
         worst_dev = max(worst_dev, rep.max_deviation)
@@ -134,7 +151,8 @@ def test_criterion_4_zero_time_correspondence():
         4,
         worst_dev < 1e-6 and worst_res < 1e-10,
         f"simple-root panels: max time deviation {worst_dev:.1e} < 1e-6, "
-        f"worst |f| residual {worst_res:.1e} < 1e-10",
+        f"worst |f| residual {worst_res:.1e} < 1e-10; closed-form times of the "
+        f"beta=0 panels: {', '.join(degenerate)}",
     )
 
 

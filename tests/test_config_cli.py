@@ -12,7 +12,7 @@ import leeyang
 from helpers import figure_panels
 from leeyang import cli
 from leeyang.cli import main
-from leeyang.config import ConfigError, RunConfig, load_config
+from leeyang.config import MAX_STEPS, ConfigError, RunConfig, load_config
 from leeyang.partition import build_long_range
 from leeyang.probe import TimeSeries, correlate, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
@@ -125,6 +125,15 @@ class TestRunConfigValidation:
     def test_tolerances_positive(self):
         with pytest.raises(ConfigError, match="magnitude_tol"):
             RunConfig(base_config(tolerances={"magnitude_tol": -1.0}))
+
+    def test_steps_capped(self, tmp_path, capsys):
+        assert RunConfig(base_config(grid={"steps": MAX_STEPS})).steps == MAX_STEPS == 2**20
+        over = base_config(grid={"steps": MAX_STEPS + 1})
+        with pytest.raises(ConfigError, match=f"grid.steps: must be <= {MAX_STEPS}, got"):
+            RunConfig(over)
+        args = ["evolve", "--config", write_config(tmp_path, over), "--out", str(tmp_path / "s.csv")]
+        assert main(args) == 2
+        assert f"error: grid.steps: must be <= {MAX_STEPS}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -279,6 +288,17 @@ class TestCliCommands:
                     "--out", str(tmp_path / "s.csv")]
         assert main(args + ["--steps", steps]) == 2
         assert "error: --steps: must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "reproduce"])
+    def test_steps_override_above_cap_refused(self, tmp_path, capsys, command):
+        # refused before any grid is allocated: 10**12 steps would need 8 TB
+        if command == "reproduce":
+            args = ["reproduce", "fig4", "--out-dir", str(tmp_path)]
+        else:
+            args = ["evolve", "--config", write_config(tmp_path, base_config()),
+                    "--out", str(tmp_path / "s.csv")]
+        assert main(args + ["--steps", "1000000000000"]) == 2
+        assert f"error: --steps: must be <= {MAX_STEPS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
     def test_t_max_override_must_be_positive_and_finite(self, tmp_path, t_max):

@@ -12,10 +12,11 @@ from helpers import (
     spins,
     uniform_couplings,
 )
+from leeyang import probe
 from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
-from leeyang.zeros import find_zeros
+from leeyang.zeros import cosine_series, find_zeros
 
 
 @pytest.fixture
@@ -221,23 +222,47 @@ class TestDetectZeroTimes:
         assert len(detected) == 1
         assert detected[0][0] == pytest.approx(np.pi, abs=1e-6)
 
-    def test_odd_multiplicity_centred(self):
-        # three identical blocks make every zero triple: F changes sign, but
-        # bisection inside the rounding noise lands up to (eps/C)^(1/3) off
+    def test_multiple_zero_centred(self):
+        # identical blocks make every zero as multiple as the block count:
+        # three or four blocks a sign change, two or four a touching zero.
+        # Bisection inside the rounding noise lands up to (eps/C)^(1/m) off.
         worst = 0.0
+        shapes = ((1, 3, 4), (2, 3, 2), (1, 2, 4), (1, 4, 2), (1, 2, 6), (1, 4, 3))
         for seed in range(1, 61):
             rng = np.random.default_rng(seed)
-            for two_s, blocks, size in ((1, 3, 4), (2, 3, 2)):
+            for two_s, blocks, size in shapes:
                 upper = np.triu(rng.uniform(0.5, 1.5, (size, size)), 1)
                 couplings = np.kron(np.eye(blocks), upper + upper.T)
                 poly = build_exact(spins(two_s, blocks * size), couplings, 0.5)
                 zs = find_zeros(poly)
-                assert {m for _, m in zs.clusters} == {3}
+                assert {m for _, m in zs.clusters} == {blocks}
                 ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
                 report = correlate(zs, ser)
-                assert report.all_matched, f"seed {seed}, 2s={two_s}"
+                assert report.all_matched, f"seed {seed}, 2s={two_s}, {blocks}x{size}"
                 worst = max(worst, report.max_deviation / report.window)
         assert worst <= 0.01
+
+    @pytest.mark.parametrize("poly", [
+        build_long_range(12, HalfInt(1), 1.0, 0.0),
+        build_long_range(4, HalfInt(3), 1.0, 0.0),
+        build_ring(6, HalfInt(2), 1.0, 0.0),
+        build_ring(10, HalfInt(2), 1.0, 0.0),
+    ], ids=["long_range 2s=1 N=12", "long_range 2s=3 N=4", "ring 2s=2 N=6", "fig6 beta=0"])
+    def test_multiple_zero_has_fixed_cost(self, poly, monkeypatch):
+        # a refinement inside the rounding noise costs as much as the noise
+        # lets it; the balance method takes a fixed number of F evaluations
+        scalar_calls = 0
+
+        def counting(k, w, x):
+            nonlocal scalar_calls
+            scalar_calls += np.ndim(x) == 0
+            return cosine_series(k, w, x)
+
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        monkeypatch.setattr(probe, "cosine_series", counting)
+        detected = detect_zero_times(ser)
+        assert len(detected) == len(find_zeros(poly).clusters)
+        assert scalar_calls <= 40 * len(detected)
 
     def test_invalid_tolerance(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
