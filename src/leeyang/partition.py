@@ -87,8 +87,8 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     ``couplings[i][j]`` is the pair coupling J_ij (units J, zero diagonal);
     the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
     connected component of the beta*J > 0 coupling graph is enumerated on its
-    own; components with equal polynomials (for example mirror images) form
-    one factor, and the polynomial is the product of the factors.
+    own and may have at most ENUMERATION_CAP configurations.  Components with
+    equal polynomials form one factor; the polynomial is the factors' product.
     """
     _validate_beta(beta)
     spins = list(spins)
@@ -109,14 +109,8 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     if not np.all(np.isfinite(bJ)):
         raise ValueError("beta * J must be finite for every coupling")
 
-    count = 1
     for s in spins:
         _check_magnitude(s)
-        count *= s.doubled + 1
-    if count > ENUMERATION_CAP:
-        raise ValueError(
-            f"{count} configurations exceed the enumeration cap {ENUMERATION_CAP}"
-        )
 
     groups = []  # [log_coeffs, count] per distinct block polynomial
     for idx in _coupling_blocks(bJ > 0):
@@ -146,10 +140,13 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
 
 def _coupling_blocks(linked):
     """Connected components of a boolean adjacency matrix, as index tuples."""
-    reach = linked | np.eye(len(linked), dtype=bool)
-    for _ in range(len(linked).bit_length()):
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    return sorted({tuple(np.flatnonzero(row)) for row in reach})
+    # the reachability closure is squared in float, where BLAS takes the products
+    reach = (linked | np.eye(len(linked), dtype=bool)).astype(float)
+    while True:
+        grown = (reach @ reach > 0).astype(float)
+        if np.array_equal(grown, reach):
+            return sorted({tuple(np.flatnonzero(row)) for row in reach})
+        reach = grown
 
 
 def _enumerate(spins, bJ):
@@ -169,6 +166,10 @@ def _enumerate(spins, bJ):
     """
     dims = [s.doubled + 1 for s in spins]
     count = math.prod(dims)
+    if count > ENUMERATION_CAP:
+        raise ValueError(
+            f"{count} configurations exceed the enumeration cap {ENUMERATION_CAP}"
+        )
     split, size_l = len(dims), 1
     while size_l**2 < count:
         split -= 1

@@ -65,11 +65,8 @@ def ladder_product_coeff(s0: HalfInt, l: HalfInt, delta: int) -> float:
     d0, dl = s0.doubled, l.doubled
     prod = 1
     for q in range(1, delta + 1):
-        # 4*[s0(s0+1) - (l+q-1)(l+q)] as an exact integer
-        term = d0 * (d0 + 2) - (dl + 2 * q - 2) * (dl + 2 * q)
-        if term <= 0:
-            raise ValueError(f"vanishing ladder element at l={l}, q={q}")
-        prod *= term
+        # 4*[s0(s0+1) - (l+q-1)(l+q)], an exact integer the range check keeps >= 4*d0
+        prod *= d0 * (d0 + 2) - (dl + 2 * q - 2) * (dl + 2 * q)
     return math.sqrt(float(prod)) / 2.0**delta
 
 

@@ -1,5 +1,6 @@
 """Shared dense-matrix oracles and small builders for the test suite."""
 
+import collections
 import itertools
 import math
 
@@ -143,6 +144,30 @@ def log_polymat_mul_reference(A, B):
         terms = At[:, None, lo:hi] + Br[None, :, db - k + lo:db - k + hi]
         C[k] = logsumexp(terms.reshape(D, D, -1), axis=2)
     return C
+
+
+def coupling_blocks_oracle(linked):
+    """Connected components of an adjacency matrix by breadth-first search.
+
+    Returns sorted index tuples, as build_exact's block finder does.
+    """
+    n = len(linked)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, block = collections.deque([start]), []
+        while queue:
+            i = queue.popleft()
+            block.append(i)
+            for j in range(n):
+                if linked[i][j] and not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        blocks.append(tuple(sorted(block)))
+    return sorted(blocks)
 
 
 def multiplicities(spin_list):

@@ -246,6 +246,27 @@ class TestCliCommands:
         cfg = write_config(tmp_path, data)
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
 
+    def test_correlate_exits_one_on_unmatched_zeros(self, tmp_path, capsys):
+        # a grid over half the period holds half of the 20 predicted zero times
+        data = base_config(
+            model={"kind": "ring", "n_spins": 10, "two_s": 2},
+            temperature={"T_over_J": 8},
+            grid={"t_max": np.pi},
+        )
+        cfg, out = write_config(tmp_path, data), tmp_path / "report.json"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 1
+        assert "10 predicted zero time(s) unmatched" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert len(report["predicted"]) == 20
+        assert len(report["matches"]) == 10
+        assert len(report["unmatched_predicted"]) == 10
+
+    def test_correlate_free_spins_at_infinite_temperature(self, tmp_path):
+        # 2^30 configurations in all, but every spin is its own block
+        data = base_config(model={"kind": "exact", "n_spins": 30, "two_s": 1})
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
     def test_correlate_refuses_state_without_coherence(self, tmp_path, capsys):
         data = base_config(probe={"two_s0": 1, "state": [1, 0]}, temperature={"beta": 1.0})
         cfg = write_config(tmp_path, data)
@@ -334,6 +355,18 @@ class TestCliCommands:
         assert len(rows) == 4
         for row in rows:
             assert float(row.split(",")[3]) == pytest.approx(np.pi, abs=1e-6)
+
+    def test_reproduce_failure_still_writes_every_panel(self, tmp_path, capsys):
+        # 16 steps resolve fig6a's two zero times but not the 20 of fig6b-d
+        assert main(["reproduce", "fig6", "--steps", "16", "--out-dir", str(tmp_path)]) == 1
+        printed = capsys.readouterr().out
+        assert all(f"fig6{panel}: " in printed for panel in "abcd")
+        for panel in "abcd":
+            base = tmp_path / "fig6" / panel
+            assert (base / "zeros.csv").exists()
+            assert (base / "series.csv").exists()
+            report = json.loads((base / "report.json").read_text())
+            assert bool(report["unmatched_predicted"]) == (panel != "a")
 
     def test_reproduce_deterministic(self, tmp_path):
         assert main(["reproduce", "fig2", "--out-dir", str(tmp_path / "one")]) == 0

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import (
     brute_force_log_sectors,
+    coupling_blocks_oracle,
     eval_ratio,
     log_polymat_mul_reference,
     multiplicities,
@@ -18,6 +20,7 @@ from leeyang.partition import (
     _ENUMERATION_CHUNK,
     ENUMERATION_CAP,
     PartitionPolynomial,
+    _coupling_blocks,
     _log_polymat_mul,
     build_exact,
     build_long_range,
@@ -146,6 +149,41 @@ class TestBuildExact:
         n = 21  # 2^21 > cap
         with pytest.raises(ValueError, match=str(ENUMERATION_CAP)):
             build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
+
+    def test_cap_counts_one_block(self):
+        # four blocks of 64 configurations: 2^24 in all, but each block is
+        # enumerated on its own
+        block = uniform_couplings(6, 1.0)
+        couplings = np.kron(np.eye(4), block)
+        poly = build_exact(spins(1, 24), couplings, 0.5)
+        (lc, count), = poly.factors
+        assert count == 4
+        oracle = brute_force_log_sectors(spins(1, 6), block, 0.5)
+        assert np.all(np.abs(lc - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+        expected = np.exp(lc)
+        for _ in range(3):
+            expected = np.convolve(expected, np.exp(lc))
+        np.testing.assert_allclose(np.exp(poly.log_coeffs), expected, rtol=1e-13)
+
+    def test_free_spins_at_infinite_temperature(self):
+        # 2^30 configurations, each spin its own block
+        poly = build_exact(spins(1, 30), np.zeros((30, 30)), 0.0)
+        lc = build_long_range(30, HalfInt(1), 1.0, 0.0).log_coeffs
+        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 17, 21, 27, 34, 38, 40])
+    def test_coupling_blocks_match_breadth_first_search(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.15), 1)
+        linked = upper | upper.T
+        assert _coupling_blocks(linked) == coupling_blocks_oracle(linked)
+
+    def test_large_connected_bath_refused_quickly(self):
+        n = 512
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceed the enumeration cap {ENUMERATION_CAP}"):
+            build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBuildLongRange:
