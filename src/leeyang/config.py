@@ -10,7 +10,12 @@ from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
 # Largest time grid: the series and detection at 2**20 steps trace a 72 MiB peak.
+# `reproduce` also holds its figure's time column as text: ~19 bytes per step
+# on the default grid (20 MB at MAX_STEPS), and at most 24 (25 MB).
 MAX_STEPS = 2**20
+# Most spins in an exact bath, checked before the n x n coupling matrix exists:
+# at 1024 free spins a build traces a 36 MB peak.
+MAX_EXACT_SPINS = 1024
 
 
 class ConfigError(ValueError):
@@ -63,7 +68,10 @@ class RunConfig:
             raise ConfigError(
                 f"model.kind: expected one of {MODEL_KINDS}, got {self.model_kind!r}"
             )
-        self.n_spins = _integer(_require(model, "n_spins", "model"), "model.n_spins", 1)
+        self.n_spins = _integer(
+            _require(model, "n_spins", "model"), "model.n_spins", 1,
+            MAX_EXACT_SPINS if self.model_kind == "exact" else None,
+        )
         self.two_s = _integer(_require(model, "two_s", "model"), "model.two_s", 1)
         self.J = _number(model.get("J", 1.0), "model.J", 0.0)
         self.couplings = None

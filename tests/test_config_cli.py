@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import leeyang
 from helpers import figure_panels
 from leeyang import cli
 from leeyang.cli import main
-from leeyang.config import MAX_STEPS, ConfigError, RunConfig, load_config
+from leeyang.config import MAX_EXACT_SPINS, MAX_STEPS, ConfigError, RunConfig, load_config
 from leeyang.partition import build_long_range
 from leeyang.probe import TimeSeries, correlate, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
@@ -134,6 +135,24 @@ class TestRunConfigValidation:
         args = ["evolve", "--config", write_config(tmp_path, over), "--out", str(tmp_path / "s.csv")]
         assert main(args) == 2
         assert f"error: grid.steps: must be <= {MAX_STEPS}" in capsys.readouterr().err
+
+    def test_exact_spins_capped_before_the_coupling_matrix(self, tmp_path, capsys):
+        model = {"kind": "exact", "n_spins": MAX_EXACT_SPINS, "two_s": 1}
+        assert RunConfig(base_config(model=model)).couplings.shape == (MAX_EXACT_SPINS,) * 2
+        over = base_config(model=dict(model, n_spins=10**6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ConfigError, match=f"model.n_spins: must be <= {MAX_EXACT_SPINS}, got 1000000"
+            ):
+                RunConfig(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        args = ["zeros", "--config", write_config(tmp_path, over), "--out", str(tmp_path / "z.csv")]
+        assert main(args) == 2
+        assert f"error: model.n_spins: must be <= {MAX_EXACT_SPINS}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -427,17 +446,26 @@ def check_series_file(path, series, tag):
     assert np.array_equal(mag, [abs(v) for v in series.values])
 
 
+def panel_config(figure, panel, steps=4096):
+    preset = cli.FIGURE_PRESETS[figure]
+    return RunConfig({
+        "model": dict(preset["model"]),
+        "temperature": {"T_over_J": dict(preset["panels"])[panel]},
+        "probe": dict(preset["probe"]),
+        "lambda": 1.0,
+        "grid": {"steps": steps},
+    })
+
+
+FIGURE_PANELS = [
+    (figure, panel) for figure, preset in cli.FIGURE_PRESETS.items() for panel, _ in preset["panels"]
+]
+
+
 class TestWriters:
-    @pytest.mark.parametrize("figure, panel", [("fig2", "c"), ("fig4", "d"), ("fig6", "b")])
+    @pytest.mark.parametrize("figure, panel", FIGURE_PANELS)
     def test_panel_files_match_reference_and_round_trip(self, tmp_path, figure, panel):
-        preset = cli.FIGURE_PRESETS[figure]
-        t_over_j = dict(preset["panels"])[panel]
-        cfg = RunConfig({
-            "model": dict(preset["model"]),
-            "temperature": {"T_over_J": t_over_j},
-            "probe": dict(preset["probe"]),
-            "lambda": 1.0,
-        })
+        cfg = panel_config(figure, panel)
         poly, zeros, series, _ = cli._run_correlation(cfg)
         tag = poly.model_tag
         check_series_file(tmp_path / "series.csv", series, tag)
@@ -452,6 +480,19 @@ class TestWriters:
         assert np.array_equal(theta, zeros.angles)
         assert np.array_equal(np.sort(times), np.sort(zeros.times(cfg.lam, cfg.delta)))
 
+    def test_reproduce_shares_time_text_over_a_partial_block(self, tmp_path):
+        steps = 1500
+        assert steps % cli._BLOCK_ROWS
+        assert main(["reproduce", "fig4", "--steps", str(steps), "--out-dir", str(tmp_path)]) == 0
+        for panel in "abcd":
+            cfg = panel_config("fig4", panel, steps)
+            poly, zeros, series, _ = cli._run_correlation(cfg)
+            base = tmp_path / "fig4" / panel
+            assert (base / "series.csv").read_text() == reference_series_csv(series, poly.model_tag)
+            assert (base / "zeros.csv").read_text() == reference_zeros_csv(
+                zeros, cfg.lam, cfg.delta, poly.model_tag
+            )
+
     def test_special_values_over_a_partial_block(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 5
         rng = np.random.default_rng(7)
@@ -465,6 +506,51 @@ class TestWriters:
         path = tmp_path / "series.csv"
         check_series_file(path, series, poly.model_tag)
         assert path.read_text().splitlines()[3] == "-0,-0,0,0"
+
+    def test_real_rows_mixed_with_complex_rows(self, tmp_path):
+        # rows with im == 0 take abs from re's text, the others from hypot
+        n = 2 * cli._BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        im = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        im[rng.random(n) < 0.5] = 0.0
+        special = [-0.0, 0.0, -np.inf, np.inf, -5e-324, 5e-324, -2.5, -1e300, -1e-310]
+        for lo in (0, cli._BLOCK_ROWS - 4, n - len(special) - 1):
+            re[lo:lo + len(special)] = special
+            im[lo:lo + len(special)] = [0.0, -0.0] * 4 + [0.0]
+        im[-1] = 1.0
+        values = re.astype(complex)
+        values.imag = im
+        for lo in range(0, n, cli._BLOCK_ROWS):
+            real_rows = np.count_nonzero(values.imag[lo:lo + cli._BLOCK_ROWS] == 0)
+            assert 0 < real_rows < len(values[lo:lo + cli._BLOCK_ROWS])
+        times = np.linspace(0.0, 3.0, n, endpoint=False)
+        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+        series = TimeSeries(1.0, 1, 0.0, times, values, poly, 1.0, None)
+        check_series_file(tmp_path / "series.csv", series, poly.model_tag)
+
+        # h0 != 0 leaves im != 0 on every row but t = 0, so no row takes re's text
+        full = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.7, steps=n + 1)
+        series = TimeSeries(
+            full.lam, full.delta, full.h0, full.times[1:], full.values[1:], poly,
+            full.overlap, full.terms,
+        )
+        assert np.all(series.values.imag != 0)
+        check_series_file(tmp_path / "series.csv", series, poly.model_tag)
+
+    def test_time_text_is_formatted_once_and_reused(self, tmp_path):
+        n = 2 * cli._BLOCK_ROWS + 5
+        times = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+        time_text = []
+        for seed in (1, 2):
+            values = np.random.default_rng(seed).standard_normal(n) + 0j
+            series = TimeSeries(1.0, 1, 0.0, times, values, poly, 1.0, None)
+            path = tmp_path / f"series{seed}.csv"
+            cli.write_series_csv(path, series, poly.model_tag, time_text)
+            assert path.read_text() == reference_series_csv(series, poly.model_tag)
+            # one compact string per block, each holding that block's rows
+            assert [t.count("\n") for t in time_text] == [cli._BLOCK_ROWS] * 2 + [5]
 
 
 def test_import_does_not_load_scipy():
