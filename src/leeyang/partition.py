@@ -11,9 +11,11 @@ taken in the log domain by repeated squaring (O(log N) products).  The
 long-range model is the N-th power of the 1x1 single-site factor, the ring is
 the trace of the N-th power of its transfer matrix, and a split exact bath is
 the product of its block factors, each raised to its count.  Each product
-sums its output degrees a block at a time (_log_polymat_mul): a product of
-low degree is a few array operations, and one of high degree takes about one
-per output degree, its time then set by the exponentials.
+sums its output degrees a block at a time (_log_polymat_mul).  While its
+operands' log coefficients span at most _LINEAR_RANGE, as in every product
+of the bundled figure panels, a block is one BLAS matrix product of the
+operands exponentiated once.  Wider operands take one exponential per term,
+and their time is set by the exponentials.
 """
 
 import functools
@@ -28,6 +30,10 @@ ENUMERATION_CAP = 2_000_000
 # Terms summed at a time: configurations by build_exact's enumeration, and
 # products of coefficients by _log_polymat_mul.
 _ENUMERATION_CHUNK = 2**16
+# Widest span of finite log entries, over both operands together, that
+# _log_polymat_mul multiplies in the linear domain: every term stays above
+# e^-700, a normal double (the smallest is about e^-708.4).
+_LINEAR_RANGE = 700.0
 
 
 def logsumexp(a, axis=None):
@@ -221,22 +227,36 @@ def _configurations(spins):
 def _log_polymat_mul(A, B):
     """Product of matrix polynomials of shape (deg+1, D, D) stored as logs.
 
-    Absent terms are -inf.  Output degree k sums A[p] @ B[k-p] over p, as one
-    log-sum-exp over (p, inner index).  The output degrees are taken a block
-    at a time, with one broadcast sum and one log-sum-exp per block: a block
-    runs over the union of its degrees' p ranges, where a term outside a
-    degree's own range is -inf and adds nothing.  A block holds at most
-    _ENUMERATION_CHUNK terms, or the terms of a single degree.
+    Absent terms are -inf.  Output degree k sums A[p] @ B[k-p] over p.  The
+    output degrees are taken a block at a time: a block runs over the union
+    of its degrees' p ranges, where a term outside a degree's own range is
+    zero (-inf) and adds nothing.
+
+    When the finite log entries of A and B together span at most
+    _LINEAR_RANGE, the product is taken in the linear domain: each operand is
+    shifted by its maximum and exponentiated once, and each block is one
+    matrix product.  Every term is then a positive normal double, so each sum
+    is accurate to n*eps relative to itself, as a log-sum-exp is, and costs
+    no exponential per term.  Wider operands are summed as one log-sum-exp over
+    (p, inner index) per block, with one broadcast sum per block.  A block
+    holds at most _ENUMERATION_CHUNK terms, or the terms of a single degree.
     """
     da, db = A.shape[0] - 1, B.shape[0] - 1
     D = A.shape[1]
-    # A as (i, p, l); B degree-reversed and padded with da -inf degrees on
+    peak_a, peak_b = A.max(), B.max()
+    if peak_a == -np.inf or peak_b == -np.inf:
+        return np.full((da + db + 1, D, D), -np.inf)
+    low = A[A > -np.inf].min() + B[B > -np.inf].min()
+    linear = peak_a + peak_b - low <= _LINEAR_RANGE
+    if linear:
+        A, B = np.exp(A - peak_a), np.exp(B - peak_b)
+    # A as (i, p, l); B degree-reversed and padded with da absent degrees on
     # each side, as (j, r, l) with r = db + da - q.  The factor B[k - p] of
     # output degree k then sits at r = db + da - k + p: for each degree one
     # contiguous run over (p, l), lined up with A's, read in place.
     At = np.ascontiguousarray(A.transpose(1, 0, 2))
     R = db + 1 + 2 * da
-    Br = np.full((D, R, D), -np.inf)
+    Br = np.full((D, R, D), 0.0 if linear else -np.inf)
     Br[:, da:da + db + 1] = B[::-1].transpose(2, 0, 1)
     # windows[r], a view into Br, is the run of da + 1 degrees from r on, over
     # (p, l), for each j
@@ -246,8 +266,9 @@ def _log_polymat_mul(A, B):
     )
     # A block of `rows` degrees sums over at most min(da, db) + rows values
     # of p, so it holds at most _ENUMERATION_CHUNK terms when each part of
-    # rows * (min(da, db) + rows) * D**3 is at most half of that.
-    half = _ENUMERATION_CHUNK // (2 * D**3)
+    # rows * (min(da, db) + rows) * D**3 is at most half of that.  The linear
+    # path copies only B's window, (k, j, (p, l)), with no i axis.
+    half = _ENUMERATION_CHUNK // (2 * D ** (2 if linear else 3))
     rows = max(1, min(half // (min(da, db) + 1), math.isqrt(half)))
     C = np.empty((da + db + 1, D, D))
     for k0 in range(0, da + db + 1, rows):
@@ -255,8 +276,15 @@ def _log_polymat_mul(A, B):
         lo, hi = max(0, k0 - db), min(da, k1 - 1) + 1
         first = db + da - (k1 - 1) + lo  # r of degree k1 - 1 at p = lo
         Bk = windows[first:first + k1 - k0, :, :(hi - lo) * D][::-1]  # (k, j, (p, l))
-        terms = At[None, :, None, lo:hi].reshape(1, D, 1, -1) + Bk[:, None]
-        C[k0:k1] = logsumexp(terms, axis=3)
+        if linear:
+            Ck = At[:, lo:hi].reshape(D, -1) @ Bk.reshape((k1 - k0) * D, -1).T
+            C[k0:k1] = Ck.reshape(D, k1 - k0, D).transpose(1, 0, 2)
+        else:
+            terms = At[None, :, None, lo:hi].reshape(1, D, 1, -1) + Bk[:, None]
+            C[k0:k1] = logsumexp(terms, axis=3)
+    if linear:
+        with np.errstate(divide="ignore"):  # a degree with no terms is log(0) = -inf
+            return np.log(C) + (peak_a + peak_b)
     return C
 
 

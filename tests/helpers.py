@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from leeyang.partition import build_exact, build_long_range, build_ring, logsumexp
@@ -144,6 +145,80 @@ def log_polymat_mul_reference(A, B):
         terms = At[:, None, lo:hi] + Br[None, :, db - k + lo:db - k + hi]
         C[k] = logsumexp(terms.reshape(D, D, -1), axis=2)
     return C
+
+
+def _mp_polymat_mul(A, B):
+    """Product of matrix polynomials given as lists over degree of mpf matrices."""
+    D = len(A[0])
+    C = [[[mpmath.mpf(0)] * D for _ in range(D)] for _ in range(len(A) + len(B) - 1)]
+    for p, a in enumerate(A):
+        for q, b in enumerate(B):
+            c = C[p + q]
+            for i in range(D):
+                for j in range(D):
+                    c[i][j] += mpmath.fsum(a[i][l] * b[l][j] for l in range(D))
+    return C
+
+
+def _mp_polymat_power(V, n):
+    """n-th power (n >= 1) of an mpf matrix polynomial, by repeated squaring."""
+    power = None
+    while True:
+        if n & 1:
+            power = V if power is None else _mp_polymat_mul(power, V)
+        n >>= 1
+        if not n:
+            return power
+        V = _mp_polymat_mul(V, V)
+
+
+def log_coeffs_60_digits(kind, N, two_s, J, beta):
+    """log p_n of the ring or long_range model from 60-digit coefficients.
+
+    The ring's p_n are the coefficients of Tr V^N, with the transfer matrix
+    V[m, m'] = exp(beta J m m') z^(s - m).  The long_range p_n are those of
+    the N-th power of sum_m exp(-a m^2) z^(s - m), a = beta J / 2N, times
+    exp(a (Ns - n)^2).  The powers are taken by repeated squaring in 60-digit
+    linear arithmetic, where no weight under- or overflows, and only the final
+    logs are rounded to double: an oracle for the package's double-precision
+    products.
+    """
+    s = two_s / 2
+    ms = [mpmath.mpf(d) / 2 for d in range(two_s, -two_s - 1, -2)]  # z^k carries m = s - k
+    with mpmath.workdps(60):
+        if kind == "ring":
+            bj = mpmath.mpf(beta) * J
+            V = [[[mpmath.mpf(0)] * (two_s + 1) for _ in range(two_s + 1)] for _ in ms]
+            for k, m in enumerate(ms):
+                V[k][k] = [mpmath.exp(bj * m * m2) for m2 in ms]
+            power = _mp_polymat_power(V, N)
+            logs = [mpmath.log(mpmath.fsum(c[i][i] for i in range(two_s + 1))) for c in power]
+        elif kind == "long_range":
+            a = mpmath.mpf(beta) * J / (2 * N)
+            power = _mp_polymat_power([[[mpmath.exp(-a * m * m)]] for m in ms], N)
+            logs = [mpmath.log(c[0][0]) + a * (N * s - n) ** 2 for n, c in enumerate(power)]
+        else:
+            raise ValueError(f"no 60-digit oracle for {kind!r}")
+        return np.array([float(x) for x in logs])
+
+
+def assert_same_text(got, expected):
+    """Fail, naming the first differing line by number with both texts.
+
+    The message is built here, so a failure between two large files reports
+    one line rather than a diff of the whole texts.
+    """
+    if got == expected:
+        return
+    got_lines, expected_lines = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for number, (a, b) in enumerate(zip(got_lines, expected_lines), 1):
+        if a != b:
+            break
+    else:
+        number = min(len(got_lines), len(expected_lines)) + 1
+        a = got_lines[number - 1] if len(got_lines) >= number else "<end of text>"
+        b = expected_lines[number - 1] if len(expected_lines) >= number else "<end of text>"
+    raise AssertionError(f"texts differ at line {number}: got {a!r}, expected {b!r}")
 
 
 def coupling_blocks_oracle(linked):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import leeyang
-from helpers import figure_panels
+from helpers import assert_same_text, figure_panels
 from leeyang import cli
 from leeyang.cli import main
 from leeyang.config import MAX_EXACT_SPINS, MAX_STEPS, ConfigError, RunConfig, load_config
@@ -394,7 +394,7 @@ class TestCliCommands:
             for name in ("zeros.csv", "series.csv", "report.json"):
                 a = (tmp_path / "one" / "fig2" / panel / name).read_text()
                 b = (tmp_path / "two" / "fig2" / panel / name).read_text()
-                assert a == b
+                assert_same_text(a, b)
 
 
 def _ref(x):
@@ -438,7 +438,7 @@ def read_columns(path):
 
 def check_series_file(path, series, tag):
     cli.write_series_csv(path, series, tag)
-    assert path.read_text() == reference_series_csv(series, tag)
+    assert_same_text(path.read_text(), reference_series_csv(series, tag))
     t, re, im, mag = read_columns(path)
     assert np.array_equal(t, series.times)
     assert np.array_equal(re, series.values.real)
@@ -472,7 +472,7 @@ class TestWriters:
 
         path = tmp_path / "zeros.csv"
         cli.write_zeros_csv(path, zeros, cfg.lam, cfg.delta, tag)
-        assert path.read_text() == reference_zeros_csv(zeros, cfg.lam, cfg.delta, tag)
+        assert_same_text(path.read_text(), reference_zeros_csv(zeros, cfg.lam, cfg.delta, tag))
         index, re, im, theta, _, _, times = read_columns(path)
         assert np.array_equal(index, np.arange(len(zeros.roots)))
         assert np.array_equal(re, zeros.roots.real)
@@ -488,9 +488,12 @@ class TestWriters:
             cfg = panel_config("fig4", panel, steps)
             poly, zeros, series, _ = cli._run_correlation(cfg)
             base = tmp_path / "fig4" / panel
-            assert (base / "series.csv").read_text() == reference_series_csv(series, poly.model_tag)
-            assert (base / "zeros.csv").read_text() == reference_zeros_csv(
-                zeros, cfg.lam, cfg.delta, poly.model_tag
+            assert_same_text(
+                (base / "series.csv").read_text(), reference_series_csv(series, poly.model_tag)
+            )
+            assert_same_text(
+                (base / "zeros.csv").read_text(),
+                reference_zeros_csv(zeros, cfg.lam, cfg.delta, poly.model_tag),
             )
 
     def test_special_values_over_a_partial_block(self, tmp_path):
@@ -548,9 +551,17 @@ class TestWriters:
             series = TimeSeries(1.0, 1, 0.0, times, values, poly, 1.0, None)
             path = tmp_path / f"series{seed}.csv"
             cli.write_series_csv(path, series, poly.model_tag, time_text)
-            assert path.read_text() == reference_series_csv(series, poly.model_tag)
+            assert_same_text(path.read_text(), reference_series_csv(series, poly.model_tag))
             # one compact string per block, each holding that block's rows
             assert [t.count("\n") for t in time_text] == [cli._BLOCK_ROWS] * 2 + [5]
+
+
+def test_assert_same_text_names_the_first_differing_line():
+    assert_same_text("a\nb\n", "a\nb\n")
+    with pytest.raises(AssertionError, match=r"line 2: got 'x\\n', expected 'b\\n'"):
+        assert_same_text("a\nx\nc\n", "a\nb\nc\n")
+    with pytest.raises(AssertionError, match="line 3: got '<end of text>', expected 'c'"):
+        assert_same_text("a\nb\n", "a\nb\nc")
 
 
 def test_import_does_not_load_scipy():

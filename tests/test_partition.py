@@ -9,6 +9,7 @@ from helpers import (
     brute_force_log_sectors,
     coupling_blocks_oracle,
     eval_ratio,
+    log_coeffs_60_digits,
     log_polymat_mul_reference,
     multiplicities,
     ring_couplings,
@@ -18,6 +19,7 @@ from helpers import (
 import leeyang.partition
 from leeyang.partition import (
     _ENUMERATION_CHUNK,
+    _LINEAR_RANGE,
     ENUMERATION_CAP,
     PartitionPolynomial,
     _coupling_blocks,
@@ -328,12 +330,48 @@ class TestInvariants:
         lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
         assert np.all(np.abs(lc - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    # Products by path (linear while the operands span <= _LINEAR_RANGE):
+    # ring beta = 1/8 and 4 all linear; ring N=30 beta = 100 one linear then
+    # six log-sum-exp; beta = 200 all seven log-sum-exp; long_range N=10
+    # beta = 2000 two linear then two log-sum-exp.
+    @pytest.mark.parametrize(
+        "build, N, beta",
+        [
+            (build_ring, 10, 1 / 8),
+            (build_ring, 10, 4.0),
+            (build_ring, 30, 100.0),
+            (build_ring, 30, 200.0),
+            (build_long_range, 10, 2000.0),
+        ],
+        ids=["ring-10-1/8", "ring-10-4", "ring-30-100", "ring-30-200", "long_range-10-2000"],
+    )
+    def test_matches_60_digit_coefficients(self, build, N, beta):
+        poly = build(N, HalfInt(2), 1.0, beta)
+        ref = log_coeffs_60_digits(poly.model_tag["kind"], N, 2, 1.0, beta)
+        assert np.all(np.abs(poly.log_coeffs - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
-def random_log_polymat(rng, degree, D):
-    """Log entries up to 1e3 in magnitude, about 30% of them -inf."""
-    A = rng.uniform(-1e3, 1e3, (degree + 1, D, D))
+
+def random_log_polymat(rng, degree, D, scale=1e3):
+    """Log entries up to ``scale`` in magnitude, about 30% of them -inf."""
+    A = rng.uniform(-scale, scale, (degree + 1, D, D))
     A[rng.random(A.shape) < 0.3] = -np.inf
     return A
+
+
+def assert_matches_reference(A, B, tol):
+    """_log_polymat_mul equals the per-degree reference to ``tol`` times max(1, |ref|)."""
+    got, ref = _log_polymat_mul(A, B), log_polymat_mul_reference(A, B)
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.isfinite(got) == finite)
+    err = np.abs(got[finite] - ref[finite])
+    assert np.all(err <= tol * np.maximum(1.0, np.abs(ref[finite])))
+
+
+def operand_bound(A, B):
+    """16 eps max(1, max|A| + max|B|): the rounding of the reference's own A + B."""
+    size = sum(np.abs(X[np.isfinite(X)]).max(initial=0.0) for X in (A, B))
+    return 16 * np.finfo(float).eps * max(1.0, size)
 
 
 class TestLogPolymatMul:
@@ -348,14 +386,38 @@ class TestLogPolymatMul:
     def test_matches_per_degree_reference(self, monkeypatch, da, db, D, chunk):
         if chunk is not None:
             monkeypatch.setattr(leeyang.partition, "_ENUMERATION_CHUNK", chunk)
+        # entries of +-1e3 span more than _LINEAR_RANGE: the log-sum-exp path
         rng = np.random.default_rng(1000 * da + 10 * db + D)
         A, B = random_log_polymat(rng, da, D), random_log_polymat(rng, db, D)
-        got, ref = _log_polymat_mul(A, B), log_polymat_mul_reference(A, B)
-        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
-        finite = np.isfinite(ref)
-        assert np.all(np.isfinite(got) == finite)
-        err = np.abs(got[finite] - ref[finite])
-        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref[finite])))
+        assert_matches_reference(A, B, 1e-15)
+
+    # entries of +-170 span at most 680 over both operands: the linear path
+    @pytest.mark.parametrize("scale", [1.0, 170.0])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("da, db", DEGREES)
+    def test_linear_path_matches_per_degree_reference(self, da, db, D, scale):
+        rng = np.random.default_rng(1000 * da + 10 * db + D + int(scale))
+        A, B = random_log_polymat(rng, da, D, scale), random_log_polymat(rng, db, D, scale)
+        assert_matches_reference(A, B, operand_bound(A, B))
+
+    @pytest.mark.parametrize("empty_first", [True, False], ids=["empty-A", "empty-B"])
+    def test_operand_with_no_term(self, empty_first):
+        A = np.full((4, 2, 2), -np.inf)
+        B = random_log_polymat(np.random.default_rng(11), 6, 2, 1.0)
+        if not empty_first:
+            A, B = B, A
+        got = _log_polymat_mul(A, B)
+        assert got.shape == (10, 2, 2) and np.all(got == -np.inf)
+        assert np.all(log_polymat_mul_reference(A, B) == -np.inf)
+
+    # the square of 1 + e^(-r/2) z has the single term e^-r at z^2: a normal
+    # double just inside the linear range, subnormal at 745 and wrong there
+    # in any linear product
+    @pytest.mark.parametrize("excess", [-0.5, 0.5, 45.0])
+    def test_range_at_the_linear_limit(self, excess):
+        r = _LINEAR_RANGE + excess
+        A = np.array([0.0, -r / 2]).reshape(2, 1, 1)
+        assert_matches_reference(A, A, operand_bound(A, A))
 
     @pytest.mark.parametrize(
         "build, two_s", [(build_ring, 2), (build_long_range, 2)], ids=["ring", "long_range"]
