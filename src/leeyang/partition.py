@@ -52,8 +52,8 @@ class PartitionPolynomial:
     ``factors`` is the polynomial's factorization by the bath's structure, as
     (log_coeffs, count) pairs: the product of each factor raised to its count.
     Builders fill it in when the bath splits into independent parts (coupling
-    components, or isolated spins at beta*J = 0); it is empty when the
-    polynomial is a single factor.
+    components, or isolated spins at beta*J = 0); otherwise it is the
+    polynomial itself, once.
     """
 
     two_ns: int
@@ -71,6 +71,8 @@ class PartitionPolynomial:
         if self.beta < 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         object.__setattr__(self, "log_coeffs", lc)
+        if not self.factors:
+            object.__setattr__(self, "factors", ((lc, 1),))
 
     def coeffs(self) -> np.ndarray:
         """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
@@ -130,9 +132,9 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         else:
             groups.append([lc, 1])
     factors = tuple((lc, count) for lc, count in groups)
-    log_c = np.zeros((1, 1, 1))  # log of the constant polynomial 1
-    for lc, count in factors:
-        log_c = _log_polymat_mul(log_c, _log_polymat_power(lc[:, None, None], count))
+    log_c = functools.reduce(
+        _log_polymat_mul, (_log_polymat_power(lc[:, None, None], count) for lc, count in factors)
+    )
     two_ns = sum(s.doubled for s in spins)
     tag = {
         "kind": "exact",
@@ -140,8 +142,7 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         "two_spins": [s.doubled for s in spins],
         "beta": beta,
     }
-    single = len(factors) == 1 and factors[0][1] == 1
-    return PartitionPolynomial(two_ns, beta, log_c[:, 0, 0], tag, () if single else factors)
+    return PartitionPolynomial(two_ns, beta, log_c[:, 0, 0], tag, factors)
 
 
 def _coupling_blocks(linked):

@@ -8,8 +8,13 @@ every field entering as -h S^z as in z = exp(-beta h), it factorizes as
 
 where <(S+)^delta>_0 is the ladder overlap of the initial probe state and F
 is the real cosine series of the partition polynomial, the same series whose
-roots are the Lee-Yang zero angles.  Detected zero times of the signal are
-matched against the times predicted from those angles.
+roots are the Lee-Yang zero angles.  F/F(0) is evaluated as the product of
+the bath's factors (``PartitionPolynomial.factors``), each a cosine series
+normalized to 1 at 0 and raised to its count, so near a zero its rounding
+error is relative to its own value, not to F(0).  Each factor has only
+simple zeros, so every zero of the signal, of any multiplicity, is a sign
+change of one factor.  Detected zero times are matched against the times
+predicted from the zero angles.
 """
 
 import math
@@ -19,11 +24,6 @@ import numpy as np
 
 from .spins import ProbeState, ladder_overlap
 from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
-
-_EPS = np.finfo(float).eps
-# |F|/F(0) at or below this is rounding noise: grid minima of |F| with only
-# such values between them belong to one zero.
-_NOISE_FLOOR = 1e4 * _EPS
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class TimeSeries:
     values: np.ndarray = field(repr=False)
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
-    terms: tuple = field(repr=False)  # (k, w) of F in double precision, F(0) = 1
+    terms: tuple = field(repr=False)  # (k, w, count) per factor of F, each 1 at 0
 
     @property
     def period(self):
@@ -65,9 +65,14 @@ class CorrelationReport:
         return not self.unmatched_predicted
 
 
+def _amplitude(terms, x):
+    """F(x)/F(0), the product of the factors' cosine series raised to their counts."""
+    return math.prod(cosine_series(k, w, x) ** count for k, w, count in terms)
+
+
 def _signal(overlap, terms, lam, delta, h0, t):
     t = np.asarray(t, dtype=float)
-    return overlap * np.exp(-1j * h0 * delta * t) * cosine_series(*terms, lam * delta * t)
+    return overlap * np.exp(-1j * h0 * delta * t) * _amplitude(terms, lam * delta * t)
 
 
 def expectation_series(
@@ -94,51 +99,27 @@ def expectation_series(
         t_max = 2 * np.pi / (lam * delta)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    k, w = cosine_terms(poly.coeffs())
-    terms = (k.astype(float), (w / w.sum()).astype(float))
+    terms = []
+    for log_coeffs, count in poly.factors:
+        k, w = cosine_terms(np.exp(log_coeffs - log_coeffs.max()))
+        terms.append((k.astype(float), (w / w.sum()).astype(float), count))
+    terms = tuple(terms)
     overlap = ladder_overlap(state, delta)
     times = np.linspace(0.0, t_max, steps, endpoint=False)
     values = _signal(overlap, terms, lam, delta, h0, times)
     return TimeSeries(lam, delta, h0, times, values, poly, overlap, terms)
 
 
-def _balance(F, t0, h, step, h_cap):
-    """Center of a multiple zero of F near t0.
-
-    Solves |F(tau + h)| = |F(tau - h)| at an offset h where F is well above
-    rounding noise, then removes the leading O(h^2) bias by Richardson
-    extrapolation over h and h/2.  Within h of the zero the balance function
-    is monotone and nearly linear, so three secant steps from t0 -+ step/2
-    solve it; t0 must lie within step of the zero.
-    """
-    while h < h_cap and abs(F(t0 + h)) + abs(F(t0 - h)) < 2e-8:
-        h *= 2
-
-    def balance_point(center, h):
-        diff = lambda tau: abs(F(tau + h)) - abs(F(tau - h))
-        a, b = center - step / 2, center + step / 2
-        da, db = diff(a), diff(b)
-        for _ in range(3):
-            if da == db:
-                break
-            a, da, b = b, db, b - db * (b - a) / (db - da)
-            db = diff(b)
-        return b
-
-    t1 = balance_point(t0, h)
-    return (4 * balance_point(t1, h / 2) - t1) / 3
-
-
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """Zero times of the sampled signal, each refined once by exact re-evaluation.
 
     The real amplitude F(lam*delta*t)/F(0) is recovered from the samples by
-    dividing out the overlap and the h0 phase.  Grid minima of |F| with only
-    rounding noise between them form one zero.  A simple sign change is solved
-    as a bracketed root; every multiple zero, touching or a sign change of odd
-    multiplicity >= 3, is centered with the balance method.  Zeros whose
-    refined |F|/F(0) exceeds magnitude_tol are discarded.  Returns
-    (time, |f| residual) pairs in ascending time.
+    dividing out the overlap and the h0 phase.  At each grid minimum of |F|
+    the first factor whose sign differs at the two neighbouring grid points
+    is solved there as a bracketed root; that zero of F may be touching or of
+    any multiplicity.  Minima where no factor changes sign are not zeros.
+    Zeros whose refined |F|/F(0) exceeds magnitude_tol are discarded.
+    Returns (time, |f| residual) pairs in ascending time.
     """
     if magnitude_tol <= 0:
         raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
@@ -151,48 +132,24 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         )
     times = series.times
     phase = np.exp(-1j * series.h0 * series.delta * times)
-    amp = (series.values / (series.overlap * phase)).real
-    mags = np.abs(amp)
-    k, w = series.terms
+    mags = np.abs((series.values / (series.overlap * phase)).real)
     rate = series.lam * series.delta
-    F = lambda t: cosine_series(k, w, rate * t)
-
-    groups = []  # [first, last] grid minima of one zero
-    for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
-        if groups and mags[groups[-1][1]:i + 1].max() <= _NOISE_FLOOR:
-            groups[-1][1] = i
-        else:
-            groups.append([i, i])
 
     found = []
-    for first, last in groups:
-        a, b = times[first - 1], times[last + 1]
-        fa, fb = amp[first - 1], amp[last + 1]
-        t, h = (times[first] + times[last]) / 2, (b - a) / 2
-        if fa * fb >= 0:
-            t = _balance(F, t, h, h, series.period / 16)
-        elif all(abs(F(t + 4 * d)) > 4 * abs(F(t + 2 * d)) for d in (h, -h)):
-            # |F| grows like |tau - t|^m: from 2h to 4h away by 2^m, 2 for a
-            # simple zero, 8 for a triple one, on both sides unlike a neighbour's
-            t = _balance(F, t, 4 * h, h, series.period / 16)
+    for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
+        a, b = times[i - 1], times[i + 1]
+        for k, w, _ in series.terms:
+            F = lambda t: cosine_series(k, w, rate * t)
+            fa, fb = F(a), F(b)
+            if fa * fb < 0:
+                t = bracket_root(F, a, b, fa, fb, 1e-14)
+                break
         else:
-            t = bracket_root(F, a, b, fa, fb, 1e-14)
-        residual = abs(F(t))
+            continue
+        residual = abs(_amplitude(series.terms, rate * t))
         if residual <= magnitude_tol:
             found.append((float(t), float(residual * abs(series.overlap))))
     return found
-
-
-def matching_window(max_multiplicity, base=1e-6):
-    """Widen the match window for degenerate zeros.
-
-    A touching zero of multiplicity m flattens the signal to |t - t_n|^m, so
-    its time cannot be localized from signal values better than roughly
-    eps^(1/m); simple and double zeros still resolve to well below 1e-6.
-    """
-    if max_multiplicity <= 2:
-        return base
-    return max(base, 20 * _EPS ** (1.0 / max_multiplicity))
 
 
 def _circular_distance(a, b, period):
@@ -206,10 +163,9 @@ def correlate(
 ) -> CorrelationReport:
     """Match detected zero times against the times predicted from the roots.
 
-    The window is widened by the zeros' largest multiplicity
-    (matching_window).  Each cluster of roots predicts one time, and the
-    pairing is greedy nearest-neighbor; distances wrap around the fundamental
-    period.
+    The window is the same at every multiplicity.  Each cluster of roots
+    predicts one time, and the pairing is greedy nearest-neighbor; distances
+    wrap around the fundamental period.
     """
     if lam is not None and not math.isclose(lam, series.lam, rel_tol=0, abs_tol=0):
         raise ValueError(
@@ -220,7 +176,6 @@ def correlate(
             f"delta metadata mismatch: series has {series.delta}, expected {delta}"
         )
 
-    window = matching_window(max(m for _, m in zeros.clusters), window)
     period = series.period
     # one time per cluster: a cluster's angle repeats by its multiplicity
     predicted = sorted(set(zeros.times(series.lam, series.delta).tolist()))

@@ -72,13 +72,18 @@ def bracket_root(f, a, b, fa, fb, xtol):
 
     Illinois method: secant steps that keep the root bracketed, halving the
     stored value of an end that survives two steps in a row so that both ends
-    converge.  Returns the bracket's midpoint once it is narrower than xtol or
-    cannot shrink further in floating point.
+    converge.  A step that rounds onto an end moves one float inside the
+    bracket instead of bisecting it: the secant puts the root within an ulp
+    of that end, which bisection would reach only after some forty halvings.
+    Returns the bracket's midpoint once it is narrower than xtol or cannot
+    shrink further in floating point.
     """
     side = 0
     for _ in range(_MAX_SOLVER_STEPS):
         c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
+        if c == a or c == b:
+            c = np.nextafter(c, b if c == a else a)
+        elif not min(a, b) < c < max(a, b):
             c = (a + b) / 2
         if abs(b - a) <= xtol or c == a or c == b:
             break
@@ -187,7 +192,7 @@ def find_zeros(poly) -> ZeroSet:
     if poly.two_ns < 1:
         raise ValueError("polynomial degree must be at least 1")
     exact, clusters = Counter(), []
-    for log_coeffs, count in poly.factors or ((poly.log_coeffs, 1),):
+    for log_coeffs, count in poly.factors:
         turns, angles = _factor_zeros(log_coeffs)
         for turn in turns:
             exact[turn] += count

@@ -118,12 +118,11 @@ def test_criterion_3_closed_form_zero_sets():
 
 
 # Infinite-temperature panels: closed-form zero times (-theta mod 2pi at
-# lam = delta = 1) and the bound on a detected time's error.  A zero of
-# multiplicity m is flat to |t - t_n|^m, so the bound widens with m.
+# lam = delta = 1) and the bound on a detected time's error.
 CLOSED_FORM_TIMES = {
-    "fig2 beta=0.0": ([k * np.pi / 3 for k in range(1, 6)], 1e-10),  # double
-    "fig4 beta=0.0": ([np.pi], 1e-9),  # 4-fold
-    "fig6 beta=0.0": ([2 * np.pi / 3, 4 * np.pi / 3], 5e-3),  # 10-fold
+    "fig2 beta=0.0": ([k * np.pi / 3 for k in range(1, 6)], 1e-12),  # double
+    "fig4 beta=0.0": ([np.pi], 1e-12),  # 4-fold
+    "fig6 beta=0.0": ([2 * np.pi / 3, 4 * np.pi / 3], 1e-12),  # 10-fold
 }
 
 

@@ -274,11 +274,15 @@ class TestCliCommands:
         )
         cfg, out = write_config(tmp_path, data), tmp_path / "report.json"
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 1
-        assert "10 predicted zero time(s) unmatched" in capsys.readouterr().err
+        count, *named = capsys.readouterr().err.splitlines()
+        assert count == "10 predicted zero time(s) unmatched"
         report = json.loads(out.read_text())
         assert len(report["predicted"]) == 20
         assert len(report["matches"]) == 10
         assert len(report["unmatched_predicted"]) == 10
+        # each unmatched time is named, in the report's digits
+        assert named == [f"  t = {t:.17g}" for t in report["unmatched_predicted"]]
+        assert all(t > np.pi for t in report["unmatched_predicted"])
 
     def test_correlate_free_spins_at_infinite_temperature(self, tmp_path):
         # 2^30 configurations in all, but every spin is its own block

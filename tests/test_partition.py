@@ -80,7 +80,10 @@ class TestBuildExact:
         assert sorted(count for _, count in poly.factors) == [1, 1]
 
     def test_connected_bath_is_one_factor(self):
-        assert build_exact(spins(1, 3), uniform_couplings(3, 1.0), 0.5).factors == ()
+        poly = build_exact(spins(1, 3), uniform_couplings(3, 1.0), 0.5)
+        (lc, count), = poly.factors
+        assert count == 1
+        np.testing.assert_array_equal(lc, poly.log_coeffs)
 
     def test_bounded_memory_matches_long_range(self):
         # 2^18 configurations: a table of all of them at once peaks near 80 MB

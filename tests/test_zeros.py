@@ -16,6 +16,7 @@ from leeyang.partition import (
 from leeyang.spins import HalfInt
 from leeyang.zeros import (
     RootConvergenceError,
+    bracket_root,
     cosine_series,
     cosine_terms,
     find_zeros,
@@ -124,6 +125,30 @@ class TestFindZeros:
         zs = find_zeros(poly)
         assert [m for _, m in zs.clusters] == [1, 1, 1, 1]
         np.testing.assert_allclose(zs.angles, reference_angles(poly), rtol=0, atol=1e-12)
+
+
+class TestBracketRoot:
+    def test_root_within_an_ulp_of_an_end(self):
+        # cos(fl(pi)/2) = 6e-17: once the secant lands on fl(pi), the root is
+        # within an ulp of that end, and halving down to it takes ~40 steps
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return math.cos(x / 2)
+
+        a, b = math.pi - 1.5e-3, math.pi + 1.5e-3
+        root = bracket_root(f, a, b, math.cos(a / 2), math.cos(b / 2), 1e-14)
+        assert abs(root - math.pi) <= 1e-15
+        assert calls <= 6
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_stops_on_adjacent_floats(self, dtype):
+        a = dtype(1.0)
+        b = np.nextafter(a, dtype(2.0))
+        root = bracket_root(lambda x: x - a, a, b, dtype(-1.0), dtype(1.0), 0.0)
+        assert a <= root <= b
 
 
 class TestStructuralMultiplicity:
