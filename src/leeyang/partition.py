@@ -16,11 +16,18 @@ operands' log coefficients span at most _LINEAR_RANGE, as in every product
 of the bundled figure panels, a block is one BLAS matrix product of the
 operands exponentiated once.  Wider operands take one exponential per term,
 and their time is set by the exponentials.
+
+Each block factor of an exact bath comes from enumerating its configurations
+(_enumerate): two half-tables of about sqrt(count) rows, the trailing one
+sorted by raising-step count, are joined by one matrix product per chunk of
+about _ENUMERATION_CHUNK configurations, and every (leading row, trailing
+sector) group is summed relative to its own peak.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal  # rounds counts beyond the float range
 
 import numpy as np
 
@@ -95,8 +102,10 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     ``couplings[i][j]`` is the pair coupling J_ij (units J, zero diagonal);
     the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
     connected component of the beta*J > 0 coupling graph is enumerated on its
-    own and may have at most ENUMERATION_CAP configurations.  Components with
-    equal polynomials form one factor; the polynomial is the factors' product.
+    own and may have at most ENUMERATION_CAP configurations; components with
+    the same spins and byte-identical beta*J are enumerated once.  Components
+    with equal polynomials form one factor; the polynomial is the factors'
+    product.
     """
     _validate_beta(beta)
     spins = list(spins)
@@ -120,9 +129,14 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     for s in spins:
         _check_magnitude(s)
 
+    enumerated = {}  # log_coeffs by the block's spins and its beta*J bytes
     groups = []  # [log_coeffs, count] per distinct block polynomial
     for idx in _coupling_blocks(bJ > 0):
-        lc = _enumerate([spins[i] for i in idx], bJ[np.ix_(idx, idx)])
+        block, block_bJ = [spins[i] for i in idx], bJ[np.ix_(idx, idx)]
+        key = (tuple(s.doubled for s in block), block_bJ.tobytes())
+        if key not in enumerated:
+            enumerated[key] = _enumerate(block, block_bJ)
+        lc = enumerated[key]
         for group in groups:
             if group[0].shape == lc.shape and np.all(
                 np.abs(group[0] - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc))
@@ -164,18 +178,21 @@ def _enumerate(spins, bJ):
     The energy is a quadratic form, so with the spins split into leading spins
     H and trailing spins L it reads E(h, l) = E_H(h) + E_L(l) + m_h J_HL m_l.
     Trailing spins join L while |L|^2 < count, so each part's configuration
-    table has about sqrt(count) rows and is built once.  The cross term of a
-    chunk of H rows against all of L is one matrix product, with the chunk
-    sized to hold about _ENUMERATION_CHUNK configurations.  Each chunk sums
-    every sector relative to its own peak exponent, which keeps low
-    temperatures finite, and the chunks' sector sums are merged in the log
-    domain.
+    table has about sqrt(count) rows and is built once.  L is sorted by its
+    raising-step count, so each L sector is one contiguous run of columns.
+    The exponents of a chunk of H rows against all of L are one matrix
+    product of augmented tables, [m_H J_HL, E_H, 1] @ [m_L, 1, E_L]^T, with
+    the chunk sized to hold about _ENUMERATION_CHUNK configurations.  Each
+    row's run of an L sector is summed relative to its own peak, which keeps
+    low temperatures finite; these (row, L sector) sums are merged by their
+    sector up_H + up_L, and the chunks' sector sums in the log domain.
     """
     dims = [s.doubled + 1 for s in spins]
     count = math.prod(dims)
     if count > ENUMERATION_CAP:
         raise ValueError(
-            f"{count} configurations exceed the enumeration cap {ENUMERATION_CAP}"
+            f"a block of {len(spins)} spins has {Decimal(count):.3g} configurations, "
+            f"which exceed the enumeration cap {ENUMERATION_CAP}"
         )
     split, size_l = len(dims), 1
     while size_l**2 < count:
@@ -183,21 +200,33 @@ def _enumerate(spins, bJ):
         size_l *= dims[split]
     H, up_H = _configurations(spins[:split])
     L, up_L = _configurations(spins[split:])
+    order = np.argsort(up_L, kind="stable")
+    L, up_L = L[order], up_L[order]
+    starts = np.flatnonzero(np.diff(up_L, prepend=-1))
+    runs = list(enumerate(zip(starts, [*starts[1:], len(L)])))
     HJ = H @ bJ[:split]
-    cross = HJ[:, split:]
     # zero diagonal makes each full quadratic form twice its i<j pair sum
     e_H = 0.5 * (HJ[:, :split] * H).sum(axis=1)
     e_L = 0.5 * ((L @ bJ[split:, split:]) * L).sum(axis=1)
+    A = np.column_stack([HJ[:, split:], e_H, np.ones(len(H))])
+    # row-major: numpy's product with a transposed view is several times slower
+    B_T = np.ascontiguousarray(np.column_stack([L, np.ones(len(L)), e_L]).T)
     sectors = sum(s.doubled for s in spins) + 1
     rows = max(1, _ENUMERATION_CHUNK // size_l)
-    chunks = (
-        _log_sector_sums(
-            (e_H[lo:lo + rows, None] + e_L + cross[lo:lo + rows] @ L.T).ravel(),
-            (up_H[lo:lo + rows, None] + up_L).ravel(),
-            sectors,
+
+    def chunk_sums(lo):
+        expo = A[lo:lo + rows] @ B_T
+        peak = np.maximum.reduceat(expo, starts, axis=1)
+        for j, (a, b) in runs:
+            expo[:, a:b] -= peak[:, j, None]
+        np.exp(expo, out=expo)
+        # each run's peak term adds exactly 1, so every sum is at least 1
+        group = peak + np.log(np.add.reduceat(expo, starts, axis=1))
+        return _log_sector_sums(
+            group.ravel(), (up_H[lo:lo + rows, None] + up_L[starts]).ravel(), sectors
         )
-        for lo in range(0, len(H), rows)
-    )
+
+    chunks = (chunk_sums(lo) for lo in range(0, len(H), rows))
     # indexed by raising steps from all-down, which is 2Ns - n
     return functools.reduce(np.logaddexp, chunks)[::-1]
 

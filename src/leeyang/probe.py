@@ -67,7 +67,24 @@ class CorrelationReport:
 
 def _amplitude(terms, x):
     """F(x)/F(0), the product of the factors' cosine series raised to their counts."""
-    return math.prod(cosine_series(k, w, x) ** count for k, w, count in terms)
+    return math.prod(_power(cosine_series(k, w, x), count) for k, w, count in terms)
+
+
+def _power(x, n):
+    """x**n for an integer n >= 1, by repeated squaring.
+
+    On an array, ``**`` calls libm pow per element for every n >= 3, about
+    18 times slower on 4096 samples.  Each product rounds once, so the
+    relative error stays within about n*eps.
+    """
+    power = None
+    while True:
+        if n & 1:
+            power = x if power is None else power * x
+        n >>= 1
+        if not n:
+            return power
+        x = x * x
 
 
 def _signal(overlap, terms, lam, delta, h0, t):

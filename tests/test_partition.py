@@ -155,6 +155,51 @@ class TestBuildExact:
         with pytest.raises(ValueError, match=str(ENUMERATION_CAP)):
             build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
 
+    def test_cap_refusal_is_brief(self):
+        # 2^1024 configurations: beyond the float range, 309 digits in full
+        n = 1024
+        chain = np.diag(np.ones(n - 1), 1)
+        with pytest.raises(ValueError, match=f"exceed the enumeration cap {ENUMERATION_CAP}") as err:
+            build_exact(spins(1, n), chain + chain.T, 1.0)
+        message = str(err.value)
+        assert "1024 spins" in message and "1.80e+308 configurations" in message
+        assert len(message) < 100
+
+    def test_identical_blocks_enumerated_once(self, monkeypatch):
+        calls = 0
+        enumerate_block = leeyang.partition._enumerate
+
+        def counting(block, bJ):
+            nonlocal calls
+            calls += 1
+            return enumerate_block(block, bJ)
+
+        monkeypatch.setattr(leeyang.partition, "_enumerate", counting)
+        upper = np.triu(np.random.default_rng(3).uniform(0.2, 1.5, (3, 3)), 1)
+        block = upper + upper.T
+        poly = build_exact(spins(1, 12), np.kron(np.eye(4), block), 0.3)
+        assert calls == 1
+        (lc, count), = poly.factors
+        assert count == 4
+        np.testing.assert_array_equal(lc, enumerate_block(spins(1, 3), 0.3 * block))
+        oracle = brute_force_log_sectors(spins(1, 3), block, 0.3)
+        expected = np.exp(oracle)
+        for _ in range(3):
+            expected = np.convolve(expected, np.exp(oracle))
+        np.testing.assert_allclose(np.exp(poly.log_coeffs), expected, rtol=1e-13)
+
+    # four chunks of 2^16 configurations each at N = 18; at beta = 2000 the
+    # exponents of one chunk span about 4000
+    @pytest.mark.parametrize("beta", [50.0, 400.0, 2000.0])
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_low_temperature_over_chunks(self, n, beta):
+        got = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta).log_coeffs
+        for lc in (
+            build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs,
+            log_coeffs_60_digits("long_range", n, 1, 1.0, beta),
+        ):
+            assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
     def test_cap_counts_one_block(self):
         # four blocks of 64 configurations: 2^24 in all, but each block is
         # enumerated on its own

@@ -87,6 +87,16 @@ class TestExpectationSeries:
         assert ser.times[-1] < ser.period
 
 
+def test_power_matches_libm_pow():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.5, 1.5, 257) * rng.choice([-1.0, 1.0], 257)
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        for base in (x, *x[:8]):  # the array, and scalars
+            expected = base**n
+            assert np.all(np.abs(probe._power(base, n) - expected) <= 2 * n * eps * np.abs(expected))
+
+
 class TestSignalInvariants:
     def panels(self):
         yield build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0), HalfInt(5)
