@@ -9,7 +9,7 @@ from .partition import build_exact, build_long_range, build_ring
 from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
-# Largest time grid: the series and detection at 2**20 steps trace a 72 MiB peak.
+# Largest time grid: the series and detection at 2**20 steps trace a 64 MiB peak.
 # `reproduce` also holds its figure's time column as text: ~19 bytes per step
 # on the default grid (20 MB at MAX_STEPS), and at most 24 (25 MB).
 MAX_STEPS = 2**20

@@ -160,14 +160,25 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
 
 
 def _coupling_blocks(linked):
-    """Connected components of a boolean adjacency matrix, as index tuples."""
-    # the reachability closure is squared in float, where BLAS takes the products
-    reach = (linked | np.eye(len(linked), dtype=bool)).astype(float)
-    while True:
-        grown = (reach @ reach > 0).astype(float)
-        if np.array_equal(grown, reach):
-            return sorted({tuple(np.flatnonzero(row)) for row in reach})
-        reach = grown
+    """Connected components of a boolean adjacency matrix, as sorted index tuples.
+
+    Breadth-first search: each block starts at the lowest unseen index, so the
+    blocks come in order of their lowest index, and each of its spins adds its
+    unseen neighbours, one row of ``linked`` each.
+    """
+    seen = np.zeros(len(linked), dtype=bool)
+    blocks = []
+    for start in range(len(linked)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # the loop visits the spins appended while it runs
+            new = np.flatnonzero(linked[i] & ~seen)
+            seen[new] = True
+            block.extend(new.tolist())
+        blocks.append(tuple(sorted(block)))
+    return blocks
 
 
 def _enumerate(spins, bJ):

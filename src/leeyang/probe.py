@@ -11,10 +11,10 @@ is the real cosine series of the partition polynomial, the same series whose
 roots are the Lee-Yang zero angles.  F/F(0) is evaluated as the product of
 the bath's factors (``PartitionPolynomial.factors``), each a cosine series
 normalized to 1 at 0 and raised to its count, so near a zero its rounding
-error is relative to its own value, not to F(0).  Each factor has only
-simple zeros, so every zero of the signal, of any multiplicity, is a sign
-change of one factor.  Detected zero times are matched against the times
-predicted from the zero angles.
+error is relative to its own value, not to F(0).  The same pass sums
+log|F/F(0)|, which does not underflow, for zero detection: as each factor has
+only simple zeros, every zero of any multiplicity is a sign change of one
+factor.  Detected zero times are matched against those of the zero angles.
 """
 
 import math
@@ -28,13 +28,14 @@ from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled probe signal plus everything needed to re-evaluate it exactly."""
+    """Sampled probe signal and log|F/F(0)|, plus everything to re-evaluate it exactly."""
 
     lam: float
     delta: int
     h0: float
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    log_magnitude: np.ndarray = field(repr=False)  # sum of count*log|F_f| per sample
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
     terms: tuple = field(repr=False)  # (k, w, count) per factor of F, each 1 at 0
@@ -45,7 +46,9 @@ class TimeSeries:
 
     def evaluate(self, t):
         """Exact signal value at arbitrary time(s), not an interpolation."""
-        return _signal(self.overlap, self.terms, self.lam, self.delta, self.h0, t)
+        t = np.asarray(t, dtype=float)
+        phase = np.exp(-1j * self.h0 * self.delta * t)
+        return self.overlap * phase * _amplitude(self.terms, self.lam * self.delta * t)
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,6 @@ def _power(x, n):
         x = x * x
 
 
-def _signal(overlap, terms, lam, delta, h0, t):
-    t = np.asarray(t, dtype=float)
-    return overlap * np.exp(-1j * h0 * delta * t) * _amplitude(terms, lam * delta * t)
-
-
 def expectation_series(
     poly, state: ProbeState, lam: float, delta: int, h0: float = 0.0,
     t_max: float = None, steps: int = 4096,
@@ -116,22 +114,26 @@ def expectation_series(
         t_max = 2 * np.pi / (lam * delta)
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    terms = []
+    times = np.linspace(0.0, t_max, steps, endpoint=False)
+    terms, amplitude, log_magnitude = [], 1, 0.0
     for log_coeffs, count in poly.factors:
         k, w = cosine_terms(np.exp(log_coeffs - log_coeffs.max()))
-        terms.append((k.astype(float), (w / w.sum()).astype(float), count))
-    terms = tuple(terms)
+        k, w = k.astype(float), (w / w.sum()).astype(float)
+        terms.append((k, w, count))
+        g = cosine_series(k, w, lam * delta * times)
+        amplitude = amplitude * _power(g, count)
+        with np.errstate(divide="ignore"):  # a sample on a zero is log(0) = -inf
+            log_magnitude = log_magnitude + count * np.log(np.abs(g))
     overlap = ladder_overlap(state, delta)
-    times = np.linspace(0.0, t_max, steps, endpoint=False)
-    values = _signal(overlap, terms, lam, delta, h0, times)
-    return TimeSeries(lam, delta, h0, times, values, poly, overlap, terms)
+    values = overlap * np.exp(-1j * h0 * delta * times) * amplitude
+    return TimeSeries(lam, delta, h0, times, values, log_magnitude, poly, overlap, tuple(terms))
 
 
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """Zero times of the sampled signal, each refined once by exact re-evaluation.
 
-    The real amplitude F(lam*delta*t)/F(0) is recovered from the samples by
-    dividing out the overlap and the h0 phase.  At each grid minimum of |F|
+    Grid minima are taken on the series' log|F/F(0)|, which stays finite
+    around a zero where the sampled product underflows.  At each minimum
     the first factor whose sign differs at the two neighbouring grid points
     is solved there as a bracketed root; that zero of F may be touching or of
     any multiplicity.  Minima where no factor changes sign are not zeros.
@@ -147,9 +149,7 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
             "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "
             "signal vanishes identically and has no zero times"
         )
-    times = series.times
-    phase = np.exp(-1j * series.h0 * series.delta * times)
-    mags = np.abs((series.values / (series.overlap * phase)).real)
+    times, mags = series.times, series.log_magnitude
     rate = series.lam * series.delta
 
     found = []

@@ -159,8 +159,10 @@ class TestBuildExact:
         # 2^1024 configurations: beyond the float range, 309 digits in full
         n = 1024
         chain = np.diag(np.ones(n - 1), 1)
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=f"exceed the enumeration cap {ENUMERATION_CAP}") as err:
             build_exact(spins(1, n), chain + chain.T, 1.0)
+        assert time.perf_counter() - start < 0.25
         message = str(err.value)
         assert "1024 spins" in message and "1.80e+308 configurations" in message
         assert len(message) < 100
@@ -221,12 +223,18 @@ class TestBuildExact:
         lc = build_long_range(30, HalfInt(1), 1.0, 0.0).log_coeffs
         assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 17, 21, 27, 34, 38, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 17, 21, 27, 34, 38, 40, 300])
     def test_coupling_blocks_match_breadth_first_search(self, n):
         rng = np.random.default_rng(n)
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.15), 1)
         linked = upper | upper.T
         assert _coupling_blocks(linked) == coupling_blocks_oracle(linked)
+        # one chain through every spin, in shuffled order
+        path = rng.permutation(n)
+        chain = np.zeros((n, n), dtype=bool)
+        chain[path[:-1], path[1:]] = True
+        chain |= chain.T
+        assert _coupling_blocks(chain) == coupling_blocks_oracle(chain) == [tuple(range(n))]
 
     def test_large_connected_bath_refused_quickly(self):
         n = 512

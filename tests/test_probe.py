@@ -13,7 +13,7 @@ from helpers import (
     uniform_couplings,
 )
 from leeyang import probe
-from leeyang.partition import build_exact, build_long_range, build_ring
+from leeyang.partition import PartitionPolynomial, build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
 from leeyang.zeros import cosine_series, find_zeros
@@ -252,15 +252,37 @@ class TestDetectZeroTimes:
                 worst = max(worst, report.max_deviation / report.window)
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("n", [20, 30, 60, 100])
+    @pytest.mark.parametrize("n", [20, 30, 60, 100, 200, 1000])
     def test_free_spins_match_at_the_base_window(self, n):
-        # cos(x/2)^n at T = inf: one n-fold zero at t = pi
+        # cos(x/2)^n at T = inf: one n-fold zero at t = pi; from n = 200 on the
+        # sampled product underflows to 0 around it
         poly = build_exact(spins(1, n), np.zeros((n, n)), 0.0)
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         report = correlate(find_zeros(poly), ser, window=1e-6)
         assert report.window == 1e-6
         assert report.all_matched and not report.unmatched_detected
         assert abs(report.matches[0][1] - np.pi) <= 1e-12
+
+    @pytest.mark.parametrize("poly", [
+        *(build_long_range(n, HalfInt(1), 1.0, 0.0) for n in (150, 200, 400)),
+        *(build_exact(spins(1, 2 * n), np.kron(np.eye(n), uniform_couplings(2, 1.0)), 0.5)
+          for n in (100, 200)),
+    ], ids=["long_range N=150", "long_range N=200", "long_range N=400",
+            "100 pairs beta=0.5", "200 pairs beta=0.5"])
+    def test_underflowing_product_matches_at_the_base_window(self, poly):
+        # every zero is as multiple as a factor's count, and the sampled
+        # product underflows to 0 over a stretch of the grid around it
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        assert np.any(ser.values[1:] == 0)
+        report = correlate(find_zeros(poly), ser, window=1e-6)
+        assert report.all_matched and not report.unmatched_detected
+
+    def test_minimum_without_sign_change_is_not_a_zero(self):
+        # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
+        poly = PartitionPolynomial(2, 0.0, np.log([1.0, 3.0, 1.0]), {})
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        assert np.argmin(ser.log_magnitude) == len(ser.times) // 2
+        assert detect_zero_times(ser) == []
 
     def test_small_beta_split_baths_match(self):
         # at small beta the zeros of a block sit close together, and each is
@@ -341,6 +363,23 @@ class TestCorrelate:
         report = correlate(zs, ser)
         assert report.predicted == sorted(np.mod(-a, 2 * np.pi) for a, _ in zs.clusters)
         assert report.all_matched
+
+    def test_permuted_blocks_form_one_factor(self):
+        # two triangles with the same couplings on relabelled spins: their
+        # coupling bytes differ but their polynomials are equal
+        triangle = np.array([[0.0, 0.4, 0.9], [0.4, 0.0, 1.3], [0.9, 1.3, 0.0]])
+        order = [2, 0, 1]
+        couplings = np.zeros((6, 6))
+        couplings[:3, :3] = triangle
+        couplings[3:, 3:] = triangle[np.ix_(order, order)]
+        assert couplings[3:, 3:].tobytes() != triangle.tobytes()
+        poly = build_exact(spins(1, 6), couplings, 0.7)
+        (_, count), = poly.factors
+        assert count == 2
+        zs = find_zeros(poly)
+        assert {m for _, m in zs.clusters} == {2}
+        report = correlate(zs, expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1))
+        assert report.all_matched and not report.unmatched_detected
 
     def test_lambda_metadata_mismatch(self, triangle_beta_one):
         zs = find_zeros(triangle_beta_one)
