@@ -281,7 +281,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RootConvergenceError, RuntimeError, OSError) as exc:
+    except (ValueError, RootConvergenceError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,16 +6,17 @@ the sector where the total projection equals N*s - n.  Coefficients are kept
 as natural logs because the Boltzmann weights span hundreds of orders of
 magnitude at low temperature.
 
-All three builders are one operation: a power of a small matrix polynomial,
-taken in the log domain by repeated squaring (O(log N) products).  The
-long-range model is the N-th power of the 1x1 single-site factor, the ring is
-the trace of the N-th power of its transfer matrix, and a split exact bath is
-the product of its block factors, each raised to its count.  Each product
-sums its output degrees a block at a time (_log_polymat_mul).  While its
-operands' log coefficients span at most _LINEAR_RANGE, as in every product
-of the bundled figure panels, a block is one BLAS matrix product of the
-operands exponentiated once.  Wider operands take one exponential per term,
-and their time is set by the exponentials.
+Every polynomial is a power of a small matrix polynomial, or a product of
+such powers, taken in the log domain by repeated squaring (O(log N) products).
+The long-range model is the N-th power of the 1x1 single-site factor, the ring
+is the trace of the N-th power of its transfer matrix, and a split exact bath
+is the product of its block factors, each raised to its count.  A builder
+returns the factors; PartitionPolynomial.log_coeffs forms their product when
+read.  Each product sums its output degrees a block at a time
+(_log_polymat_mul).  While its operands' log coefficients span at most
+_LINEAR_RANGE, as in every product of the bundled figure panels, a block is
+one BLAS matrix product of the operands exponentiated once.  Wider operands
+take one exponential per term, and their time is set by the exponentials.
 
 Each block factor of an exact bath comes from enumerating its configurations
 (_enumerate): two half-tables of about sqrt(count) rows, the trailing one
@@ -58,28 +59,35 @@ class PartitionPolynomial:
 
     ``factors`` is the polynomial's factorization by the bath's structure, as
     (log_coeffs, count) pairs: the product of each factor raised to its count.
-    Builders fill it in when the bath splits into independent parts (coupling
-    components, or isolated spins at beta*J = 0); otherwise it is the
-    polynomial itself, once.
+    A bath that splits into independent parts (coupling components, or free
+    spins at beta*J = 0) has a factor per distinct part, any other bath one
+    factor, once.  The product, ``log_coeffs``, is formed on first read.
     """
 
     two_ns: int
     beta: float
-    log_coeffs: np.ndarray = field(repr=False)
+    factors: tuple = field(repr=False)
     model_tag: dict = field(default_factory=dict)
-    factors: tuple = ()
 
     def __post_init__(self):
-        lc = np.asarray(self.log_coeffs, dtype=float)
-        if lc.shape != (self.two_ns + 1,):
-            raise ValueError(f"expected {self.two_ns + 1} coefficients, got {lc.shape}")
-        if not np.all(np.isfinite(lc)):
-            raise ValueError("non-finite log coefficient encountered")
         if self.beta < 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
-        object.__setattr__(self, "log_coeffs", lc)
-        if not self.factors:
-            object.__setattr__(self, "factors", ((lc, 1),))
+        factors = tuple((np.asarray(lc, dtype=float), count) for lc, count in self.factors)
+        for lc, count in factors:
+            if lc.ndim != 1 or not lc.size or not np.all(np.isfinite(lc)):
+                raise ValueError("each factor must be a finite, non-empty 1-D array")
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"a factor's count must be an integer >= 1, got {count!r}")
+        degree = sum(count * (len(lc) - 1) for lc, count in factors)
+        if not degree == self.two_ns >= 1:
+            raise ValueError(f"two_ns must be >= 1 and the factors' degree sum, {degree}")
+        object.__setattr__(self, "factors", factors)
+
+    @functools.cached_property
+    def log_coeffs(self) -> np.ndarray:
+        """Log coefficients of the product of the factors, each to its count."""
+        powers = (_log_polymat_power(lc[:, None, None], count) for lc, count in self.factors)
+        return functools.reduce(_log_polymat_mul, powers)[:, 0, 0]
 
     def coeffs(self) -> np.ndarray:
         """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
@@ -145,10 +153,6 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
                 break
         else:
             groups.append([lc, 1])
-    factors = tuple((lc, count) for lc, count in groups)
-    log_c = functools.reduce(
-        _log_polymat_mul, (_log_polymat_power(lc[:, None, None], count) for lc, count in factors)
-    )
     two_ns = sum(s.doubled for s in spins)
     tag = {
         "kind": "exact",
@@ -156,7 +160,7 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
         "two_spins": [s.doubled for s in spins],
         "beta": beta,
     }
-    return PartitionPolynomial(two_ns, beta, log_c[:, 0, 0], tag, factors)
+    return PartitionPolynomial(two_ns, beta, groups, tag)
 
 
 def _coupling_blocks(linked):
@@ -341,13 +345,6 @@ def _log_polymat_power(V, n):
         V = _log_polymat_mul(V, V)
 
 
-def _isolated(N, s, beta_j):
-    """Factors of N uncoupled spins when beta*J = 0, else none."""
-    if beta_j > 0 or N == 1:
-        return ()
-    return ((np.zeros(s.doubled + 1), N),)
-
-
 def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial:
     """All-pairs coupling J/N: energy -(J/2N)[(sum m_i)^2 - sum m_i^2].
 
@@ -361,12 +358,14 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
     _validate_beta(beta)
     a = beta * J / (2 * N)
     site = np.array([-a * float(m) ** 2 for m in projections(s)])
-    log_w = _log_polymat_power(site[:, None, None], N)[:, 0, 0]
     two_ns = N * s.doubled
-    ns = two_ns / 2
-    pref = a * (ns - np.arange(two_ns + 1)) ** 2
     tag = {"kind": "long_range", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
-    return PartitionPolynomial(two_ns, beta, pref + log_w, tag, _isolated(N, s, beta * J))
+    if a > 0:
+        log_w = _log_polymat_power(site[:, None, None], N)[:, 0, 0]
+        factor = (a * (two_ns / 2 - np.arange(two_ns + 1)) ** 2 + log_w, 1)
+    else:  # N free spins
+        factor = (np.zeros(s.doubled + 1), N)
+    return PartitionPolynomial(two_ns, beta, [factor], tag)
 
 
 def long_range_integral_oracle(N: int, s: HalfInt, J: float, beta: float, n: int) -> float:
@@ -419,14 +418,16 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
     _validate_ferromagnetic(J)
     _validate_beta(beta)
     ms = np.array([float(m) for m in projections(s)])
-    D = s.doubled + 1
-    V = np.full((D, D, D), -np.inf)
-    for row, m in enumerate(projections(s)):
-        k = (s.doubled - m.doubled) // 2  # z-power carried by this row
-        V[k, row, :] = beta * J * float(m) * ms
-    power = _log_polymat_power(V, N)
-    log_c = logsumexp(np.diagonal(power, axis1=1, axis2=2), axis=1)
     two_ns = N * s.doubled
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
-    return PartitionPolynomial(two_ns, beta, log_c, tag, _isolated(N, s, beta * J))
-
+    if beta * J > 0:
+        D = s.doubled + 1
+        V = np.full((D, D, D), -np.inf)
+        for row, m in enumerate(projections(s)):
+            k = (s.doubled - m.doubled) // 2  # z-power carried by this row
+            V[k, row, :] = beta * J * float(m) * ms
+        power = _log_polymat_power(V, N)
+        factor = (logsumexp(np.diagonal(power, axis1=1, axis2=2), axis=1), 1)
+    else:  # N free spins
+        factor = (np.zeros(s.doubled + 1), N)
+    return PartitionPolynomial(two_ns, beta, [factor], tag)

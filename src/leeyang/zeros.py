@@ -189,8 +189,6 @@ def find_zeros(poly) -> ZeroSet:
     as sign changes, for example a multiple root the bath's structure does
     not account for.
     """
-    if poly.two_ns < 1:
-        raise ValueError("polynomial degree must be at least 1")
     exact, clusters = Counter(), []
     for log_coeffs, count in poly.factors:
         turns, angles = _factor_zeros(log_coeffs)

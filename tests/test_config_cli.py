@@ -322,6 +322,14 @@ class TestCliCommands:
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys):
+        # the ring's transfer matrix polynomial would take 7.11 PiB, so
+        # numpy refuses it before allocating anything
+        model = {"kind": "ring", "n_spins": 3, "two_s": 100000}
+        cfg = write_config(tmp_path, base_config(model=model, temperature={"T_over_J": 8}))
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate 7.11 PiB")
+
     @pytest.mark.parametrize("command", ["evolve", "reproduce"])
     @pytest.mark.parametrize("steps", ["1", "0"])
     def test_steps_override_below_two_refused(self, tmp_path, capsys, command, steps):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -505,7 +506,7 @@ class TestLogPolymatMul:
 class TestEvalRatio:
     @pytest.fixture
     def simple(self):
-        return PartitionPolynomial(2, 0.0, np.log([1.0, 2.0, 1.0]), {"kind": "test"})
+        return PartitionPolynomial(2, 0.0, [(np.log([1.0, 2.0, 1.0]), 1)], {"kind": "test"})
 
     def test_unity(self, simple):
         assert eval_ratio(simple, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -526,12 +527,78 @@ class TestEvalRatio:
 class TestPartitionPolynomial:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PartitionPolynomial(1, 0.0, np.array([0.0, -np.inf]), {})
+            PartitionPolynomial(1, 0.0, [(np.array([0.0, -np.inf]), 1)], {})
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            PartitionPolynomial(1, -1.0, np.array([0.0, 0.0]), {})
+            PartitionPolynomial(1, -1.0, [(np.array([0.0, 0.0]), 1)], {})
 
     def test_coeffs_max_normalized(self):
-        poly = PartitionPolynomial(2, 0.0, np.array([0.0, 5.0, 0.0]), {})
+        poly = PartitionPolynomial(2, 0.0, [(np.array([0.0, 5.0, 0.0]), 1)], {})
         assert poly.coeffs().max() == 1.0
+
+    @pytest.mark.parametrize(
+        "two_ns, factors, message",
+        [
+            (3, [(np.zeros(3), 1)], "degree sum, 2"),
+            (4, [(np.zeros(2), 1), (np.zeros(3), 1)], "degree sum, 3"),
+            (2, [(np.zeros(3), 0)], "count must be an integer >= 1, got 0"),
+            (2, [(np.zeros(2), 2.0)], "count must be an integer >= 1, got 2.0"),
+            (3, [(np.zeros(2), 1.5)], "count must be an integer >= 1, got 1.5"),
+            (2, [(np.array([0.0, np.nan, 0.0]), 1)], "finite, non-empty 1-D array"),
+            (2, [(np.zeros((1, 3)), 1)], "finite, non-empty 1-D array"),
+            (0, [(np.zeros(1), 1)], "degree sum, 0"),
+            (0, [], "degree sum, 0"),
+        ],
+        ids=[
+            "degree-short", "two-factors-short", "count-0", "float-count",
+            "fractional-count", "nan", "2-D", "degree-0", "no-factors",
+        ],
+    )
+    def test_rejects_invalid_factors(self, two_ns, factors, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PartitionPolynomial(two_ns, 0.0, factors, {})
+
+    def test_counts_factors_by_degree(self):
+        poly = PartitionPolynomial(7, 0.0, [(np.zeros(2), 3), (np.zeros(3), 2)], {})
+        np.testing.assert_allclose(
+            np.exp(poly.log_coeffs), np.convolve([1, 3, 3, 1], [1, 2, 3, 2, 1]), rtol=1e-14
+        )
+
+
+class TestDeferredProduct:
+    """Builders return factors; their product is formed when log_coeffs is read."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+
+        def counted(A, B):
+            calls.append(1)
+            return _log_polymat_mul(A, B)
+
+        monkeypatch.setattr(leeyang.partition, "_log_polymat_mul", counted)
+        return calls
+
+    def test_split_bath_builds_without_a_product(self, products):
+        # two triangles of spin-1/2
+        poly = build_exact(spins(1, 6), np.kron(np.eye(2), uniform_couplings(3, 1.0)), 0.7)
+        assert not products
+        assert [count for _, count in poly.factors] == [2]
+        first = poly.log_coeffs
+        made = len(products)
+        assert made > 0
+        assert poly.log_coeffs is first and len(products) == made
+
+    @pytest.mark.parametrize("build", [build_ring, build_long_range])
+    def test_free_spins_build_without_a_product(self, products, build):
+        poly = build(50, HalfInt(2), 1.0, 0.0)
+        assert not products
+        (lc, count), = poly.factors
+        assert count == 50 and np.array_equal(lc, np.zeros(3))
+        exact = [1]  # (1 + z + z^2)^50 in integers
+        for _ in range(50):
+            exact = [sum(exact[max(0, k - 2):k + 1]) for k in range(len(exact) + 2)]
+        ref = np.log(np.array(exact, dtype=float))
+        assert np.all(np.abs(poly.log_coeffs - ref) <= 1e-13 * np.maximum(1.0, ref))
+        assert products

@@ -279,7 +279,7 @@ class TestDetectZeroTimes:
 
     def test_minimum_without_sign_change_is_not_a_zero(self):
         # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
-        poly = PartitionPolynomial(2, 0.0, np.log([1.0, 3.0, 1.0]), {})
+        poly = PartitionPolynomial(2, 0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {})
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         assert np.argmin(ser.log_magnitude) == len(ser.times) // 2
         assert detect_zero_times(ser) == []

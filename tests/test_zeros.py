@@ -25,7 +25,7 @@ from leeyang.zeros import (
 
 def poly_from_coeffs(coeffs, beta=0.0):
     coeffs = np.asarray(coeffs, float)
-    return PartitionPolynomial(len(coeffs) - 1, beta, np.log(coeffs), {"kind": "test"})
+    return PartitionPolynomial(len(coeffs) - 1, beta, [(np.log(coeffs), 1)], {"kind": "test"})
 
 
 def reference_angles(poly):
