@@ -111,9 +111,10 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
     connected component of the beta*J > 0 coupling graph is enumerated on its
     own and may have at most ENUMERATION_CAP configurations; components with
-    the same spins and byte-identical beta*J are enumerated once.  Components
-    with equal polynomials form one factor; the polynomial is the factors'
-    product.
+    the same spins and byte-identical beta*J are enumerated and grouped once.
+    A new block polynomial joins the first factor of its length that it equals
+    within 1e-12*max(1, |log p|), all of them compared in one array operation,
+    or starts a factor; the polynomial is the factors' product.
     """
     _validate_beta(beta)
     spins = list(spins)
@@ -137,22 +138,25 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     for s in spins:
         _check_magnitude(s)
 
-    enumerated = {}  # log_coeffs by the block's spins and its beta*J bytes
+    group_of = {}  # index into groups by the block's spins and its beta*J bytes
     groups = []  # [log_coeffs, count] per distinct block polynomial
+    by_length = {}  # length -> (indices into groups, their log_coeffs as rows)
     for idx in _coupling_blocks(bJ > 0):
         block, block_bJ = [spins[i] for i in idx], bJ[np.ix_(idx, idx)]
         key = (tuple(s.doubled for s in block), block_bJ.tobytes())
-        if key not in enumerated:
-            enumerated[key] = _enumerate(block, block_bJ)
-        lc = enumerated[key]
-        for group in groups:
-            if group[0].shape == lc.shape and np.all(
-                np.abs(group[0] - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc))
-            ):
-                group[1] += 1
-                break
-        else:
-            groups.append([lc, 1])
+        if key not in group_of:
+            lc = _enumerate(block, block_bJ)
+            # the first group, in insertion order, equal to lc within 1e-12*max(1, |lc|)
+            indices, rows = by_length.setdefault(len(lc), ([], np.empty((0, len(lc)))))
+            close = np.all(np.abs(rows - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)), axis=1)
+            if close.any():
+                group_of[key] = indices[close.argmax()]
+            else:
+                group_of[key] = len(groups)
+                indices.append(len(groups))
+                by_length[len(lc)] = indices, np.vstack([rows, lc])
+                groups.append([lc, 0])
+        groups[group_of[key]][1] += 1
     two_ns = sum(s.doubled for s in spins)
     tag = {
         "kind": "exact",

@@ -14,11 +14,13 @@ normalized to 1 at 0 and raised to its count, so near a zero its rounding
 error is relative to its own value, not to F(0).  The same pass sums
 log|F/F(0)|, which does not underflow, for zero detection: as each factor has
 only simple zeros, every zero of any multiplicity is a sign change of one
-factor.  Detected zero times are matched against those of the zero angles.
+factor, solved in the angle x = lam delta t and returned as x/(lam delta).
+Detected zero times are matched against those of the zero angles.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -135,10 +137,10 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     Grid minima are taken on the series' log|F/F(0)|, which stays finite
     around a zero where the sampled product underflows.  At each minimum
     the first factor whose sign differs at the two neighbouring grid points
-    is solved there as a bracketed root; that zero of F may be touching or of
-    any multiplicity.  Minima where no factor changes sign are not zeros.
-    Zeros whose refined |F|/F(0) exceeds magnitude_tol are discarded.
-    Returns (time, |f| residual) pairs in ascending time.
+    is solved there to 1e-14 in the angle x = lam*delta*t; that zero of F may
+    be touching or of any multiplicity.  Minima where no factor changes sign
+    are not zeros, and zeros whose |F(x)|/F(0) exceeds magnitude_tol are
+    discarded.  Returns (x/(lam*delta), |f| residual) pairs in ascending time.
     """
     if magnitude_tol <= 0:
         raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
@@ -149,29 +151,25 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
             "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "
             "signal vanishes identically and has no zero times"
         )
-    times, mags = series.times, series.log_magnitude
+    mags = series.log_magnitude
     rate = series.lam * series.delta
+    angles = rate * series.times  # as expectation_series sampled them
 
     found = []
     for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
-        a, b = times[i - 1], times[i + 1]
+        a, b = angles[i - 1], angles[i + 1]
         for k, w, _ in series.terms:
-            F = lambda t: cosine_series(k, w, rate * t)
+            F = partial(cosine_series, k, w)
             fa, fb = F(a), F(b)
             if fa * fb < 0:
-                t = bracket_root(F, a, b, fa, fb, 1e-14)
+                x = bracket_root(F, a, b, fa, fb, 1e-14)
                 break
         else:
             continue
-        residual = abs(_amplitude(series.terms, rate * t))
+        residual = abs(_amplitude(series.terms, x))
         if residual <= magnitude_tol:
-            found.append((float(t), float(residual * abs(series.overlap))))
+            found.append((float(x / rate), float(residual * abs(series.overlap))))
     return found
-
-
-def _circular_distance(a, b, period):
-    d = abs(a - b) % period
-    return min(d, period - d)
 
 
 def correlate(
@@ -181,10 +179,11 @@ def correlate(
     """Match detected zero times against the times predicted from the roots.
 
     The window is the same at every multiplicity.  Each cluster of roots
-    predicts one time, and the pairing is greedy nearest-neighbor; distances
-    wrap around the fundamental period.
+    predicts one time.  Only pairs whose distance, wrapped around the
+    fundamental period, is within the window are kept, one array operation
+    per predicted time, and they are paired greedily, nearest first.
     """
-    if lam is not None and not math.isclose(lam, series.lam, rel_tol=0, abs_tol=0):
+    if lam is not None and lam != series.lam:
         raise ValueError(
             f"lambda metadata mismatch: series has {series.lam}, expected {lam}"
         )
@@ -198,15 +197,16 @@ def correlate(
     predicted = sorted(set(zeros.times(series.lam, series.delta).tolist()))
 
     detected = detect_zero_times(series, magnitude_tol)
-
-    pairs = sorted(
-        (( _circular_distance(p, t, period), i, j)
-         for i, p in enumerate(predicted)
-         for j, (t, _) in enumerate(detected)),
-    )
+    detected_times = np.array([t for t, _ in detected])
+    pairs = []  # (distance, predicted index, detected index) within the window
+    for i, p in enumerate(predicted):
+        d = np.abs(p - detected_times) % period
+        d = np.minimum(d, period - d)
+        near = np.flatnonzero(d <= window)
+        pairs += zip(d[near].tolist(), [i] * len(near), near.tolist())
     used_p, used_d, matches = set(), set(), []
-    for dev, i, j in pairs:
-        if dev > window or i in used_p or j in used_d:
+    for dev, i, j in sorted(pairs):
+        if i in used_p or j in used_d:
             continue
         used_p.add(i)
         used_d.add(j)

@@ -267,3 +267,35 @@ def figure_panels():
     for b in (0.0, 1 / 8, 1 / 2, 4.0):
         panels.append((f"fig6 beta={b}", build_ring(10, HalfInt(2), 1.0, b), HalfInt(1)))
     return panels
+
+
+def pair_all(predicted, detected, period, window):
+    """Greedy nearest-first pairing over every predicted x detected pair.
+
+    The all-pairs form of ``probe.correlate``'s pairing: every pair is sorted
+    by (wrapped distance, predicted index, detected index), and pairs beyond
+    the window are skipped.  Returns (matches, unmatched predicted,
+    unmatched detected), as ``CorrelationReport`` holds them.
+    """
+
+    def circular_distance(a, b):
+        d = abs(a - b) % period
+        return min(d, period - d)
+
+    pairs = sorted(
+        (circular_distance(p, t), i, j)
+        for i, p in enumerate(predicted)
+        for j, (t, _) in enumerate(detected)
+    )
+    used_p, used_d, matches = set(), set(), []
+    for dev, i, j in pairs:
+        if dev > window or i in used_p or j in used_d:
+            continue
+        used_p.add(i)
+        used_d.add(j)
+        matches.append((predicted[i], detected[j][0], dev))
+    return (
+        sorted(matches),
+        [p for i, p in enumerate(predicted) if i not in used_p],
+        [d for j, d in enumerate(detected) if j not in used_d],
+    )

@@ -244,6 +244,35 @@ class TestBuildExact:
             build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
         assert time.perf_counter() - start < 1.0
 
+    def test_many_distinct_blocks_build_quickly(self):
+        # 512 pairs with distinct couplings: each block polynomial is compared
+        # against every earlier group of its length, 131K comparisons in all
+        n = 512
+        rng = np.random.default_rng(0)
+        pair_J = rng.uniform(0.5, 1.5, n)
+        couplings = np.kron(np.diag(pair_J), [[0.0, 1.0], [1.0, 0.0]])
+        start = time.perf_counter()
+        poly = build_exact(spins(1, 2 * n), couplings, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert [count for _, count in poly.factors] == [1] * n
+        for p in (0, 1, n - 1):
+            (lc, _), = build_exact(spins(1, 2), uniform_couplings(2, pair_J[p]), 1.0).factors
+            np.testing.assert_array_equal(poly.factors[p][0], lc)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+    def test_block_joins_first_close_group(self, order):
+        # pairs A and B are 1.5e-12 apart in every log coefficient, beyond the
+        # 1e-12 grouping tolerance, and C lies 0.75e-12 from both: C joins the
+        # group that came first
+        pair_J = np.array([1.0, 1.0 + 6e-12, 1.0 + 3e-12])[list(order)]
+        couplings = np.kron(np.diag(pair_J), [[0.0, 1.0], [1.0, 0.0]])
+        poly = build_exact(spins(1, 6), couplings, 1.0)
+        (first, first_count), (second, second_count) = poly.factors
+        assert (first_count, second_count) == (2, 1)
+        for p, lc in enumerate((first, second)):
+            (expected, _), = build_exact(spins(1, 2), uniform_couplings(2, pair_J[p]), 1.0).factors
+            np.testing.assert_array_equal(lc, expected)
+
 
 class TestBuildLongRange:
     def test_binomial_at_infinite_temperature(self):

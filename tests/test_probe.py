@@ -1,5 +1,7 @@
 import math
+import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from helpers import (
     eval_ratio,
     figure_panels,
+    pair_all,
     probe_coherence_oracle,
     ring_couplings,
     spins,
@@ -396,3 +399,53 @@ class TestCorrelate:
         t1 = np.array([t for t, _ in detect_zero_times(s1, 1e-6)])
         t2 = np.array([t for t, _ in detect_zero_times(s2, 1e-6)])
         np.testing.assert_allclose(np.sort(t2), np.sort(t1) / 2, atol=1e-9)
+
+    @pytest.mark.parametrize("poly, s0", [
+        pytest.param(poly, s0, id=name) for name, poly, s0 in figure_panels()
+    ])
+    def test_every_panel_matches_at_large_lambda(self, poly, s0):
+        # t = x / (lam*delta) has no scale: at lam = 1e12 the period is 6.3e-12 s,
+        # so the default 1e-6 s window spans 1.6e5 periods and the deviation is
+        # bounded in angle units, as CI bounds it at lam = 1
+        lam = 1e12
+        ser = expectation_series(poly, sx_top_eigenstate(s0), lam, 1)
+        report = correlate(find_zeros(poly), ser)
+        assert report.all_matched and not report.unmatched_detected
+        assert report.max_deviation * lam <= 1e-9
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e12])
+    def test_pairing_matches_all_pairs_oracle(self, two_half_t_inf, lam, monkeypatch):
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), lam, 1)
+        period = ser.period
+        rng = np.random.default_rng(round(math.log10(lam)) + 6)
+        for case in range(100):
+            n = int(rng.integers(1, 12))
+            spacing = period / n
+            predicted = rng.uniform(0, period, n)
+            if case % 3 == 0:  # a zero next to t = 0, whose detection wraps to the period's end
+                predicted[0] = rng.uniform(0, 1e-3 * spacing)
+            kept = predicted[rng.random(n) < 0.8]
+            noise = rng.normal(0, spacing * rng.choice([1e-3, 0.1, 0.5]), len(kept))
+            spurious = rng.uniform(0, period, rng.integers(0, 4))
+            times = np.sort(np.concatenate([np.mod(kept + noise, period), spurious]))
+            found = [(t, 0.0) for t in times.tolist()]
+            window = spacing * rng.choice([1e-4, 0.1, 0.6, 1.5])  # wider than half the spacing too
+            monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
+            zeros = SimpleNamespace(times=lambda *_: predicted)
+            report = correlate(zeros, ser, window=window)
+            matches, unmatched_p, unmatched_d = pair_all(report.predicted, found, period, window)
+            assert report.matches == matches
+            assert report.unmatched_predicted == unmatched_p
+            assert report.unmatched_detected == unmatched_d
+            assert report.max_deviation == max((m[2] for m in matches), default=0.0)
+
+    def test_pairing_2000_zeros_is_fast(self, two_half_t_inf, monkeypatch):
+        # a 1000-spin ring's 2000 zeros: sorting all 4e6 pairs as tuples takes seconds
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        predicted = np.arange(2000) * (ser.period / 2000)
+        found = [(t, 0.0) for t in (predicted + 1e-9).tolist()]
+        monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
+        start = time.perf_counter()
+        report = correlate(SimpleNamespace(times=lambda *_: predicted), ser)
+        assert time.perf_counter() - start < 1.0
+        assert len(report.matches) == 2000 and not report.unmatched_detected
