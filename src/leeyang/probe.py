@@ -15,12 +15,14 @@ error is relative to its own value, not to F(0).  The same pass sums
 log|F/F(0)|, which does not underflow, for zero detection: as each factor has
 only simple zeros, every zero of any multiplicity is a sign change of one
 factor, solved in the angle x = lam delta t and returned as x/(lam delta).
-Detected zero times are matched against those of the zero angles.
+That solve evaluates the factor over Python floats, in double precision;
+the predicted times come from the zero finder, which solves each factor in
+extended precision (``zeros._cosine_roots``).  Detected zero times are
+matched against those of the zero angles.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -92,6 +94,27 @@ def _power(x, n):
         x = x * x
 
 
+def _float_cosine_series(k, w):
+    """F(x) = sum_k w_k cos(k x) at a scalar angle, summed over Python floats.
+
+    The terms are read into Python once, so each call is a loop of
+    ``math.cos`` without numpy's per-call dispatch, about three times faster
+    than ``cosine_series`` on a dozen terms.  It sums the terms in order in
+    double precision, so on float64 terms it agrees with ``cosine_series``
+    to rounding.
+    """
+    terms = list(zip(k.tolist(), w.tolist()))
+    cos = math.cos
+
+    def F(x):
+        total = 0.0
+        for kk, wk in terms:
+            total += wk * cos(kk * x)
+        return total
+
+    return F
+
+
 def expectation_series(
     poly, state: ProbeState, lam: float, delta: int, h0: float = 0.0,
     t_max: float = None, steps: int = 4096,
@@ -138,8 +161,10 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     around a zero where the sampled product underflows.  At each minimum
     the first factor whose sign differs at the two neighbouring grid points
     is solved there to 1e-14 in the angle x = lam*delta*t; that zero of F may
-    be touching or of any multiplicity.  Minima where no factor changes sign
-    are not zeros, and zeros whose |F(x)|/F(0) exceeds magnitude_tol are
+    be touching or of any multiplicity.  Each factor's solver evaluates it
+    with ``_float_cosine_series``, built once per call over the series'
+    float64 terms.  Minima where no factor changes sign are not zeros, and
+    zeros whose |F(x)|/F(0), from ``_amplitude``, exceeds magnitude_tol are
     discarded.  Returns (x/(lam*delta), |f| residual) pairs in ascending time.
     """
     if magnitude_tol <= 0:
@@ -154,12 +179,12 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     mags = series.log_magnitude
     rate = series.lam * series.delta
     angles = rate * series.times  # as expectation_series sampled them
+    factors = [_float_cosine_series(k, w) for k, w, _ in series.terms]
 
     found = []
     for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
-        a, b = angles[i - 1], angles[i + 1]
-        for k, w, _ in series.terms:
-            F = partial(cosine_series, k, w)
+        a, b = float(angles[i - 1]), float(angles[i + 1])
+        for F in factors:
             fa, fb = F(a), F(b)
             if fa * fb < 0:
                 x = bracket_root(F, a, b, fa, fb, 1e-14)

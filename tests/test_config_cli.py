@@ -553,6 +553,47 @@ class TestWriters:
         assert np.all(series.values.imag != 0)
         check_series_file(tmp_path / "series.csv", series, poly.model_tag)
 
+    def test_nan_rows_match_the_reference_text(self, tmp_path):
+        # %.17g prints NaN unsigned whatever its sign bit, so no "-" goes in
+        # front of it; compared as text, since NaN does not equal itself
+        nan = float("nan")
+        re = np.array([nan, -nan, nan, -nan, nan, -nan, -nan, 1.5, -2.5])
+        im = np.array([0.0, -0.0, -0.0, 0.0, 2.5, -1e-300, np.inf, -0.0, 0.0])
+        assert np.signbit(re).tolist() == [False, True] * 3 + [True, False, True]
+        values = re.astype(complex)
+        values.imag = im
+        n = len(values)
+        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+        series = TimeSeries(
+            1.0, 1, 0.0, np.linspace(0.0, 1.0, n), values, np.zeros(n), poly, 1.0, None
+        )
+        path = tmp_path / "series.csv"
+        cli.write_series_csv(path, series, poly.model_tag)
+        text = path.read_text()
+        assert_same_text(text, reference_series_csv(series, poly.model_tag))
+        assert [row.split(",")[1:] for row in text.splitlines()[3:7]] == [
+            ["nan", "0", "nan"], ["nan", "-0", "nan"], ["nan", "-0", "nan"], ["nan", "0", "nan"],
+        ]
+
+    def test_signed_zero_im_opposite_to_re_over_a_partial_block(self, tmp_path):
+        # at h0 = 0 every panel's im is a zero of the sign opposite to re's
+        n = cli._BLOCK_ROWS + 37
+        rng = np.random.default_rng(11)
+        re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1e300, -1e300]
+        for lo in (0, cli._BLOCK_ROWS - 3, n - len(special)):
+            re[lo:lo + len(special)] = special
+        values = re.astype(complex)
+        values.imag = np.copysign(0.0, -re)
+        assert np.all(np.signbit(values.imag) != np.signbit(values.real))
+        times = np.linspace(0.0, 3.0, n, endpoint=False)
+        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+        series = TimeSeries(1.0, 1, 0.0, times, values, np.zeros(n), poly, 1.0, None)
+        path = tmp_path / "series.csv"
+        check_series_file(path, series, poly.model_tag)
+        rows = path.read_text().splitlines()[3:5]
+        assert [row.split(",", 1)[1] for row in rows] == ["0,-0,0", "-0,0,0"]
+
     def test_time_text_is_formatted_once_and_reused(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 5
         times = np.linspace(0.0, 2 * np.pi, n, endpoint=False)

@@ -3,12 +3,14 @@ import time
 from functools import partial
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import (
     eval_ratio,
     figure_panels,
+    log_coeffs_60_digits,
     pair_all,
     probe_coherence_oracle,
     ring_couplings,
@@ -309,7 +311,9 @@ class TestDetectZeroTimes:
     ], ids=["long_range 2s=1 N=12", "long_range 2s=3 N=4", "ring 2s=2 N=6", "fig6 beta=0"])
     def test_multiple_zero_has_fixed_cost(self, poly, monkeypatch):
         # a multiple zero is a simple zero of one factor, solved by a
-        # bracketed root at a fixed cost however flat the product is there
+        # bracketed root at a fixed cost however flat the product is there;
+        # the count covers the solver's float evaluator and the residual's
+        # cosine_series alike
         scalar_calls = 0
 
         def counting(k, w, x):
@@ -317,8 +321,20 @@ class TestDetectZeroTimes:
             scalar_calls += np.ndim(x) == 0
             return cosine_series(k, w, x)
 
+        def counting_evaluator(k, w):
+            F = float_cosine_series(k, w)
+
+            def counted(x):
+                nonlocal scalar_calls
+                scalar_calls += 1
+                return F(x)
+
+            return counted
+
+        float_cosine_series = probe._float_cosine_series
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         monkeypatch.setattr(probe, "cosine_series", counting)
+        monkeypatch.setattr(probe, "_float_cosine_series", counting_evaluator)
         detected = detect_zero_times(ser)
         assert len(detected) == len(find_zeros(poly).clusters)
         assert scalar_calls <= 40 * len(detected)
@@ -337,6 +353,65 @@ class TestDetectZeroTimes:
         for t, residual in detected:
             assert np.min(np.abs(np.sort(predicted) - t)) < 1e-8
             assert residual < 1e-10
+
+    @pytest.mark.parametrize("poly", [
+        build_long_range(1, HalfInt(1), 1.0, 0.5),
+        build_long_range(5, HalfInt(1), 1.0, 0.7),
+        build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0),
+        build_ring(13, HalfInt(3), 1.0, 0.4),
+        build_ring(20, HalfInt(2), 1.0, 0.3),
+        build_long_range(40, HalfInt(1), 1.0, 2.0),
+    ], ids=["degree 1", "degree 5", "degree 10", "degree 39", "degree 40", "long_range 40"])
+    def test_float_evaluator_matches_the_array_path(self, poly):
+        # the bracketing solver's evaluator on the float64 terms that
+        # expectation_series keeps, against cosine_series on an array of angles
+        near = np.array([1e-12, 3e-13, 5e-324])
+        x = np.concatenate([
+            np.linspace(0.0, 2 * np.pi, 1001),
+            near, np.pi - near, np.pi + near, 2 * np.pi - near, [np.pi, 2 * np.pi],
+        ])
+        terms = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, steps=2).terms
+        for k, w, _ in terms:
+            F = probe._float_cosine_series(k, w)
+            scalar = np.array([F(a) for a in x.tolist()])
+            bound = 8 * len(k) * np.finfo(float).eps * np.abs(w).sum()
+            assert np.max(np.abs(scalar - cosine_series(k, w, x))) <= bound
+        assert {len(log_coeffs) - 1 for log_coeffs, _ in poly.factors} == {poly.two_ns}
+
+    def test_detected_times_of_every_panel_against_exact_zeros(self):
+        # beta = 0: the (2s+1)-th roots of unity of (1 + z + ... + z^2s)^N, which
+        # mpmath.polyroots misses by up to 1e-3 as N-fold roots.  Otherwise
+        # polyroots on 60-digit coefficients: the oracle's for ring and
+        # long_range, the two-spin sum exp(beta J m1 m2) z^(2s - m1 - m2) for fig2.
+        bound = {"fig6 beta=0.125": 5e-10}
+        bath_two_s = {"fig2": 5, "fig4": 1, "fig6": 2}
+        for name, poly, s0 in figure_panels():
+            figure = name.split()[0]
+            two_s = bath_two_s[figure]
+            if poly.beta == 0:
+                exact = [2 * np.pi * j / (two_s + 1) for j in range(1, two_s + 1)]
+            else:
+                with mpmath.workdps(60):
+                    if figure == "fig2":
+                        ms = [mpmath.mpf(two_s - 2 * i) / 2 for i in range(two_s + 1)]
+                        c = [mpmath.mpf(0)] * (2 * two_s + 1)
+                        for i, m1 in enumerate(ms):
+                            for j, m2 in enumerate(ms):
+                                c[i + j] += mpmath.exp(mpmath.mpf(poly.beta) * m1 * m2)
+                    else:
+                        kind = poly.model_tag["kind"]
+                        logs = log_coeffs_60_digits(kind, 10 if kind == "ring" else 4,
+                                                    two_s, 1.0, poly.beta)
+                        c = [mpmath.exp(mpmath.mpf(x)) for x in logs]
+                    roots = mpmath.polyroots(c[::-1], maxsteps=500, extraprec=400)
+                    exact = [float(-mpmath.arg(z) % (2 * mpmath.pi)) for z in roots]
+            series = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
+            detected = [t for t, _ in detect_zero_times(series)]
+            assert len(detected) == len(exact), name
+            error = max(
+                min(abs(t - e), 2 * np.pi - abs(t - e)) for t, e in zip(detected, sorted(exact))
+            )
+            assert error <= bound.get(name, 1e-13), (name, error)
 
 
 class TestCorrelate:
