@@ -1,16 +1,25 @@
 """Command-line front end: zeros / evolve / correlate / reproduce.
 
-All numeric output is serialized with 17 significant digits so that emitted
-CSV re-parses to the in-memory values exactly.  series.csv formats each
-number once, a block of rows at a time.  Its ``re`` column is the ``|re|``
-text behind a ``-`` taken from the sign bit; where ``im`` is a signed zero,
-``im`` is ``0`` or ``-0`` by its sign bit and ``abs`` is the ``|re|`` text
-again.  The panels of one ``reproduce`` figure, which share one time grid,
-share one formatted time column.  Each block's rows are joined from these
-texts, and none of this changes a byte.
+All numeric output is serialized with 17 significant digits (``%.17g``) so
+that emitted CSV re-parses to the in-memory values exactly.  series.csv makes
+the text of a whole column with numpy, a block of rows at a time
+(_digit_rows).  Its fast path scales |x| by a power of ten in double-double
+arithmetic and keeps only digits that are certain to be the correctly rounded
+ones: for 1e-270 <= |x| < 1e270, where the scaled value is not within 1e-6
+of a rounding tie and rounds to an integer strictly between 10**16 and
+10**17.  Every other value but zero, which writes ``0``, is formatted by
+``%`` itself: subnormals, inf, NaN, near-ties, exact powers of ten and values
+whose log10 rounds across a power of ten.  So the bytes are ``%.17g``'s by
+construction.  The ``re`` column is the ``|re|`` text behind a ``-`` taken
+from the sign bit; where every ``im`` of a block is a signed zero, ``im`` is
+``0`` or ``-0`` by its sign bit and ``abs`` is the ``|re|`` text again.  The
+panels of one ``reproduce`` figure, which share one time grid, share one
+formatted time column.
 """
 
 import argparse
+import collections
+import functools
 import json
 import sys
 from pathlib import Path
@@ -54,10 +63,10 @@ FIGURE_PRESETS = {
 }
 
 
-# Rows per block; the writers hold the text of one block.  At 1024 rows the
-# series writer's per-block lists raised the peak resident memory of repeated
-# `reproduce` runs by about 0.7 MB; at 512 they do not, and it is no slower.
-_BLOCK_ROWS = 512
+# Rows per block; the writers hold the text of one block.  At 4096 rows the
+# series writer's byte matrices raised the peak resident memory of the panels
+# benchmark by about 1 MB.
+_BLOCK_ROWS = 1024
 
 
 def _write_block(f, row_format, columns):
@@ -92,67 +101,251 @@ def write_zeros_csv(path, zeros, lam, delta, tag):
             ])
 
 
-# The text before re's digits and the im field of a signed zero, each
-# indexed by a sign bit.
-_RE_LEAD = np.array([",", ",-"], dtype=object)
-_ZERO_IM = np.array([",0,", ",-0,"], dtype=object)
+# _digit_rows lays out the text of a number in 48 byte columns, six
+# little-endian 64-bit words, and then drops the columns no row uses:
+#   bytes 2-6    the lead "0.000" of a number below 1 in fixed notation
+#   byte 7       the first of the 17 significant digits
+#   bytes 8-39   the other 16 digits, each after a slot for a "."
+#   bytes 40-44  the exponent, "e+XX" or "e-XXX"
+# A zero byte is no character: the writer deletes them all.
+_WORD = np.dtype("<u8")
+_E_OFFSET = 300  # the per-E tables hold decimal exponent E at index E + _E_OFFSET
+_DIGIT_COUNTS = 18  # table rows per notation class: 1 to 17 significant digits
+_EXP_CLASS, _ZERO_CLASS = 21, 22  # after the fixed notation classes E = -4..16
+_SPLIT = 2.0**27 + 1  # Veltkamp's split of a double into two 26-bit halves
+_DigitTables = collections.namedtuple("_DigitTables", "power words last mask const base")
 
 
-def _column_text(x):
-    """The ``%.17g`` text of each value of a 1-D array, one per line."""
-    return ("%.17g\n" * len(x)) % tuple(x.tolist())
+@functools.cache
+def _digit_tables():
+    """The lookup tables of _digit_rows, built on its first call.
+
+    ``power`` is 10**(16 - E) as hi + lo, each the correctly rounded double of
+    an exact integer ratio, with hi also split in halves.  ``words`` holds the
+    ASCII of each 4-digit group at every other byte, then the first digit's
+    word and the exponent's.  ``last[j][g]`` counts the significant digits up
+    to the last nonzero one of group j when it is g, and is 0 when g is 0.
+    ``mask`` and ``const``, one row per (notation class, significant digits),
+    keep the digits that print and supply the lead and the point, and
+    ``base`` is E's class row.
+    """
+    exps = range(-_E_OFFSET, _E_OFFSET)
+    hi, lo = np.ones(len(exps)), np.zeros(len(exps))
+    for i, e in enumerate(exps):
+        # the fast path reads E = -271..270; further out lo would underflow
+        if abs(e) <= 275:
+            num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+            h = num / den
+            a, b = h.as_integer_ratio()
+            hi[i], lo[i] = h, (num * b - a * den) / (den * b)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    power = (hi, hh, hi - hh, lo)
+
+    g = np.arange(10**4)
+    words = np.zeros((10**4 + 10 + len(exps), 8), np.uint8)
+    for j in range(4):
+        words[:10**4, 2 * j + 1] = 48 + g // 10 ** (3 - j) % 10
+    words[10**4:10**4 + 10, 7] = 48 + np.arange(10)
+    for i, e in enumerate(exps):
+        exponent = b"e%+03d" % e
+        words[10**4 + 10 + i, :len(exponent)] = list(exponent)
+    words = words.view(_WORD).ravel()
+
+    trailing = np.zeros(10**4, np.intp)
+    for j in (1, 2, 3):
+        trailing[g % 10**j == 0] = j
+    last = [np.where(g != 0, 4 * j + 5 - trailing, 0).astype(np.uint8) for j in range(4)]
+    last[0][0] = 1  # the first digit is never 0
+
+    mask = np.zeros(((_ZERO_CLASS + 1) * _DIGIT_COUNTS, 48), np.uint8)
+    const = np.zeros_like(mask)
+    const[_ZERO_CLASS * _DIGIT_COUNTS + 1, 7] = ord("0")
+    for cls in range(_EXP_CLASS + 1):
+        for digits in range(1, _DIGIT_COUNTS):
+            row = cls * _DIGIT_COUNTS + digits
+            if cls == _EXP_CLASS:
+                shown, point = digits, 0
+                mask[row, 40:45] = 0xFF
+            else:
+                e = cls - 4
+                # fixed notation prints the whole integer part
+                shown, point = max(digits, e + 1), e
+                if e < 0:
+                    lead = b"0." + b"0" * (-e - 1)
+                    const[row, 2:2 + len(lead)] = list(lead)
+            mask[row, 7:7 + 2 * shown:2] = 0xFF
+            if 0 <= point < digits - 1:
+                const[row, 8 + 2 * point] = ord(".")
+    base = np.array([(e + 4 if -4 <= e <= 16 else _EXP_CLASS) * _DIGIT_COUNTS for e in exps])
+    return _DigitTables(power, words, last, mask.view(_WORD), const.view(_WORD), base)
+
+
+def _significands(a):
+    """E, the 17 significant digits M as an integer, and where the fast path holds.
+
+    For 1e-270 <= a < 1e270, E = floor(log10 a), or one off where log10
+    rounds across a power of ten.  With hi + lo the power 10**(16 - E), the
+    scaled value a * 10**(16 - E) is p + r: p = fl(a * hi), and r the rounding
+    error of that product, exact by Dekker's split of a and hi, plus a * lo.
+    r is then accurate to about 1e-14, so the nearest integer M holds the 17
+    correctly rounded significant digits wherever 10**16 < M < 10**17 and the
+    fraction is not within 1e-6 of 1/2; an E that is one off fails the first.
+    """
+    fast = (a >= 1e-270) & (a < 1e270)
+    s = np.where(fast, a, 1.0)
+    e = (np.log10(s) + _E_OFFSET).astype(np.intp)
+    hi, hh, hl, lo = (t.take(e) for t in _digit_tables().power)
+    p = s * hi
+    sh = s * _SPLIT
+    sh -= sh - s
+    sl = s - sh
+    # in place, to hold fewer block-sized temporaries at once
+    r = sh * hh - p
+    r += sh * hl
+    r += sl * hh
+    r += sl * hl
+    r += s * lo
+    # p is an integer wherever 10**16 < M, since every double above 2**53 is
+    q = np.rint(r)
+    m = p.astype(np.int64) + q.astype(np.int64)
+    fast &= (m - (10**16 + 1)).view(np.uint64) < 10**17 - 10**16 - 1
+    fast &= np.abs(r - q) < 0.5 - 1e-6
+    return e, np.where(fast, m, 10**16), fast
+
+
+def _text_words(e, m, zero):
+    """The masked text words of each row, and its (class, digits) table row.
+
+    ``e`` indexes E, ``m`` holds the 17 significant digits and ``zero`` marks
+    the zeros.  The digit codes are freed on return, before the caller makes
+    its compact copy of the text.
+    """
+    _, words, last, mask, const, base = _digit_tables()
+    # the word of each row's first digit, of its four 4-digit groups and of E
+    code = np.empty((len(m), 6), np.intp)
+    top, low = np.divmod(m, 10**8)
+    lead, top = np.divmod(top, 10**8)
+    np.add(lead, 10**4, out=code[:, 0])
+    groups = [*np.divmod(top, 10**4, out=(code[:, 1], code[:, 2])),
+              *np.divmod(low, 10**4, out=(code[:, 3], code[:, 4]))]
+    np.add(e, 10**4 + 10, out=code[:, 5])
+    # the significant digits end in the last nonzero group
+    digits = np.maximum(
+        np.maximum(last[0].take(groups[0]), last[1].take(groups[1])),
+        np.maximum(last[2].take(groups[2]), last[3].take(groups[3])),
+    )
+    row = base.take(e) + digits
+    row[zero] = _ZERO_CLASS * _DIGIT_COUNTS + 1
+    text = words.take(code)
+    # the codes are read, so their memory takes the table rows (unbuffered
+    # only in a mode other than "raise"; every index is in range)
+    rows = code.view(_WORD)
+    text &= mask.take(row, axis=0, out=rows, mode="clip")
+    text |= const.take(row, axis=0, out=rows, mode="clip")
+    return text, row
+
+
+def _digit_rows(x):
+    """The bytes of ``"%.17g" % abs(v)`` for each value of a 1-D array, one row each.
+
+    Rows are padded with zero bytes, and the columns that are zero in every row
+    are dropped.  A value with 1e-270 <= |v| < 1e270 takes the fast path of
+    _significands unless its digits there are not certain: then, as for a
+    subnormal, inf or NaN, it is formatted by ``%`` itself.  Zero writes ``0``.
+    """
+    tables = _digit_tables()
+    a = np.abs(x)
+    e, m, fast = _significands(a)
+    zero = a == 0
+    text, row = _text_words(e, m, zero)
+    used = np.zeros(len(tables.mask), bool)
+    used[row] = True
+    # the columns that some row of the block can use
+    shown = np.bitwise_or.reduce(tables.mask[used] | tables.const[used]).view(np.uint8) != 0
+    text = text.view(np.uint8)[:, shown]
+    slow = np.flatnonzero(~(fast | zero))
+    if len(slow):
+        slow_text = [b"%.17g" % v for v in a[slow].tolist()]
+        width = max(map(len, slow_text))
+        if width > text.shape[1]:
+            text = np.pad(text, ((0, 0), (0, width - text.shape[1])))
+        text[slow] = 0
+        for i, t in zip(slow.tolist(), slow_text):
+            text[i, :len(t)] = np.frombuffer(t, np.uint8)
+    return text
+
+
+def _sign_bytes(x, table):
+    """Row 0 or 1 of ``table`` for each value, row 1 where a ``-`` goes.
+
+    For every non-NaN x, ``"%.17g" % -x`` is ``"-" + "%.17g" % x``, ``-0.0``
+    and ``-inf`` included; NaN prints unsigned whatever its sign bit.
+    """
+    return table.take((np.signbit(x) & ~np.isnan(x)).view(np.int8), axis=0)
+
+
+# The sign of t; "," and the sign of re or im; and the ",im," field of a
+# signed zero im.  Each is indexed by a sign bit.
+_T_SIGN = np.array([[0], [ord("-")]], np.uint8)
+_FIELD_SIGN = np.array([[ord(","), 0], [ord(","), ord("-")]], np.uint8)
+_ZERO_IM = np.array([list(b",0,\0"), list(b",-0,")], np.uint8)
 
 
 def write_series_csv(path, series, tag, time_text=None):
     """Write ``t,re,im,abs`` rows, every number as ``%.17g``.
 
-    Each block of rows formats ``|re|`` once and is written as one
-    ``str.join`` of six pieces per row: ``t``, ``,`` or ``,-``, ``|re|``,
-    ``,im,``, ``abs`` and the line end.  The ``-`` goes where re's sign bit is
-    set: for every non-NaN x, ``"%.17g" % -x`` is ``"-" + "%.17g" % x``,
-    ``-0.0`` and ``-inf`` included, and NaN prints unsigned either way.  Where
-    ``im`` is a signed zero its field is ``0`` or ``-0`` by its sign bit, and
-    ``abs``, ``hypot(re, +-0) = |re|``, is the ``|re|`` text again.  Only
-    rows with ``im != 0`` format ``im`` and ``np.hypot`` of the row.
+    Each block of rows is one byte matrix, written with its zero bytes
+    deleted: the columns of ``t``, of ``,`` and re's sign, of ``|re|``, of
+    ``,`` and im's sign, of ``|im|``, ``,``, of ``abs`` and the line end.  No
+    Python object is made per row.  _digit_rows makes the digits of a whole
+    column with numpy where its fast path certifies them and formats every
+    other value with ``%`` (see the module docstring), so each field is the
+    text of ``%.17g``.  Where every ``im`` of the block is a signed zero its
+    field is ``0`` or ``-0`` by its sign bit, and ``abs``,
+    ``hypot(re, +-0) = |re|``, reuses the ``|re|`` columns.
 
     ``time_text``, a list shared by calls whose series have the same times,
-    formats that column once: the first call appends one string per block of
-    rows (about 19 bytes per step) and later calls reuse them.
+    formats that column once: the first call appends the byte matrix of each
+    block's times (about 20 bytes per step) and later calls reuse them.
     """
-    with open(path, "w") as f:
-        f.write(
+    with open(path, "wb") as f:
+        f.write((
             f"# model={json.dumps(tag)}\n"
             f"# beta={_fmt(series.poly.beta)} lambda={_fmt(series.lam)} "
             f"delta={series.delta} h0={_fmt(series.h0)}\n"
             "t,re,im,abs\n"
-        )
+        ).encode())
         for k, lo in enumerate(range(0, len(series.times), _BLOCK_ROWS)):
             if time_text is not None and k < len(time_text):
                 t = time_text[k]
             else:
-                t = _column_text(series.times[lo:lo + _BLOCK_ROWS])
+                times = series.times[lo:lo + _BLOCK_ROWS]
+                t = np.concatenate([_sign_bytes(times, _T_SIGN), _digit_rows(times)], axis=1)
                 if time_text is not None:
                     time_text.append(t)
-            v = series.values[lo:lo + _BLOCK_ROWS]
-            re, im = v.real, v.imag
-            mag = _column_text(np.abs(re)).splitlines()
-            n = len(mag)
-            row = [None] * (6 * n)
-            row[0::6] = t.splitlines()
-            row[1::6] = _RE_LEAD[(np.signbit(re) & ~np.isnan(re)).view(np.int8)].tolist()
-            row[2::6] = mag
-            row[3::6] = _ZERO_IM[np.signbit(im).view(np.int8)].tolist()
-            row[4::6] = mag
-            row[5::6] = ["\n"] * n
-            off = np.flatnonzero(im)
-            if len(off):
-                for i, y, m in zip(
-                    (6 * off + 3).tolist(),
-                    _column_text(im[off]).splitlines(),
-                    _column_text(np.hypot(re[off], im[off])).splitlines(),
-                ):
-                    row[i], row[i + 1] = f",{y},", m
-            f.write("".join(row))
+            f.write(_series_rows(t, series.values[lo:lo + _BLOCK_ROWS]))
+
+
+def _series_rows(t, v):
+    """The text of a block of series.csv rows with values v and time columns t.
+
+    Its byte matrices die on return, before the next block makes its own.
+    """
+    re, im = v.real, v.imag
+    mag = _digit_rows(re)
+    end = np.full((len(v), 1), ord("\n"), np.uint8)
+    if im.any():
+        im_fields = [
+            _sign_bytes(im, _FIELD_SIGN), _digit_rows(im), np.full_like(end, ord(",")),
+            _digit_rows(np.hypot(re, im)),
+        ]
+    else:
+        im_fields = [_sign_bytes(im, _ZERO_IM), mag]
+    # one expression, so that the matrix is freed before its bytes are compacted
+    return np.concatenate(
+        [t, _sign_bytes(re, _FIELD_SIGN), mag, *im_fields, end], axis=1
+    ).tobytes().translate(None, b"\0")
 
 
 def write_report_json(path, report, circle_dev):

@@ -10,8 +10,9 @@ from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
 # Largest time grid: the series and detection at 2**20 steps trace a 64 MiB peak.
-# `reproduce` also holds its figure's time column as text: ~19 bytes per step
-# on the default grid (20 MB at MAX_STEPS), and at most 24 (25 MB).
+# `reproduce` also holds its figure's time column as a byte matrix, one row per
+# step: about 20 bytes per step on the default grid (20 MB at MAX_STEPS), and
+# at most 44 (46 MB) when a block mixes every notation.
 MAX_STEPS = 2**20
 # Most spins in an exact bath, checked before the n x n coupling matrix exists:
 # at 1024 free spins a build traces a 36 MB peak.

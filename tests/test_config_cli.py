@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leeyang
 from helpers import assert_same_text, figure_panels
@@ -605,8 +607,134 @@ class TestWriters:
             path = tmp_path / f"series{seed}.csv"
             cli.write_series_csv(path, series, poly.model_tag, time_text)
             assert_same_text(path.read_text(), reference_series_csv(series, poly.model_tag))
-            # one compact string per block, each holding that block's rows
-            assert [t.count("\n") for t in time_text] == [cli._BLOCK_ROWS] * 2 + [5]
+            # one byte matrix per block, one row per step of that block
+            assert [len(t) for t in time_text] == [cli._BLOCK_ROWS] * 2 + [5]
+            if seed == 1:
+                first = list(time_text)
+        assert all(a is b for a, b in zip(time_text, first, strict=True))
+        text = b"".join(
+            np.column_stack([t, np.full(len(t), ord("\n"), np.uint8)]).tobytes() for t in first
+        )
+        assert text.translate(None, b"\0").decode() == "".join(f"{_ref(t)}\n" for t in times)
+
+
+def _column_series(x):
+    """A series whose times, re and im are the values x, im shuffled."""
+    x = np.asarray(x, dtype=float)
+    values = x.astype(complex)
+    values.imag = np.random.default_rng(len(x)).permutation(x)
+    poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+    return TimeSeries(1.0, 1, 0.0, x, values, np.zeros(len(x)), poly, 1.0, None), poly.model_tag
+
+
+def _signed_text(x):
+    """The lines the series writer makes of a time column, through its own parts."""
+    rows = np.column_stack([
+        cli._sign_bytes(x, cli._T_SIGN), cli._digit_rows(x), np.full(len(x), ord("\n"), np.uint8),
+    ])
+    return rows.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def _powers_of_ten():
+    """Each power of ten from 1e-323 to 1e308, its neighbours, 5 and 0.5 times it."""
+    values = []
+    for e in range(-323, 309):
+        p = float(f"1e{e}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        values += [float(f"5e{e}"), float(f"5e{e - 1}")]
+    return np.array(values)
+
+
+def _near_ties():
+    """m / 2**(k + d), whose scaled value m * 5**k / 2**d, of 17 digits before
+    the point, is a rounding tie or misses one by 1 or 3 units of 2**-d.
+    From d = 54 on, the fast path's sum cannot hold the miss."""
+    values = []
+    for d in (50, 54, 58):
+        for k in range(23, 40):
+            inverse = pow(5**k, -1, 2**d)
+            lowest = -(-10**16 * 2**d // 5**k)
+            for t in (-3, -1, 0, 1, 3):
+                m = (2 ** (d - 1) + t) * inverse % 2**d
+                m += -(-(lowest - m) // 2**d) * 2**d
+                if m < 2**53:
+                    values.append(math.ldexp(m, -(k + d)))
+    assert len(values) > 100
+    return values
+
+
+def _ties_and_short_decimals(rng):
+    """Odd m / 2**j whose exact decimals have 18 digits, the last a 5: each is
+    a tie at 17 digits; m / 2**j with more digits; short rounded decimals."""
+    ties = _near_ties()
+    for j in range(3, 25):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        m = rng.integers(lo, hi, 200) | 1
+        ties += [math.ldexp(k, -j) for k in m.tolist() if len(str(k * 5**j)) == 18]
+    assert len(ties) > 2000
+    long = np.ldexp(rng.integers(1, 2**53, 2000) | 1, -rng.integers(1, 80, 2000))
+    places = rng.integers(0, 9, 2000).tolist()
+    short = [round(u, d) for u, d in zip(rng.uniform(0, 1e4, 2000).tolist(), places)]
+    short += [k * 10.0**e for k in (1, 2, 3, 5, 7, 9, 25, 125, 999) for e in range(-30, 31)]
+    return np.concatenate([ties, long, short])
+
+
+class TestDigitText:
+    """The series writer's text of a number is ``"%.17g" % v``."""
+
+    def check(self, tmp_path, x):
+        series, tag = _column_series(x)
+        path = tmp_path / "series.csv"
+        cli.write_series_csv(path, series, tag)
+        assert_same_text(path.read_text(), reference_series_csv(series, tag))
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(19)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        # every exponent field, subnormals and inf/NaN included
+        assert len(np.unique(bits >> np.uint64(52) & np.uint64(0x7FF))) == 2048
+        special = [np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]
+        x = np.concatenate([bits.view(np.float64), special])
+        nan = np.isnan(x)
+        assert np.signbit(x[nan]).any() and not np.signbit(x[nan]).all()
+        assert _signed_text(x) == ["%.17g" % v for v in x.tolist()]
+        # the whole writer on a part, NaN made quiet as numpy arithmetic makes
+        # it: np.hypot warns on a signaling NaN
+        x[nan] = np.copysign(np.nan, x[nan])
+        self.check(tmp_path, np.concatenate([x[:4000], x[-4:]]))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        x = _powers_of_ten()
+        # the double nearest 1e-269 is below it, and log10 rounds it up to -269
+        assert "%.17g" % 1e-269 == "9.9999999999999996e-270"
+        assert _signed_text(np.array([1e-269]))[0] == "9.9999999999999996e-270"
+        self.check(tmp_path, np.concatenate([x, -x]))
+
+    def test_ties_and_short_decimals(self, tmp_path):
+        x = _ties_and_short_decimals(np.random.default_rng(5))
+        self.check(tmp_path, np.concatenate([x, -x]))
+
+    def test_signed_zeros(self):
+        assert _signed_text(np.array([0.0, -0.0, 1.5, -1.5])) == ["0", "-0", "1.5", "-1.5"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_digit_text_of_any_floats(values):
+    assert _signed_text(np.array(values)) == ["%.17g" % v for v in values]
+
+
+def test_import_builds_no_digit_table():
+    src = str(Path(leeyang.__file__).resolve().parent.parent)
+    code = (
+        "import leeyang.cli as cli; "
+        "print(cli._digit_tables.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_assert_same_text_names_the_first_differing_line():

@@ -128,6 +128,9 @@ class TestBuildExact:
             [2, 3, 2, 1, 2],  # half-integer total on each side: H = 1, 3/2
             [3, 1, 2],  # H is the single spin 3/2
             [5, 1],  # H is empty
+            # L is one spin, so each of its sectors is one column
+            [3, 7],
+            [1, 40],
         ],
     )
     def test_matches_brute_force_oracle(self, two_spins, beta):
