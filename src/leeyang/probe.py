@@ -11,10 +11,10 @@ is the real cosine series of the partition polynomial, the same series whose
 roots are the Lee-Yang zero angles.  F/F(0) is evaluated as the product of
 the bath's factors (``PartitionPolynomial.factors``), each a cosine series
 normalized to 1 at 0 and raised to its count, so near a zero its rounding
-error is relative to its own value, not to F(0).  The same pass sums
-log|F/F(0)|, which does not underflow, for zero detection: as each factor has
-only simple zeros, every zero of any multiplicity is a sign change of one
-factor, solved in the angle x = lam delta t and returned as x/(lam delta).
+error is relative to its own value, not to F(0).  As each factor has only
+simple zeros, every zero of any multiplicity is a sign change of one factor:
+the same pass records each factor's sign changes on the grid, which
+detection solves in the angle x = lam delta t and returns as x/(lam delta).
 That solve evaluates the factor over Python floats, in double precision;
 the predicted times come from the zero finder, which solves each factor in
 extended precision (``zeros._cosine_roots``).  Detected zero times are
@@ -32,14 +32,14 @@ from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled probe signal and log|F/F(0)|, plus everything to re-evaluate it exactly."""
+    """Sampled probe signal, its factors' sign changes, and everything to re-evaluate it."""
 
     lam: float
     delta: int
     h0: float
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    log_magnitude: np.ndarray = field(repr=False)  # sum of count*log|F_f| per sample
+    sign_changes: tuple = field(repr=False)  # per factor, each i with a sign change to i+1
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
     terms: tuple = field(repr=False)  # (k, w, count) per factor of F, each 1 at 0
@@ -140,32 +140,36 @@ def expectation_series(
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     times = np.linspace(0.0, t_max, steps, endpoint=False)
-    terms, amplitude, log_magnitude = [], 1, 0.0
+    terms, amplitude, sign_changes = [], 1, []
     for log_coeffs, count in poly.factors:
         k, w = cosine_terms(np.exp(log_coeffs - log_coeffs.max()))
         k, w = k.astype(float), (w / w.sum()).astype(float)
         terms.append((k, w, count))
         g = cosine_series(k, w, lam * delta * times)
         amplitude = amplitude * _power(g, count)
-        with np.errstate(divide="ignore"):  # a sample on a zero is log(0) = -inf
-            log_magnitude = log_magnitude + count * np.log(np.abs(g))
+        sign_changes.append(np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])))
     overlap = ladder_overlap(state, delta)
     values = overlap * np.exp(-1j * h0 * delta * times) * amplitude
-    return TimeSeries(lam, delta, h0, times, values, log_magnitude, poly, overlap, tuple(terms))
+    return TimeSeries(
+        lam, delta, h0, times, values, tuple(sign_changes), poly, overlap, tuple(terms)
+    )
 
 
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """Zero times of the sampled signal, each refined once by exact re-evaluation.
 
-    Grid minima are taken on the series' log|F/F(0)|, which stays finite
-    around a zero where the sampled product underflows.  At each minimum
-    the first factor whose sign differs at the two neighbouring grid points
-    is solved there to 1e-14 in the angle x = lam*delta*t; that zero of F may
-    be touching or of any multiplicity.  Each factor's solver evaluates it
-    with ``_float_cosine_series``, built once per call over the series'
-    float64 terms.  Minima where no factor changes sign are not zeros, and
-    zeros whose |F(x)|/F(0), from ``_amplitude``, exceeds magnitude_tol are
-    discarded.  Returns (x/(lam*delta), |f| residual) pairs in ascending time.
+    Every zero of F, touching or of any multiplicity, is a simple zero of one
+    factor, so it is read off that factor's sign changes on the grid
+    (``TimeSeries.sign_changes``), factor by factor.  A change between grid
+    points i and i+1 is solved to 1e-14 in the angle x = lam*delta*t on
+    [m-1, m+1], where m is the end with the smaller |F_f|; a change whose m
+    is an end of the grid, or whose bracket ends share a sign, is skipped, and
+    so is one within half a grid step of a zero an earlier factor solved: that
+    is the same zero, as pi is for every odd-degree factor.  Each factor is
+    evaluated with ``_float_cosine_series`` over the series' float64 terms.
+    Zeros whose |F(x)|/F(0), from ``_amplitude`` on all solved angles at once,
+    exceeds magnitude_tol are discarded.  Returns (x/(lam*delta), |f|
+    residual) pairs in ascending time.
     """
     if magnitude_tol <= 0:
         raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
@@ -176,25 +180,35 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
             "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "
             "signal vanishes identically and has no zero times"
         )
-    mags = series.log_magnitude
-    rate = series.lam * series.delta
-    angles = rate * series.times  # as expectation_series sampled them
-    factors = [_float_cosine_series(k, w) for k, w, _ in series.terms]
+    rate, times, last = series.lam * series.delta, series.times, len(series.times) - 1
 
-    found = []
-    for i in np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1:
-        a, b = float(angles[i - 1]), float(angles[i + 1])
-        for F in factors:
-            fa, fb = F(a), F(b)
+    def angle(i):  # as expectation_series sampled it
+        return rate * times.item(i)
+
+    half_step = (angle(1) - angle(0)) / 2
+    solved = np.empty(0)  # ascending zeros of the factors walked so far
+    for (k, w, _), changes in zip(series.terms, series.sign_changes):
+        F = _float_cosine_series(k, w)
+        lo = np.searchsorted(solved, rate * times[changes] - half_step)
+        hi = np.searchsorted(solved, rate * times[changes + 1] + half_step, side="right")
+        roots = []
+        for i in changes[lo == hi].tolist():
+            fi, fj = F(angle(i)), F(angle(i + 1))
+            m = i if abs(fi) <= abs(fj) else i + 1
+            if not 0 < m < last:
+                continue
+            a, b = angle(m - 1), angle(m + 1)
+            fa = fi if m == i + 1 else F(a)
+            fb = fj if m == i else F(b)
             if fa * fb < 0:
-                x = bracket_root(F, a, b, fa, fb, 1e-14)
-                break
-        else:
-            continue
-        residual = abs(_amplitude(series.terms, x))
-        if residual <= magnitude_tol:
-            found.append((float(x / rate), float(residual * abs(series.overlap))))
-    return found
+                roots.append(bracket_root(F, a, b, fa, fb, 1e-14))
+        solved = np.sort(np.concatenate([solved, roots]))
+
+    residuals = np.abs(_amplitude(series.terms, solved))
+    keep = residuals <= magnitude_tol
+    return list(zip(
+        (solved[keep] / rate).tolist(), (residuals[keep] * abs(series.overlap)).tolist()
+    ))
 
 
 def correlate(

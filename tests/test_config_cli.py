@@ -519,7 +519,7 @@ class TestWriters:
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         times[0] = -0.0
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, np.zeros(n), poly, 1.0, None)
+        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
         path = tmp_path / "series.csv"
         check_series_file(path, series, poly.model_tag)
         assert path.read_text().splitlines()[3] == "-0,-0,0,0"
@@ -543,14 +543,14 @@ class TestWriters:
             assert 0 < real_rows < len(values[lo:lo + cli._BLOCK_ROWS])
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, np.zeros(n), poly, 1.0, None)
+        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
         check_series_file(tmp_path / "series.csv", series, poly.model_tag)
 
         # h0 != 0 leaves im != 0 on every row but t = 0, so no row takes re's text
         full = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.7, steps=n + 1)
         series = TimeSeries(
             full.lam, full.delta, full.h0, full.times[1:], full.values[1:],
-            full.log_magnitude[1:], poly, full.overlap, full.terms,
+            tuple(c[c > 0] - 1 for c in full.sign_changes), poly, full.overlap, full.terms,
         )
         assert np.all(series.values.imag != 0)
         check_series_file(tmp_path / "series.csv", series, poly.model_tag)
@@ -567,7 +567,7 @@ class TestWriters:
         n = len(values)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
         series = TimeSeries(
-            1.0, 1, 0.0, np.linspace(0.0, 1.0, n), values, np.zeros(n), poly, 1.0, None
+            1.0, 1, 0.0, np.linspace(0.0, 1.0, n), values, (), poly, 1.0, None
         )
         path = tmp_path / "series.csv"
         cli.write_series_csv(path, series, poly.model_tag)
@@ -590,7 +590,7 @@ class TestWriters:
         assert np.all(np.signbit(values.imag) != np.signbit(values.real))
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, np.zeros(n), poly, 1.0, None)
+        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
         path = tmp_path / "series.csv"
         check_series_file(path, series, poly.model_tag)
         rows = path.read_text().splitlines()[3:5]
@@ -603,7 +603,7 @@ class TestWriters:
         time_text = []
         for seed in (1, 2):
             values = np.random.default_rng(seed).standard_normal(n) + 0j
-            series = TimeSeries(1.0, 1, 0.0, times, values, np.zeros(n), poly, 1.0, None)
+            series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
             path = tmp_path / f"series{seed}.csv"
             cli.write_series_csv(path, series, poly.model_tag, time_text)
             assert_same_text(path.read_text(), reference_series_csv(series, poly.model_tag))
@@ -624,7 +624,7 @@ def _column_series(x):
     values = x.astype(complex)
     values.imag = np.random.default_rng(len(x)).permutation(x)
     poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-    return TimeSeries(1.0, 1, 0.0, x, values, np.zeros(len(x)), poly, 1.0, None), poly.model_tag
+    return TimeSeries(1.0, 1, 0.0, x, values, (), poly, 1.0, None), poly.model_tag
 
 
 def _signed_text(x):

@@ -286,7 +286,7 @@ class TestDetectZeroTimes:
         # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
         poly = PartitionPolynomial(2, 0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {})
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        assert np.argmin(ser.log_magnitude) == len(ser.times) // 2
+        assert np.argmin(np.abs(ser.values)) == len(ser.times) // 2
         assert detect_zero_times(ser) == []
 
     def test_small_beta_split_baths_match(self):
@@ -303,15 +303,19 @@ class TestDetectZeroTimes:
             report = correlate(find_zeros(poly), ser, window=1e-6)
             assert report.all_matched, f"trial {trial}: {blocks}x{size}, beta={beta}"
 
-    @pytest.mark.parametrize("poly", [
-        build_long_range(12, HalfInt(1), 1.0, 0.0),
-        build_long_range(4, HalfInt(3), 1.0, 0.0),
-        build_ring(6, HalfInt(2), 1.0, 0.0),
-        build_ring(10, HalfInt(2), 1.0, 0.0),
-    ], ids=["long_range 2s=1 N=12", "long_range 2s=3 N=4", "ring 2s=2 N=6", "fig6 beta=0"])
-    def test_multiple_zero_has_fixed_cost(self, poly, monkeypatch):
+    @pytest.mark.parametrize("poly, steps", [
+        (build_long_range(12, HalfInt(1), 1.0, 0.0), 4096),
+        (build_long_range(4, HalfInt(3), 1.0, 0.0), 4096),
+        (build_ring(6, HalfInt(2), 1.0, 0.0), 4096),
+        (build_ring(10, HalfInt(2), 1.0, 0.0), 4096),
+        (build_exact(spins(1, 128), np.kron(np.diag(np.linspace(0.5, 1.5, 64)),
+                                            uniform_couplings(2, 1.0)), 1.0), 2**14),
+    ], ids=["long_range 2s=1 N=12", "long_range 2s=3 N=4", "ring 2s=2 N=6", "fig6 beta=0",
+            "64 pairs beta=1"])
+    def test_multiple_zero_has_fixed_cost(self, poly, steps, monkeypatch):
         # a multiple zero is a simple zero of one factor, solved by a
-        # bracketed root at a fixed cost however flat the product is there;
+        # bracketed root at a fixed cost however flat the product is there,
+        # and a zero of one of many factors costs no evaluation of the others;
         # the count covers the solver's float evaluator and the residual's
         # cosine_series alike
         scalar_calls = 0
@@ -332,12 +336,37 @@ class TestDetectZeroTimes:
             return counted
 
         float_cosine_series = probe._float_cosine_series
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, steps=steps)
         monkeypatch.setattr(probe, "cosine_series", counting)
         monkeypatch.setattr(probe, "_float_cosine_series", counting_evaluator)
         detected = detect_zero_times(ser)
         assert len(detected) == len(find_zeros(poly).clusters)
         assert scalar_calls <= 40 * len(detected)
+
+    def test_zero_shared_by_factors_detected_once(self):
+        # blocks of 3 and 5 spins have odd degree, so both factors vanish at
+        # pi; their two solves differ by rounding, and only one is reported
+        couplings = np.zeros((8, 8))
+        couplings[:3, :3] = uniform_couplings(3, 1.0)
+        couplings[3:, 3:] = uniform_couplings(5, 1.0)
+        poly = build_exact(spins(1, 8), couplings, 0.5)
+        assert len(poly.factors) == 2
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        report = correlate(find_zeros(poly), ser, window=1e-6)
+        assert len(report.matches) == len(report.predicted) == 7
+        assert report.unmatched_detected == []
+
+    def test_close_zeros_of_distinct_factors_both_detected(self):
+        # two pairs with J = 1 and 1.004 at beta = 1 have zeros 0.99 grid
+        # steps apart; each is a sign change of its own factor
+        couplings = np.kron(np.diag([1.0, 1.004]), uniform_couplings(2, 1.0))
+        poly = build_exact(spins(1, 4), couplings, 1.0)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        report = correlate(find_zeros(poly), ser, window=1e-6)
+        gap = np.diff(report.predicted).min() * len(ser.times) / ser.period
+        assert 0.9 < gap < 1
+        assert len(report.matches) == len(report.predicted) == 4
+        assert report.unmatched_detected == []
 
     def test_invalid_tolerance(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
