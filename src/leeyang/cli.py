@@ -374,7 +374,6 @@ def _apply_overrides(cfg, args):
 
 def cmd_zeros(args):
     cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     poly = cfg.build_polynomial()
     zeros = find_zeros(poly)
     write_zeros_csv(args.out, zeros, cfg.lam, cfg.delta, poly.model_tag)
@@ -466,6 +465,8 @@ def build_parser():
     def common(p, out_default):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=out_default, help="output file path")
+
+    def grid(p):
         p.add_argument("--steps", type=int, help="override grid.steps")
         p.add_argument("--t-max", dest="t_max", type=float, help="override grid.t_max")
 
@@ -475,19 +476,21 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="sample the probe signal, write series.csv")
     common(p, "series.csv")
+    grid(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser(
         "correlate", help="match detected and predicted zero times, write report.json"
     )
     common(p, "report.json")
+    grid(p)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("reproduce", help="emit the data files for a figure preset")
     p.add_argument("figure", choices=sorted(FIGURE_PRESETS))
     p.add_argument("--out-dir", default=".", help="output directory root")
     p.add_argument("--steps", type=int, help="override grid.steps")
-    p.set_defaults(func=cmd_reproduce, t_max=None)
+    p.set_defaults(func=cmd_reproduce)
     return parser
 
 

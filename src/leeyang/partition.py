@@ -235,16 +235,12 @@ def _enumerate(spins, bJ):
 
     def chunk_sums(lo):
         expo = A[lo:lo + rows] @ B_T
-        if len(starts) == len(L):
-            # every L sector is one column, where the sums below are exactly expo
-            group = expo
-        else:
-            peak = np.maximum.reduceat(expo, starts, axis=1)
-            for j, (a, b) in runs:
-                expo[:, a:b] -= peak[:, j, None]
-            np.exp(expo, out=expo)
-            # each run's peak term adds exactly 1, so every sum is at least 1
-            group = peak + np.log(np.add.reduceat(expo, starts, axis=1))
+        peak = np.maximum.reduceat(expo, starts, axis=1)
+        for j, (a, b) in runs:
+            expo[:, a:b] -= peak[:, j, None]
+        np.exp(expo, out=expo)
+        # each run's peak term adds exactly 1, so every sum is at least 1
+        group = peak + np.log(np.add.reduceat(expo, starts, axis=1))
         return _log_sector_sums(
             group.ravel(), (up_H[lo:lo + rows, None] + up_L[starts]).ravel(), sectors
         )

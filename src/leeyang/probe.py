@@ -22,6 +22,7 @@ matched against those of the zero angles.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +165,9 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     points i and i+1 is solved to 1e-14 in the angle x = lam*delta*t on
     [m-1, m+1], where m is the end with the smaller |F_f|; a change whose m
     is an end of the grid, or whose bracket ends share a sign, is skipped, and
-    so is one within half a grid step of a zero an earlier factor solved: that
-    is the same zero, as pi is for every odd-degree factor.  Each factor is
+    so is one whose bracket holds a zero x of an earlier factor with
+    |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero, shared by
+    both factors, as pi is by every odd-degree factor.  Each factor is
     evaluated with ``_float_cosine_series`` over the series' float64 terms.
     Zeros whose |F(x)|/F(0), from ``_amplitude`` on all solved angles at once,
     exceeds magnitude_tol are discarded.  Returns (x/(lam*delta), |f|
@@ -185,25 +187,23 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     def angle(i):  # as expectation_series sampled it
         return rate * times.item(i)
 
-    half_step = (angle(1) - angle(0)) / 2
-    solved = np.empty(0)  # ascending zeros of the factors walked so far
+    solved = []  # ascending zeros of the factors walked so far
     for (k, w, _), changes in zip(series.terms, series.sign_changes):
-        F = _float_cosine_series(k, w)
-        lo = np.searchsorted(solved, rate * times[changes] - half_step)
-        hi = np.searchsorted(solved, rate * times[changes + 1] + half_step, side="right")
+        F, shared_tol = _float_cosine_series(k, w), 64 * len(k) * np.finfo(float).eps
         roots = []
-        for i in changes[lo == hi].tolist():
-            fi, fj = F(angle(i)), F(angle(i + 1))
-            m = i if abs(fi) <= abs(fj) else i + 1
+        for i in changes.tolist():
+            m = i if abs(F(angle(i))) <= abs(F(angle(i + 1))) else i + 1
             if not 0 < m < last:
                 continue
             a, b = angle(m - 1), angle(m + 1)
-            fa = fi if m == i + 1 else F(a)
-            fb = fj if m == i else F(b)
-            if fa * fb < 0:
+            fa, fb = F(a), F(b)
+            earlier = solved[bisect_left(solved, a):bisect_right(solved, b)]
+            if fa * fb < 0 and all(abs(F(x)) > shared_tol for x in earlier):
                 roots.append(bracket_root(F, a, b, fa, fb, 1e-14))
-        solved = np.sort(np.concatenate([solved, roots]))
+        # after the loop: every zero of F_f would pass the test against F_f itself
+        solved = sorted(solved + roots)
 
+    solved = np.array(solved)
     residuals = np.abs(_amplitude(series.terms, solved))
     keep = residuals <= magnitude_tol
     return list(zip(

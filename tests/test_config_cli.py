@@ -221,6 +221,14 @@ class TestCliCommands:
             assert float(fields[6]) == pytest.approx(np.pi, abs=1e-8)
             assert fields[5] == "2"
 
+    @pytest.mark.parametrize("option", ["--steps", "--t-max"])
+    def test_zeros_takes_no_grid_option(self, tmp_path, option):
+        # the zero finder samples no time grid
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv"), option, "16"])
+        assert exc.value.code == 2
+
     def test_evolve_round_trip_and_closed_form(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "series.csv"

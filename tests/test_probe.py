@@ -34,6 +34,16 @@ def triangle_beta_one():
     return build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0)
 
 
+def spin_half_blocks(blocks, beta):
+    """Spin-1/2 bath of (size, J) blocks, all-to-all J within each block."""
+    n = sum(size for size, _ in blocks)
+    couplings, start = np.zeros((n, n)), 0
+    for size, J in blocks:
+        couplings[start:start + size, start:start + size] = uniform_couplings(size, J)
+        start += size
+    return build_exact(spins(1, n), couplings, beta)
+
+
 def oracle_baths():
     """Baths of N <= 6 spins up to 3/2: name -> (spins, couplings, builder of beta)."""
     rng = np.random.default_rng(7)
@@ -343,29 +353,50 @@ class TestDetectZeroTimes:
         assert len(detected) == len(find_zeros(poly).clusters)
         assert scalar_calls <= 40 * len(detected)
 
-    def test_zero_shared_by_factors_detected_once(self):
+    @pytest.mark.parametrize("blocks, beta", [
+        ([(3, 1.0), (5, 1.0)], 0.5),
+        ([(3, 0.5), (5, 1.3)], 1e-3),
+    ], ids=["3+5 beta=0.5", "3+5 beta=1e-3"])
+    def test_zero_shared_by_factors_detected_once(self, blocks, beta):
         # blocks of 3 and 5 spins have odd degree, so both factors vanish at
-        # pi; their two solves differ by rounding, and only one is reported
-        couplings = np.zeros((8, 8))
-        couplings[:3, :3] = uniform_couplings(3, 1.0)
-        couplings[3:, 3:] = uniform_couplings(5, 1.0)
-        poly = build_exact(spins(1, 8), couplings, 0.5)
+        # pi; their two solves differ by rounding (by 4e-11 at beta = 1e-3,
+        # where pi is ill-conditioned), and only one is reported
+        poly = spin_half_blocks(blocks, beta)
         assert len(poly.factors) == 2
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         report = correlate(find_zeros(poly), ser, window=1e-6)
         assert len(report.matches) == len(report.predicted) == 7
         assert report.unmatched_detected == []
 
-    def test_close_zeros_of_distinct_factors_both_detected(self):
-        # two pairs with J = 1 and 1.004 at beta = 1 have zeros 0.99 grid
-        # steps apart; each is a sign change of its own factor
-        couplings = np.kron(np.diag([1.0, 1.004]), uniform_couplings(2, 1.0))
-        poly = build_exact(spins(1, 4), couplings, 1.0)
+    @pytest.mark.parametrize("j2, steps_apart", [(1.004, 0.99), (1.002, 0.50), (1.0005, 0.12)])
+    def test_close_zeros_of_distinct_factors_both_detected(self, j2, steps_apart):
+        # two pairs with J = 1 and j2 at beta = 1 have zeros under a grid
+        # step apart; each is a sign change of its own factor
+        poly = spin_half_blocks([(2, 1.0), (2, j2)], 1.0)
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         report = correlate(find_zeros(poly), ser, window=1e-6)
         gap = np.diff(report.predicted).min() * len(ser.times) / ser.period
-        assert 0.9 < gap < 1
+        assert gap == pytest.approx(steps_apart, abs=0.01)
         assert len(report.matches) == len(report.predicted) == 4
+        assert report.unmatched_detected == []
+
+    def test_close_zeros_of_random_pairs_all_detected(self):
+        # 64 pairs with J uniform in [0.5, 1.5]: 128 zeros in 4096 steps,
+        # some of them a fraction of a grid step apart
+        J = np.random.default_rng(0).uniform(0.5, 1.5, 64)
+        poly = spin_half_blocks([(2, j) for j in J], 1.0)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        report = correlate(find_zeros(poly), ser, window=1e-6)
+        assert len(report.matches) == len(report.predicted) == 128
+        assert report.unmatched_detected == []
+
+    def test_close_zeros_beside_a_shared_zero(self):
+        # two 3-spin blocks share the zero at pi, and at this small beta their
+        # other zeros lie 0.21 grid steps apart
+        poly = spin_half_blocks([(3, 1.125), (3, 1.12)], 0.0064)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        report = correlate(find_zeros(poly), ser, window=1e-6)
+        assert len(report.matches) == len(report.predicted) == 5
         assert report.unmatched_detected == []
 
     def test_invalid_tolerance(self, two_half_t_inf):
