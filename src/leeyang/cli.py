@@ -1,7 +1,9 @@
 """Command-line front end: zeros / evolve / correlate / reproduce.
 
-All numeric output is serialized with 17 significant digits (``%.17g``) so
-that emitted CSV re-parses to the in-memory values exactly.  series.csv makes
+CSV rows, CSV parameter headers and stdout write each number with 17
+significant digits (``%.17g``); report.json and the ``# model=`` header use
+``json.dumps``, whose floats are the shortest repr that round-trips.  Either
+re-parses to the in-memory values exactly.  series.csv makes
 the text of a whole column with numpy, a block of rows at a time
 (_digit_rows).  Its fast path scales |x| by a power of ten in double-double
 arithmetic and keeps only digits that are certain to be the correctly rounded
@@ -28,7 +30,7 @@ import numpy as np
 
 from .config import MAX_STEPS, ConfigError, RunConfig, _integer, _number, load_config
 from .probe import correlate, expectation_series
-from .zeros import RootConvergenceError, find_zeros
+from .zeros import find_zeros
 
 
 def _fmt(x):
@@ -292,7 +294,7 @@ _FIELD_SIGN = np.array([[ord(","), 0], [ord(","), ord("-")]], np.uint8)
 _ZERO_IM = np.array([list(b",0,\0"), list(b",-0,")], np.uint8)
 
 
-def write_series_csv(path, series, tag, time_text=None):
+def write_series_csv(path, series, time_text=None):
     """Write ``t,re,im,abs`` rows, every number as ``%.17g``.
 
     Each block of rows is one byte matrix, written with its zero bytes
@@ -311,7 +313,7 @@ def write_series_csv(path, series, tag, time_text=None):
     """
     with open(path, "wb") as f:
         f.write((
-            f"# model={json.dumps(tag)}\n"
+            f"# model={json.dumps(series.poly.model_tag)}\n"
             f"# beta={_fmt(series.poly.beta)} lambda={_fmt(series.lam)} "
             f"delta={series.delta} h0={_fmt(series.h0)}\n"
             "t,re,im,abs\n"
@@ -388,7 +390,7 @@ def cmd_evolve(args):
     series = expectation_series(
         poly, cfg.probe_state(), cfg.lam, cfg.delta, cfg.h0, cfg.t_max, cfg.steps
     )
-    write_series_csv(args.out, series, poly.model_tag)
+    write_series_csv(args.out, series)
     return 0
 
 
@@ -441,7 +443,7 @@ def cmd_reproduce(args):
         panel_dir = out_root / args.figure / label
         panel_dir.mkdir(parents=True, exist_ok=True)
         write_zeros_csv(panel_dir / "zeros.csv", zeros, cfg.lam, cfg.delta, poly.model_tag)
-        write_series_csv(panel_dir / "series.csv", series, poly.model_tag, time_text)
+        write_series_csv(panel_dir / "series.csv", series, time_text)
         write_report_json(panel_dir / "report.json", report, zeros.circle_deviation)
         ok = report.all_matched
         print(
@@ -502,7 +504,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RootConvergenceError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

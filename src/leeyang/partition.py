@@ -61,27 +61,29 @@ class PartitionPolynomial:
     (log_coeffs, count) pairs: the product of each factor raised to its count.
     A bath that splits into independent parts (coupling components, or free
     spins at beta*J = 0) has a factor per distinct part, any other bath one
-    factor, once.  The product, ``log_coeffs``, is formed on first read.
+    factor, once.  The degree ``two_ns`` is derived from them, the sum of
+    count * degree.  The product, ``log_coeffs``, is formed on first read.
     """
 
-    two_ns: int
+    two_ns: int = field(init=False)
     beta: float
     factors: tuple = field(repr=False)
     model_tag: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
         factors = tuple((np.asarray(lc, dtype=float), count) for lc, count in self.factors)
         for lc, count in factors:
             if lc.ndim != 1 or not lc.size or not np.all(np.isfinite(lc)):
                 raise ValueError("each factor must be a finite, non-empty 1-D array")
             if not isinstance(count, (int, np.integer)) or count < 1:
                 raise ValueError(f"a factor's count must be an integer >= 1, got {count!r}")
-        degree = sum(count * (len(lc) - 1) for lc, count in factors)
-        if not degree == self.two_ns >= 1:
-            raise ValueError(f"two_ns must be >= 1 and the factors' degree sum, {degree}")
+        two_ns = sum(count * (len(lc) - 1) for lc, count in factors)
+        if two_ns < 1:
+            raise ValueError(f"the factors' degree sum, {two_ns}, must be >= 1")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "two_ns", two_ns)
 
     @functools.cached_property
     def log_coeffs(self) -> np.ndarray:
@@ -94,14 +96,9 @@ class PartitionPolynomial:
         return np.exp(self.log_coeffs - self.log_coeffs.max())
 
 
-def _validate_ferromagnetic(J, name="J"):
-    if J < 0:
-        raise ValueError(f"{name} must be non-negative (ferromagnetic), got {J}")
-
-
-def _validate_beta(beta):
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+def _validate_ferromagnetic(J):
+    if not 0 <= J < math.inf:
+        raise ValueError(f"J must be finite and non-negative (ferromagnetic), got {J}")
 
 
 def build_exact(spins, couplings, beta) -> PartitionPolynomial:
@@ -116,7 +113,6 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     within 1e-12*max(1, |log p|), all of them compared in one array operation,
     or starts a factor; the polynomial is the factors' product.
     """
-    _validate_beta(beta)
     spins = list(spins)
     if not spins:
         raise ValueError("need at least one bath spin")
@@ -157,14 +153,13 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
                 by_length[len(lc)] = indices, np.vstack([rows, lc])
                 groups.append([lc, 0])
         groups[group_of[key]][1] += 1
-    two_ns = sum(s.doubled for s in spins)
     tag = {
         "kind": "exact",
         "n_spins": n,
         "two_spins": [s.doubled for s in spins],
         "beta": beta,
     }
-    return PartitionPolynomial(two_ns, beta, groups, tag)
+    return PartitionPolynomial(beta, groups, tag)
 
 
 def _coupling_blocks(linked):
@@ -359,7 +354,8 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     _validate_ferromagnetic(J)
-    _validate_beta(beta)
+    if beta * J == math.inf:  # refused before the arithmetic, which would warn
+        raise ValueError(f"beta * J must be finite, got {beta} * {J}")
     a = beta * J / (2 * N)
     site = np.array([-a * float(m) ** 2 for m in projections(s)])
     two_ns = N * s.doubled
@@ -369,7 +365,7 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
         factor = (a * (two_ns / 2 - np.arange(two_ns + 1)) ** 2 + log_w, 1)
     else:  # N free spins
         factor = (np.zeros(s.doubled + 1), N)
-    return PartitionPolynomial(two_ns, beta, [factor], tag)
+    return PartitionPolynomial(beta, [factor], tag)
 
 
 def long_range_integral_oracle(N: int, s: HalfInt, J: float, beta: float, n: int) -> float:
@@ -382,7 +378,8 @@ def long_range_integral_oracle(N: int, s: HalfInt, J: float, beta: float, n: int
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     _validate_ferromagnetic(J)
-    _validate_beta(beta)
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     two_ns = N * s.doubled
     if not 0 <= n <= two_ns:
         raise ValueError(f"n={n} out of range [0, {two_ns}]")
@@ -420,9 +417,9 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
     if not isinstance(N, int) or N < 3:
         raise ValueError(f"ring needs N >= 3 spins, got {N!r}")
     _validate_ferromagnetic(J)
-    _validate_beta(beta)
+    if beta * J == math.inf:  # refused before the arithmetic, which would warn
+        raise ValueError(f"beta * J must be finite, got {beta} * {J}")
     ms = np.array([float(m) for m in projections(s)])
-    two_ns = N * s.doubled
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
     if beta * J > 0:
         D = s.doubled + 1
@@ -434,4 +431,4 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
         factor = (logsumexp(np.diagonal(power, axis1=1, axis2=2), axis=1), 1)
     else:  # N free spins
         factor = (np.zeros(s.doubled + 1), N)
-    return PartitionPolynomial(two_ns, beta, [factor], tag)
+    return PartitionPolynomial(beta, [factor], tag)

@@ -123,23 +123,17 @@ def expectation_series(
     """Sample <(S+)^delta>(t) on a uniform grid.
 
     Defaults to one fundamental period [0, 2pi/(lam*delta)) with the endpoint
-    excluded.
+    excluded.  ``ladder_overlap`` checks delta against the probe's spin.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError(f"delta must be a positive integer, got {delta!r}")
-    if delta > state.s0.doubled:
-        raise ValueError(
-            f"delta={delta} exceeds 2*s0={state.s0.doubled}: the operator power "
-            "annihilates every state"
-        )
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    overlap = ladder_overlap(state, delta)
     if not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if t_max is None:
         t_max = 2 * np.pi / (lam * delta)
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     times = np.linspace(0.0, t_max, steps, endpoint=False)
     terms, amplitude, sign_changes = [], 1, []
     for log_coeffs, count in poly.factors:
@@ -149,7 +143,6 @@ def expectation_series(
         g = cosine_series(k, w, lam * delta * times)
         amplitude = amplitude * _power(g, count)
         sign_changes.append(np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])))
-    overlap = ladder_overlap(state, delta)
     values = overlap * np.exp(-1j * h0 * delta * times) * amplitude
     return TimeSeries(
         lam, delta, h0, times, values, tuple(sign_changes), poly, overlap, tuple(terms)
@@ -173,8 +166,8 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     exceeds magnitude_tol are discarded.  Returns (x/(lam*delta), |f|
     residual) pairs in ascending time.
     """
-    if magnitude_tol <= 0:
-        raise ValueError(f"magnitude_tol must be positive, got {magnitude_tol}")
+    if not 0 < magnitude_tol < math.inf:
+        raise ValueError(f"magnitude_tol must be finite and positive, got {magnitude_tol}")
     if len(series.times) < 3:
         raise ValueError("series too short for zero detection")
     if series.overlap == 0:
@@ -222,6 +215,8 @@ def correlate(
     fundamental period, is within the window are kept, one array operation
     per predicted time, and they are paired greedily, nearest first.
     """
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be finite and positive, got {window}")
     if lam is not None and lam != series.lam:
         raise ValueError(
             f"lambda metadata mismatch: series has {series.lam}, expected {lam}"

@@ -60,8 +60,8 @@ class ZeroSet:
 
     def times(self, lam: float, delta: int):
         """Zero times t_n = ((-theta_n) mod 2pi) / (lam * delta), in root order."""
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         if not isinstance(delta, int) or delta < 1:
             raise ValueError(f"delta must be a positive integer, got {delta!r}")
         return np.mod(-self.angles, 2 * np.pi) / (lam * delta)

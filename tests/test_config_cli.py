@@ -459,7 +459,7 @@ def read_columns(path):
 
 
 def check_series_file(path, series, tag):
-    cli.write_series_csv(path, series, tag)
+    cli.write_series_csv(path, series)
     assert_same_text(path.read_text(), reference_series_csv(series, tag))
     t, re, im, mag = read_columns(path)
     assert np.array_equal(t, series.times)
@@ -578,7 +578,7 @@ class TestWriters:
             1.0, 1, 0.0, np.linspace(0.0, 1.0, n), values, (), poly, 1.0, None
         )
         path = tmp_path / "series.csv"
-        cli.write_series_csv(path, series, poly.model_tag)
+        cli.write_series_csv(path, series)
         text = path.read_text()
         assert_same_text(text, reference_series_csv(series, poly.model_tag))
         assert [row.split(",")[1:] for row in text.splitlines()[3:7]] == [
@@ -613,7 +613,7 @@ class TestWriters:
             values = np.random.default_rng(seed).standard_normal(n) + 0j
             series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
             path = tmp_path / f"series{seed}.csv"
-            cli.write_series_csv(path, series, poly.model_tag, time_text)
+            cli.write_series_csv(path, series, time_text)
             assert_same_text(path.read_text(), reference_series_csv(series, poly.model_tag))
             # one byte matrix per block, one row per step of that block
             assert [len(t) for t in time_text] == [cli._BLOCK_ROWS] * 2 + [5]
@@ -693,7 +693,7 @@ class TestDigitText:
     def check(self, tmp_path, x):
         series, tag = _column_series(x)
         path = tmp_path / "series.csv"
-        cli.write_series_csv(path, series, tag)
+        cli.write_series_csv(path, series)
         assert_same_text(path.read_text(), reference_series_csv(series, tag))
 
     def test_random_bit_patterns(self, tmp_path):

@@ -144,7 +144,9 @@ class TestBuildExact:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "coupling, beta", [(math.inf, 0.0), (1e308, 10.0)], ids=["inf-at-beta-0", "overflow"]
+        "coupling, beta",
+        [(math.inf, 0.0), (1e308, 10.0), (1.0, math.nan), (1.0, math.inf)],
+        ids=["inf-at-beta-0", "overflow", "nan-beta", "inf-beta"],
     )
     def test_non_finite_beta_j_rejected(self, coupling, beta):
         with pytest.raises(ValueError, match="finite"):
@@ -318,6 +320,14 @@ class TestIntegralOracle:
     def test_out_of_range_sector(self):
         with pytest.raises(ValueError):
             long_range_integral_oracle(2, HalfInt(1), 1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("J, beta, name", [
+        (1.0, math.nan, "beta"), (1.0, math.inf, "beta"), (1.0, -1.0, "beta"),
+        (math.nan, 1.0, "J"), (math.inf, 1.0, "J"),
+    ])
+    def test_non_finite_arguments_rejected(self, J, beta, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            long_range_integral_oracle(2, HalfInt(1), J, beta, 1)
 
 
 class TestBuildRing:
@@ -538,7 +548,7 @@ class TestLogPolymatMul:
 class TestEvalRatio:
     @pytest.fixture
     def simple(self):
-        return PartitionPolynomial(2, 0.0, [(np.log([1.0, 2.0, 1.0]), 1)], {"kind": "test"})
+        return PartitionPolynomial(0.0, [(np.log([1.0, 2.0, 1.0]), 1)], {"kind": "test"})
 
     def test_unity(self, simple):
         assert eval_ratio(simple, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -559,40 +569,54 @@ class TestEvalRatio:
 class TestPartitionPolynomial:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PartitionPolynomial(1, 0.0, [(np.array([0.0, -np.inf]), 1)], {})
+            PartitionPolynomial(0.0, [(np.array([0.0, -np.inf]), 1)], {})
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            PartitionPolynomial(1, -1.0, [(np.array([0.0, 0.0]), 1)], {})
+            PartitionPolynomial(-1.0, [(np.array([0.0, 0.0]), 1)], {})
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+            PartitionPolynomial(beta, [(np.array([0.0, 0.0]), 1)], {})
+
+    @pytest.mark.parametrize("J, beta", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, -1.0), (1e200, 1e200),
+    ])
+    @pytest.mark.parametrize("build", [build_ring, build_long_range])
+    def test_builders_refuse_beta(self, build, J, beta):
+        with pytest.raises(ValueError, match="beta"):
+            build(10, HalfInt(2), J, beta)
+
+    @pytest.mark.parametrize("J", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("build", [build_ring, build_long_range])
+    def test_builders_refuse_coupling(self, build, J):
+        with pytest.raises(ValueError, match="J must be finite and non-negative"):
+            build(4, HalfInt(1), J, 0.5)
 
     def test_coeffs_max_normalized(self):
-        poly = PartitionPolynomial(2, 0.0, [(np.array([0.0, 5.0, 0.0]), 1)], {})
+        poly = PartitionPolynomial(0.0, [(np.array([0.0, 5.0, 0.0]), 1)], {})
         assert poly.coeffs().max() == 1.0
 
     @pytest.mark.parametrize(
-        "two_ns, factors, message",
+        "factors, message",
         [
-            (3, [(np.zeros(3), 1)], "degree sum, 2"),
-            (4, [(np.zeros(2), 1), (np.zeros(3), 1)], "degree sum, 3"),
-            (2, [(np.zeros(3), 0)], "count must be an integer >= 1, got 0"),
-            (2, [(np.zeros(2), 2.0)], "count must be an integer >= 1, got 2.0"),
-            (3, [(np.zeros(2), 1.5)], "count must be an integer >= 1, got 1.5"),
-            (2, [(np.array([0.0, np.nan, 0.0]), 1)], "finite, non-empty 1-D array"),
-            (2, [(np.zeros((1, 3)), 1)], "finite, non-empty 1-D array"),
-            (0, [(np.zeros(1), 1)], "degree sum, 0"),
-            (0, [], "degree sum, 0"),
+            ([(np.zeros(3), 0)], "count must be an integer >= 1, got 0"),
+            ([(np.zeros(2), 2.0)], "count must be an integer >= 1, got 2.0"),
+            ([(np.zeros(2), 1.5)], "count must be an integer >= 1, got 1.5"),
+            ([(np.array([0.0, np.nan, 0.0]), 1)], "finite, non-empty 1-D array"),
+            ([(np.zeros((1, 3)), 1)], "finite, non-empty 1-D array"),
+            ([(np.zeros(1), 1)], "degree sum, 0"),
+            ([], "degree sum, 0"),
         ],
-        ids=[
-            "degree-short", "two-factors-short", "count-0", "float-count",
-            "fractional-count", "nan", "2-D", "degree-0", "no-factors",
-        ],
+        ids=["count-0", "float-count", "fractional-count", "nan", "2-D", "degree-0", "no-factors"],
     )
-    def test_rejects_invalid_factors(self, two_ns, factors, message):
+    def test_rejects_invalid_factors(self, factors, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            PartitionPolynomial(two_ns, 0.0, factors, {})
+            PartitionPolynomial(0.0, factors, {})
 
     def test_counts_factors_by_degree(self):
-        poly = PartitionPolynomial(7, 0.0, [(np.zeros(2), 3), (np.zeros(3), 2)], {})
+        poly = PartitionPolynomial(0.0, [(np.zeros(2), 3), (np.zeros(3), 2)], {})
         np.testing.assert_allclose(
             np.exp(poly.log_coeffs), np.convolve([1, 3, 3, 1], [1, 2, 3, 2, 1]), rtol=1e-14
         )

@@ -95,6 +95,16 @@ class TestExpectationSeries:
         with pytest.raises(ValueError):
             expectation_series(two_half_t_inf, state, 0.0, 1)
 
+    @pytest.mark.parametrize("lam, t_max, name", [
+        (math.nan, None, "lam"), (math.inf, None, "lam"), (-1.0, None, "lam"),
+        (1.0, math.nan, "t_max"), (1.0, math.inf, "t_max"), (1.0, -1.0, "t_max"),
+        (1e-320, None, "t_max"),  # the default period overflows
+    ])
+    def test_non_finite_grid_rejected(self, two_half_t_inf, lam, t_max, name):
+        state = sx_top_eigenstate(HalfInt(1))
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            expectation_series(two_half_t_inf, state, lam, 1, t_max=t_max)
+
     def test_default_grid_spans_one_period(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 2.0, 1)
         assert len(ser.times) == 4096
@@ -294,7 +304,7 @@ class TestDetectZeroTimes:
 
     def test_minimum_without_sign_change_is_not_a_zero(self):
         # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
-        poly = PartitionPolynomial(2, 0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {})
+        poly = PartitionPolynomial(0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {})
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         assert np.argmin(np.abs(ser.values)) == len(ser.times) // 2
         assert detect_zero_times(ser) == []
@@ -403,6 +413,12 @@ class TestDetectZeroTimes:
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         with pytest.raises(ValueError):
             detect_zero_times(ser, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, two_half_t_inf, tol):
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        with pytest.raises(ValueError, match="magnitude_tol must be finite and positive"):
+            detect_zero_times(ser, tol)
 
     def test_simple_root_refinement_accuracy(self, triangle_beta_one):
         zs = find_zeros(triangle_beta_one)
@@ -526,6 +542,16 @@ class TestCorrelate:
             correlate(zs, ser, lam=2.0)
         with pytest.raises(ValueError, match="delta"):
             correlate(zs, ser, delta=2)
+
+    @pytest.mark.parametrize("window, magnitude_tol, name", [
+        (math.nan, 1e-6, "window"), (math.inf, 1e-6, "window"), (0.0, 1e-6, "window"),
+        (-1e-6, 1e-6, "window"), (1e-6, math.nan, "magnitude_tol"),
+    ])
+    def test_tolerances_outside_range_rejected(self, two_half_t_inf, window, magnitude_tol, name):
+        zs = find_zeros(two_half_t_inf)
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            correlate(zs, ser, window=window, magnitude_tol=magnitude_tol)
 
     def test_susceptibility_channel_times_halved(self, triangle_beta_one):
         state = sx_top_eigenstate(HalfInt(5))

@@ -25,7 +25,7 @@ from leeyang.zeros import (
 
 def poly_from_coeffs(coeffs, beta=0.0):
     coeffs = np.asarray(coeffs, float)
-    return PartitionPolynomial(len(coeffs) - 1, beta, [(np.log(coeffs), 1)], {"kind": "test"})
+    return PartitionPolynomial(beta, [(np.log(coeffs), 1)], {"kind": "test"})
 
 
 def reference_angles(poly):
@@ -261,6 +261,11 @@ class TestPredictedZeroTimes:
             zs.times(0.0, 1)
         with pytest.raises(ValueError):
             zs.times(1.0, 0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            find_zeros(two_free_spins()).times(lam, 1)
 
 
 class TestCosineSeries:
