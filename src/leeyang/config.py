@@ -1,5 +1,6 @@
 """JSON run configuration: parsing, validation, and object construction."""
 
+import itertools
 import json
 import math
 
@@ -29,8 +30,13 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _is_number_type(kind):
+    """The type of a JSON number: int or float, and not bool."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
 def _number(value, where, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number_type(type(value)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         v = float(value)
@@ -83,9 +89,12 @@ class RunConfig:
                 mat = self.J * (np.ones((self.n_spins, self.n_spins)) - np.eye(self.n_spins))
             else:
                 try:
+                    # np.asarray would also convert "1" and true
+                    kinds = set(map(type, itertools.chain.from_iterable(raw)))
+                    numbers = all(map(_is_number_type, kinds))
                     entries = np.asarray(raw, dtype=float)
-                    finite = bool(np.all(np.isfinite(entries)))
-                except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+                    finite = numbers and bool(np.all(np.isfinite(entries)))
+                except (TypeError, ValueError, OverflowError):  # ragged or not a matrix
                     finite = False
                 if not finite:
                     raise ConfigError("model.couplings: expected a matrix of finite numbers")
@@ -153,15 +162,17 @@ class RunConfig:
                 where = f"probe.state[{k}]"
                 if isinstance(entry, list) and len(entry) == 2:
                     amps.append(complex(_number(entry[0], where), _number(entry[1], where)))
-                elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                elif _is_number_type(type(entry)):
                     amps.append(complex(_number(entry, where)))
                 else:
                     raise ConfigError(f"{where}: expected a number or [re, im] pair")
-            amps = np.asarray(amps)
-            scale = np.max(np.abs(amps))
+            parts = np.asarray(amps).view(float)  # re, im of each amplitude
+            scale = np.max(np.abs(parts))
             if scale == 0:
                 raise ConfigError("probe.state: amplitudes must not all vanish")
-            amps = amps / scale  # the largest is 1, so squaring cannot overflow
+            # The largest part is 1, so squaring cannot overflow.  The parts are
+            # divided by the real scale, as a complex division by a subnormal overflows.
+            amps = (parts / scale).view(complex)
             self.state_amplitudes = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
         else:
             raise ConfigError(

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .partition import _power
 from .spins import ProbeState, ladder_overlap
 from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
 
@@ -78,23 +79,6 @@ def _amplitude(terms, x):
     return math.prod(_power(cosine_series(k, w, x), count) for k, w, count in terms)
 
 
-def _power(x, n):
-    """x**n for an integer n >= 1, by repeated squaring.
-
-    On an array, ``**`` calls libm pow per element for every n >= 3, about
-    18 times slower on 4096 samples.  Each product rounds once, so the
-    relative error stays within about n*eps.
-    """
-    power = None
-    while True:
-        if n & 1:
-            power = x if power is None else power * x
-        n >>= 1
-        if not n:
-            return power
-        x = x * x
-
-
 def _float_cosine_series(k, w):
     """F(x) = sum_k w_k cos(k x) at a scalar angle, summed over Python floats.
 
@@ -134,6 +118,14 @@ def expectation_series(
         t_max = 2 * np.pi / (lam * delta)
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    # The largest phases sampled, as Python floats, which overflow to inf without
+    # a warning, multiplied in the samples' order (lam * delta first); NaN fails too.
+    for name, phase in [
+        ("(2Ns/2)*lam*delta*t_max", float(lam) * delta * float(t_max) * (poly.two_ns / 2)),
+        ("|h0|*delta*t_max", abs(float(h0)) * delta * float(t_max)),
+    ]:
+        if not phase < math.inf:
+            raise ValueError(f"the sample phase {name} must be finite, got {phase}")
     times = np.linspace(0.0, t_max, steps, endpoint=False)
     terms, amplitude, sign_changes = [], 1, []
     for log_coeffs, count in poly.factors:

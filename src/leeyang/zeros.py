@@ -5,12 +5,12 @@ zero lies on the unit circle.  On z = exp(i theta) the polynomial is
 exp(i Ns theta) times the real cosine series F(theta) = sum_n c_n
 cos((n - Ns) theta), so the zeros are the real roots of F on [0, pi] and their
 mirror images.  Multiplicities come from the bath's structure: each distinct
-factor (``PartitionPolynomial.factors``) is solved once and counted per copy.
+factor (``PartitionPolynomial.factors``) is solved once and counted per copy,
+and a zero that several factors share adds up their counts.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -34,13 +34,14 @@ class ZeroSet:
     """All roots of the partition polynomial, as distinct zeros with multiplicity.
 
     ``clusters`` lists each distinct zero as (angle, multiplicity) in
-    ascending angle on (-pi, pi].  By the circle theorem that is the whole
-    answer; ``angles`` and ``roots`` repeat each cluster by its multiplicity,
-    in the same order.  The roots are built as exp(i theta), so they lie on
-    the unit circle by construction and ``circle_deviation``, the largest
-    | hypot(re, im) - 1 |, is rounding-level.  What proves the circle theorem
-    for a given polynomial is the count certificate: find_zeros returns only
-    when sign changes of F account for all 2Ns roots.
+    ascending angle on (-pi, pi]; find_zeros keys them by angle, so no angle
+    repeats.  By the circle theorem that is the whole answer; ``angles`` and
+    ``roots`` repeat each cluster by its multiplicity, in the same order.
+    The roots are built as exp(i theta), so they lie on the unit circle by
+    construction and ``circle_deviation``, the largest | hypot(re, im) - 1 |,
+    is rounding-level.  What proves the circle theorem for a given polynomial
+    is the count certificate: find_zeros returns only when sign changes of F
+    account for all 2Ns roots.
     """
 
     clusters: list  # (representative angle, multiplicity)
@@ -64,6 +65,9 @@ class ZeroSet:
             raise ValueError(f"lam must be finite and positive, got {lam}")
         if not isinstance(delta, int) or delta < 1:
             raise ValueError(f"delta must be a positive integer, got {delta!r}")
+        period = 2 * np.pi / (float(lam) * delta)  # a Python float: inf, with no warning
+        if period == np.inf:
+            raise ValueError(f"the period 2pi/(lam*delta) must be finite, got lam = {lam}")
         return np.mod(-self.angles, 2 * np.pi) / (lam * delta)
 
 
@@ -76,7 +80,9 @@ def bracket_root(f, a, b, fa, fb, xtol):
     bracket instead of bisecting it: the secant puts the root within an ulp
     of that end, which bisection would reach only after some forty halvings.
     Returns the bracket's midpoint once it is narrower than xtol or cannot
-    shrink further in floating point.
+    shrink further in floating point.  A midpoint is a/2 + b/2: for normal
+    ends it has the bits of (a + b)/2, and it stays finite for ends beyond
+    half the float range.
     """
     side = 0
     for _ in range(_MAX_SOLVER_STEPS):
@@ -84,7 +90,7 @@ def bracket_root(f, a, b, fa, fb, xtol):
         if c == a or c == b:
             c = np.nextafter(c, b if c == a else a)
         elif not min(a, b) < c < max(a, b):
-            c = (a + b) / 2
+            c = a / 2 + b / 2
         if abs(b - a) <= xtol or c == a or c == b:
             break
         fc = f(c)
@@ -98,7 +104,7 @@ def bracket_root(f, a, b, fa, fb, xtol):
             a, fa = c, fc
             fb = fb / 2 if side == 1 else fb
             side = 1
-    return (a + b) / 2
+    return a / 2 + b / 2
 
 
 def cosine_terms(c):
@@ -173,29 +179,30 @@ def _cosine_roots(c):
 
 
 def _factor_zeros(log_coeffs):
-    """Zeros of one factor in (0, pi]: (exact ones as fractions of a turn, angles)."""
+    """Angles in (0, pi] of one factor's zeros, each simple; pi for odd degree."""
     d = len(log_coeffs) - 1
     if np.all(log_coeffs == log_coeffs[0]):
         # 1 + z + ... + z^d: the (d+1)-th roots of unity other than 1
-        return [Fraction(j, d + 1) for j in range(1, (d + 1) // 2 + 1)], []
-    angles = _cosine_roots(np.exp(log_coeffs - log_coeffs.max()))
-    return [Fraction(1, 2)] * (d % 2), angles
+        return [2 * np.pi * (j / (d + 1)) for j in range(1, (d + 1) // 2 + 1)]
+    return _cosine_roots(np.exp(log_coeffs - log_coeffs.max())) + [np.pi] * (d % 2)
 
 
 def find_zeros(poly) -> ZeroSet:
     """All 2Ns roots of sum_n p_n z^n, clustered by multiplicity.
 
+    One Counter keyed by angle adds up the counts of the factors that share a
+    zero.  Shared zeros are equal doubles: pi, and 2*pi*(j/(d+1)), as equal
+    fractions j/(d+1) round to one double.
+
     Raises RootConvergenceError when a factor's zeros cannot all be located
     as sign changes, for example a multiple root the bath's structure does
     not account for.
     """
-    exact, clusters = Counter(), []
+    mult = Counter()
     for log_coeffs, count in poly.factors:
-        turns, angles = _factor_zeros(log_coeffs)
-        for turn in turns:
-            exact[turn] += count
-        clusters += [(theta, count) for theta in angles]
-    clusters += [(2 * np.pi * float(turn), mult) for turn, mult in exact.items()]
-    clusters += [(-theta, mult) for theta, mult in clusters if theta != np.pi]
+        for theta in _factor_zeros(log_coeffs):
+            mult[theta] += count
+    clusters = list(mult.items())
+    clusters += [(-theta, m) for theta, m in clusters if theta != np.pi]
     clusters.sort()
     return ZeroSet(clusters)

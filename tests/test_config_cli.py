@@ -5,17 +5,20 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import leeyang
 from helpers import assert_same_text, figure_panels
 from leeyang import cli
 from leeyang.cli import main
-from leeyang.config import MAX_EXACT_SPINS, MAX_STEPS, ConfigError, RunConfig, load_config
+from leeyang.config import (
+    MAX_EXACT_SPINS, MAX_STEPS, MODEL_KINDS, ConfigError, RunConfig, load_config,
+)
 from leeyang.partition import build_long_range
 from leeyang.probe import TimeSeries, correlate, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
@@ -194,6 +197,72 @@ class TestRunConfigValidation:
         cfg = write_config(tmp_path, data)
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_state_amplitude_normalized(self, tmp_path):
+        # a complex division by the subnormal scale would overflow
+        data = base_config(
+            temperature={"beta": 0.5}, probe={"two_s0": 1, "delta": 1, "state": [1e-310, 1e-310]}
+        )
+        unit = base_config(probe={"two_s0": 1, "delta": 1, "state": [1, 1]})
+        np.testing.assert_array_equal(
+            RunConfig(data).state_amplitudes, RunConfig(unit).state_amplitudes
+        )
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_state_part_near_the_float_maximum_normalized(self):
+        # |1e308 + 1.8e308i| overflows, so the scale is the largest part
+        data = base_config(probe={"two_s0": 1, "state": [1, [1e308, sys.float_info.max]]})
+        amps = RunConfig(data).state_amplitudes
+        assert np.all(np.isfinite(amps))
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("couplings", [
+        [[0, "1"], ["1", 0]], [[0, True], [True, 0]], [[0, 1], [1, None]], "[[0, 1], [1, 0]]",
+    ], ids=["strings", "booleans", "null", "string-of-matrix"])
+    def test_couplings_must_be_numbers(self, tmp_path, capsys, couplings):
+        # np.asarray(..., dtype=float) would convert the first two
+        model = {"kind": "exact", "n_spins": 2, "two_s": 1, "couplings": couplings}
+        data = base_config(model=model)
+        with pytest.raises(ConfigError, match="^model.couplings: expected a matrix of finite"):
+            RunConfig(data)
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "error: model.couplings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ({k: v for k, v in base_config().items() if k != "probe"},
+         "top level: missing required field 'probe'"),
+        (base_config(temperature={"beta": "1"}), "temperature.beta: expected a number"),
+        (base_config(model={"kind": "exact", "n_spins": 2.0, "two_s": 1}),
+         "model.n_spins: expected an integer"),
+        ([base_config()], "top level: expected a JSON object"),
+        (base_config(model=[]), "model: expected an object"),
+        (base_config(temperature=1), "temperature: expected an object"),
+        (base_config(probe="sx_max"), "probe: expected an object"),
+        (base_config(grid=None), "grid: expected an object"),
+        (base_config(tolerances=[1e-6]), "tolerances: expected an object"),
+        (base_config(temperature={"T_over_J": -1}), "temperature.T_over_J: must be positive"),
+        (base_config(probe={"two_s0": 1, "state": [[1, 0, 0], 1]}),
+         "probe.state[0]: expected a number or [re, im] pair"),
+        (base_config(probe={"two_s0": 1, "state": [0, [0, -0.0]]}),
+         "probe.state: amplitudes must not all vanish"),
+        (base_config(probe={"two_s0": 1, "state": "sz_max"}),
+         "probe.state: expected 'sx_max' or an amplitude list"),
+    ], ids=[
+        "missing-field", "not-a-number", "not-an-integer", "top-level-not-object",
+        "model-not-object", "temperature-not-object", "probe-not-object", "grid-not-object",
+        "tolerances-not-object", "negative-T_over_J", "state-entry-neither-number-nor-pair",
+        "all-zero-amplitudes", "state-neither-sx_max-nor-list",
+    ])
+    def test_malformed_config_rejected(self, tmp_path, capsys, data, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            RunConfig(data)
+        cfg = write_config(tmp_path, data)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "model": }')
@@ -326,6 +395,21 @@ class TestCliCommands:
         report = json.loads(out.read_text())
         assert report["unmatched_predicted"] == [] and report["unmatched_detected"] == []
         assert len(report["matches"]) == len(report["predicted"]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, data, message", [
+        ("evolve", base_config(**{"lambda": 1e300}, grid={"t_max": 1e300}),
+         "the sample phase (2Ns/2)*lam*delta*t_max must be finite"),
+        ("correlate", base_config(
+            model={"kind": "ring", "n_spins": 4, "two_s": 2}, temperature={"beta": 1e308}
+        ), "beta * J must be finite"),
+        ("correlate", base_config(**{"lambda": 5e-324}, grid={"t_max": 1.0}),
+         "the period 2pi/(lam*delta) must be finite"),
+    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period"])
+    def test_overflowing_run_exits_one(self, tmp_path, capsys, command, data, message):
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(temperature={"T_over_J": 0}))
@@ -730,6 +814,100 @@ class TestDigitText:
 @given(st.lists(st.floats(), min_size=1, max_size=20))
 def test_digit_text_of_any_floats(values):
     assert _signed_text(np.array(values)) == ["%.17g" % v for v in values]
+
+
+# Numbers over the whole float range: half of them values that every number
+# field accepts, the rest signed zeros, subnormals, 1e300, the largest floats,
+# NaN and the infinities, or any float.
+_NUMBERS = st.one_of(
+    st.floats(0.25, 4.0),
+    st.floats(0.25, 4.0),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 1e300, 1e308, sys.float_info.max, math.nan, math.inf]
+    ),
+    st.floats(),
+)
+# Any JSON value that is not a number.
+_OTHER_JSON = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 2), max_size=1),
+)
+
+
+def _slots(value):
+    """(container, key) of every value nested in a JSON object or list."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in list(items):
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from _slots(item)
+
+
+@st.composite
+def _configs(draw):
+    """A run configuration of at most 6 spins of 2s <= 3 and 512 steps.
+
+    Its numbers come from _NUMBERS, and then up to two of its values, the
+    whole object included, are replaced by any number or other JSON value, or
+    deleted.
+    """
+    def maybe(mapping, key, values):
+        if draw(st.booleans()):
+            mapping[key] = draw(values)
+        return mapping
+
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    n = draw(st.integers(3 if kind == "ring" else 1, 6))
+    model = {"kind": kind, "n_spins": n, "two_s": draw(st.integers(1, 3))}
+    maybe(model, "J", _NUMBERS)
+    if kind == "exact" and draw(st.booleans()):
+        # couplings of at most two strengths, so that baths split into blocks
+        strengths = [0, *draw(st.lists(_NUMBERS, min_size=1, max_size=2))]
+        upper = {(i, j): draw(st.sampled_from(strengths)) for i in range(n) for j in range(i)}
+        model["couplings"] = [[upper.get((max(i, j), min(i, j)), 0) for j in range(n)]
+                              for i in range(n)]
+    temperature = {"beta": draw(_NUMBERS)} if draw(st.booleans()) else {
+        "T_over_J": draw(st.just("inf") | _NUMBERS)
+    }
+    two_s0 = draw(st.integers(1, 3))
+    probe = maybe({"two_s0": two_s0}, "delta", st.integers(1, two_s0))
+    maybe(probe, "h0", _NUMBERS)
+    amplitude = _NUMBERS | st.lists(_NUMBERS, min_size=2, max_size=2)
+    maybe(probe, "state", st.lists(amplitude, min_size=two_s0 + 1, max_size=two_s0 + 1))
+    data = {"model": model, "temperature": temperature, "probe": probe}
+    maybe(data, "lambda", _NUMBERS)
+    data["grid"] = maybe({"steps": draw(st.integers(2, 512))}, "t_max", _NUMBERS)
+    tolerances = maybe(maybe({}, "magnitude_tol", _NUMBERS), "match_window", _NUMBERS)
+    maybe(data, "tolerances", st.just(tolerances))
+    for _ in range(draw(st.integers(0, 2))):
+        slot = draw(st.sampled_from([*_slots(data), None]))
+        value = draw(_NUMBERS | _OTHER_JSON)
+        if slot is None:
+            data = value
+        elif isinstance(slot[0], dict) and draw(st.booleans()):
+            del slot[0][slot[1]]
+        else:
+            slot[0][slot[1]] = value
+        if not isinstance(data, (dict, list)):
+            break
+    return data
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_configs())
+def test_fuzz_config_exits_cleanly(tmp_path, capsys, data):
+    """Any JSON config ends in exit 0, 1 or 2, with ``error:`` on exit 2, and never warns."""
+    cfg = write_config(tmp_path, data)
+    for command in ("correlate", "evolve"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, data)
+        assert code != 2 or err.startswith("error: "), (command, data, err)
 
 
 def test_import_builds_no_digit_table():

@@ -145,8 +145,8 @@ class TestBuildExact:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "coupling, beta",
-        [(math.inf, 0.0), (1e308, 10.0), (1.0, math.nan), (1.0, math.inf)],
-        ids=["inf-at-beta-0", "overflow", "nan-beta", "inf-beta"],
+        [(math.inf, 0.0), (1e308, 10.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1e308)],
+        ids=["inf-at-beta-0", "overflow", "nan-beta", "inf-beta", "log-weight-beyond-bound"],
     )
     def test_non_finite_beta_j_rejected(self, coupling, beta):
         with pytest.raises(ValueError, match="finite"):
@@ -582,11 +582,20 @@ class TestPartitionPolynomial:
 
     @pytest.mark.parametrize("J, beta", [
         (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, -1.0), (1e200, 1e200),
+        # W = N beta J s^2 (ring) or half that (long_range), with N = 10, s = 1:
+        # beyond the float range, and finite but above the bound
+        (1.0, 1e308), (1.0, 5e306),
     ])
     @pytest.mark.parametrize("build", [build_ring, build_long_range])
     def test_builders_refuse_beta(self, build, J, beta):
         with pytest.raises(ValueError, match="beta"):
             build(10, HalfInt(2), J, beta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_weight_below_bound_builds(self):
+        # W = 3 * 1e307 / 4, a third of the bound
+        poly = build_ring(3, HalfInt(1), 1.0, 1e307)
+        np.testing.assert_array_equal(poly.log_coeffs, [7.5e306, -2.5e306, -2.5e306, 7.5e306])
 
     @pytest.mark.parametrize("J", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("build", [build_ring, build_long_range])

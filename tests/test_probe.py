@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from functools import partial
 from types import SimpleNamespace
@@ -104,6 +105,23 @@ class TestExpectationSeries:
         state = sx_top_eigenstate(HalfInt(1))
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             expectation_series(two_half_t_inf, state, lam, 1, t_max=t_max)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("poly, lam, t_max, h0, name", [
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), 1e300, 1e300, 0.0,
+         "(2Ns/2)*lam*delta*t_max"),
+        # k = 4 overflows a finite lam*delta*t_max
+        (build_ring(4, HalfInt(2), 1.0, 0.5), 1.0, 1e308, 0.0, "(2Ns/2)*lam*delta*t_max"),
+        # the default t_max, 2pi/1e-300
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), 1e-300, None, 1e10,
+         "|h0|*delta*t_max"),
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), 1.0, None, math.nan,
+         "|h0|*delta*t_max"),
+    ], ids=["lam-and-t_max-1e300", "ring-k-times-t_max-1e308", "h0-1e10-lam-1e-300", "nan-h0"])
+    def test_sample_phase_overflow_rejected(self, poly, lam, t_max, h0, name):
+        state = sx_top_eigenstate(HalfInt(1))
+        with pytest.raises(ValueError, match=re.escape(f"sample phase {name} must be finite")):
+            expectation_series(poly, state, lam, 1, h0, t_max)
 
     def test_default_grid_spans_one_period(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 2.0, 1)

@@ -150,6 +150,15 @@ class TestBracketRoot:
         root = bracket_root(lambda x: x - a, a, b, dtype(-1.0), dtype(1.0), 0.0)
         assert a <= root <= b
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, np.float64])
+    def test_midpoint_of_ends_beyond_half_the_float_range(self, dtype):
+        # a + b overflows, so the last bracket's midpoint must be a/2 + b/2
+        f = lambda x: (x / 1e308) ** 3 - 3
+        a, b = dtype(1e308), dtype(1.7e308)
+        root = bracket_root(f, a, b, f(a), f(b), 1e300)
+        assert abs(root - 3 ** (1 / 3) * 1e308) <= 1e300
+
 
 class TestStructuralMultiplicity:
     def test_identical_blocks_multiply_block_zeros(self):
@@ -265,6 +274,12 @@ class TestPredictedZeroTimes:
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="lam must be finite and positive"):
+            find_zeros(two_free_spins()).times(lam, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310])
+    def test_period_overflow_rejected(self, lam):
+        with pytest.raises(ValueError, match=r"the period 2pi/\(lam\*delta\) must be finite"):
             find_zeros(two_free_spins()).times(lam, 1)
 
 
