@@ -19,9 +19,15 @@ one BLAS matrix product of the operands exponentiated once.  Wider operands
 take one exponential per term, and their time is set by the exponentials.
 
 Each block factor of an exact bath comes from enumerating its configurations
-(_enumerate): two half-tables of about sqrt(count) rows, the trailing one
-sorted by raising-step count, are joined by one matrix product per chunk of
-about _ENUMERATION_CHUNK configurations, and every (leading row, trailing
+(_enumerate) by twin class (_twin_classes).  Twin spins have the same spin
+and the same beta*J to every other spin, so a class of n of them couples
+all-to-all within itself and enters the energy only through its total
+projection M.  It is enumerated as one collective spin of n*2s + 1 states,
+weighed by the long-range model's polynomial (_all_to_all), and a block of
+classes has prod_C (n_C*2s_C + 1) configurations in place of
+prod_i (2s_i + 1).  Two half-tables of about sqrt(count) rows, the trailing
+one sorted by raising-step count, are joined by one matrix product per chunk
+of about _ENUMERATION_CHUNK configurations, and every (leading row, trailing
 sector) group is summed relative to its own peak.
 """
 
@@ -36,6 +42,11 @@ import numpy as np
 from .spins import HalfInt, _check_magnitude, projections
 
 ENUMERATION_CAP = 2_000_000
+# Most states of one twin class.  Its weights are a power that sums about
+# states**2 terms, here at most 8 * ENUMERATION_CAP: that admits 1024 spins up
+# to s = 3/2 (3073 states, about 40 ms), and at 4000 states a power takes at
+# most about 90 ms on a 2-core host.
+_MAX_CLASS_STATES = math.isqrt(8 * ENUMERATION_CAP)
 # Terms summed at a time: configurations by build_exact's enumeration, and
 # products of coefficients by _log_polymat_mul.
 _ENUMERATION_CHUNK = 2**16
@@ -124,7 +135,11 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     ``couplings[i][j]`` is the pair coupling J_ij (units J, zero diagonal);
     the configuration weight is exp(beta * sum_{i<j} J_ij m_i m_j).  Each
     connected component of the beta*J > 0 coupling graph is enumerated on its
-    own and may have at most ENUMERATION_CAP configurations; components with
+    own, by twin class (_block_polynomial): it may have at most
+    ENUMERATION_CAP configurations of its classes, where a class of n twin
+    spins s counts n*2s + 1, and a class at most _MAX_CLASS_STATES of them.
+    So an all-to-all, star or complete-bipartite block of up to 1024 spins
+    builds, and a chain of more than 20 spin-1/2 is refused.  Components with
     the same spins and byte-identical beta*J are enumerated and grouped once.
     A new block polynomial joins the first factor of its length that it equals
     within 1e-12*max(1, |log p|), all of them compared in one array operation,
@@ -137,8 +152,11 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     J = np.asarray(couplings, dtype=float)
     if J.shape != (n, n):
         raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
-    if not np.allclose(J, J.T, rtol=0, atol=1e-12):
-        raise ValueError("couplings matrix must be symmetric")
+    if not np.array_equal(J, J.T):
+        if not np.allclose(J, J.T, rtol=0, atol=1e-12):
+            raise ValueError("couplings matrix must be symmetric")
+        # the quadratic form reads only the symmetric part; twin classes need it
+        J = 0.5 * J + 0.5 * J.T
     if np.any(np.abs(np.diag(J)) > 0):
         raise ValueError("couplings matrix must have zero diagonal")
     if np.any(J < 0):
@@ -155,10 +173,11 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     groups = []  # [log_coeffs, count] per distinct block polynomial
     by_length = {}  # length -> (indices into groups, their log_coeffs as rows)
     for idx in _coupling_blocks(bJ > 0):
-        block, block_bJ = [spins[i] for i in idx], bJ[np.ix_(idx, idx)]
+        block = [spins[i] for i in idx]
+        block_bJ = bJ if len(idx) == n else bJ[np.ix_(idx, idx)]
         key = (tuple(s.doubled for s in block), block_bJ.tobytes())
         if key not in group_of:
-            lc = _enumerate(block, block_bJ)
+            lc = _block_polynomial(block, block_bJ)
             # the first group, in insertion order, equal to lc within 1e-12*max(1, |lc|)
             indices, rows = by_length.setdefault(len(lc), ([], np.empty((0, len(lc)))))
             close = np.all(np.abs(rows - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)), axis=1)
@@ -183,8 +202,9 @@ def _coupling_blocks(linked):
     """Connected components of a boolean adjacency matrix, as sorted index tuples.
 
     Breadth-first search: each block starts at the lowest unseen index, so the
-    blocks come in order of their lowest index, and each of its spins adds its
-    unseen neighbours, one row of ``linked`` each.
+    blocks come in order of their lowest index, and each level of the search
+    adds the unseen neighbours of the whole level before it, one reduction
+    over its rows of ``linked``.
     """
     seen = np.zeros(len(linked), dtype=bool)
     blocks = []
@@ -192,19 +212,123 @@ def _coupling_blocks(linked):
         if seen[start]:
             continue
         seen[start] = True
-        block = [start]
-        for i in block:  # the loop visits the spins appended while it runs
-            new = np.flatnonzero(linked[i] & ~seen)
-            seen[new] = True
-            block.extend(new.tolist())
+        block, level = [start], [start]
+        while len(level):
+            level = np.flatnonzero(linked[level].any(axis=0) & ~seen)
+            seen[level] = True
+            block.extend(level.tolist())
         blocks.append(tuple(sorted(block)))
     return blocks
 
 
-def _enumerate(spins, bJ):
+def _block_polynomial(spins, bJ):
+    """Log sector weights of one coupled block, enumerated by twin class.
+
+    ``bJ`` is the block's couplings times beta.  A class of n twin spins s
+    with pair coupling beta*J_C is one collective spin of n*2s + 1 states,
+    weighed by _all_to_all with a = beta*J_C / 2; a class of one spin weighs
+    zero.  Classes couple by total projection, sum_{i in C, j in D} J m_i m_j
+    = J_CD M_C M_D, so _enumerate runs over the matrix of one spin per class.
+    The caps are checked on the classes before any table is built.
+    """
+    rep = _twin_classes([s.doubled for s in spins], bJ)
+    own = np.arange(len(spins))
+    first = np.flatnonzero(rep == own)  # each class's lowest spin
+    sizes = np.bincount(rep)[first]
+    units = [HalfInt(int(n) * spins[i].doubled) for i, n in zip(first, sizes)]
+    count = math.prod(u.doubled + 1 for u in units)
+    if count > ENUMERATION_CAP:
+        classes = f" in {len(units)} twin classes" if len(units) < len(spins) else ""
+        raise ValueError(
+            f"a block of {len(spins)} spins{classes} has {Decimal(count):.3g} "
+            f"configurations, which exceed the enumeration cap {ENUMERATION_CAP}"
+        )
+    intra = np.zeros(len(spins))  # beta*J_C, at each class's lowest spin
+    others = np.flatnonzero(rep != own)
+    intra[rep[others]] = bJ[others, rep[others]]
+    log_weights = []
+    for i, n, unit in zip(first, sizes, units):
+        if n == 1:
+            log_weights.append(np.zeros(unit.doubled + 1))
+            continue
+        if unit.doubled + 1 > _MAX_CLASS_STATES:
+            raise ValueError(
+                f"a class of {n} twin spins has {unit.doubled + 1} states, more than the "
+                f"{_MAX_CLASS_STATES} that the enumeration cap {ENUMERATION_CAP} allows"
+            )
+        log_weights.append(_all_to_all(spins[i], int(n), intra[i] / 2))
+    if len(units) == 1:  # the one class's weights, by sector n = 2Ns - up
+        return log_weights[0][::-1]
+    # a block without twins keeps its matrix, and so its bits
+    return _enumerate(units, bJ[np.ix_(first, first)], log_weights)
+
+
+def _twin_classes(two_spins, S):
+    """Each spin's twin class, as the index of the class's lowest spin.
+
+    ``S`` is the block's beta*J, exactly symmetric.  Spins i and j are twins
+    when they have the same doubled spin and bit-equal S[i, k] and S[j, k]
+    for every other spin k.  This is an equivalence, and all pairs of a class
+    share one coupling.
+
+    Twins i and j have equal rows once each row's diagonal entry is set to
+    S[i, j], so they are found by a hash of the rows, in O(n^2): with
+    h_i = sum_{k != i} bits(S[i, k]) r_k (mod 2^64, fixed random r), row i
+    with diagonal S[i, j] hashes to G[i, j] = h_i + bits(S[i, j]) r_i, and
+    twins have G[i, j] = G[j, i].  Each spin's first hash partner is then
+    compared bit for bit; a spin whose comparison fails, which only a hash
+    collision can cause, is a class of its own.
+    """
+    n = len(S)
+    spin = np.asarray(two_spins)
+    bits = S.view(np.uint64)
+    r = _hash_weights(n)
+    h = bits @ r - bits.diagonal() * r  # wraps modulo 2^64
+    # G[i, j] - G[j, i], with bits(S[i, j]) = bits(S[j, i]), in one array
+    differ = np.subtract.outer(r, r)
+    differ *= bits
+    differ += h[:, None]
+    differ -= h
+    own = np.arange(n)
+    rep = ((differ == 0) & (spin[:, None] == spin)).argmax(axis=1)  # <= own, the diagonal
+    i = np.flatnonzero(rep != own)
+    j = rep[i]
+    rows_i, rows_j = S[i], S[j]
+    rows_i[np.arange(len(i)), i] = rows_j[np.arange(len(i)), j] = S[i, j]
+    mismatch = np.any(rows_i.view(np.uint64) != rows_j.view(np.uint64), axis=1)
+    rep[i[mismatch]] = i[mismatch]
+    root = rep[rep] == rep
+    rep[~root] = own[~root]
+    return rep
+
+
+@functools.lru_cache
+def _hash_weights(n):
+    """n fixed random 64-bit weights for _twin_classes' row hash, read-only."""
+    r = np.random.default_rng(0).integers(2**64, size=n, dtype=np.uint64)
+    r.flags.writeable = False  # one array serves every caller
+    return r
+
+
+def _all_to_all(s, n, a):
+    """Log weights of n spins s coupled all-to-all by 2a each, by total projection.
+
+    Entry k, the sector M = k - ns, is a M^2 + log sum_{sum m = M} exp(-a sum m^2):
+    the energy -2a sum_{i<j} m_i m_j = -a (M^2 - sum m^2).  The sum is the
+    n-th power of the single-site polynomial sum_m exp(-a m^2) z^(m + s).
+    """
+    site = np.array([-a * float(m) ** 2 for m in projections(s)])
+    log_w = _power(site[:, None, None], n, _log_polymat_mul)[:, 0, 0]
+    two_ns = n * s.doubled
+    return a * (two_ns / 2 - np.arange(two_ns + 1)) ** 2 + log_w
+
+
+def _enumerate(spins, bJ, log_weights=None):
     """Log sector weights of one block of spins, over all its configurations.
 
-    ``bJ`` is the block's couplings times beta.
+    ``bJ`` is the block's couplings times beta, and ``log_weights[i]``, if
+    given, spin i's log weight by raising steps from -s_i; each
+    configuration adds its spins' weights to its exponent.
 
     The energy is a quadratic form, so with the spins split into leading spins
     H and trailing spins L it reads E(h, l) = E_H(h) + E_L(l) + m_h J_HL m_l.
@@ -213,32 +337,30 @@ def _enumerate(spins, bJ):
     raising-step count, so each L sector is one contiguous run of columns.
     The exponents of a chunk of H rows against all of L are one matrix
     product of augmented tables, [m_H J_HL, E_H, 1] @ [m_L, 1, E_L]^T, with
-    the chunk sized to hold about _ENUMERATION_CHUNK configurations.  Each
-    row's run of an L sector is summed relative to its own peak, which keeps
-    low temperatures finite; these (row, L sector) sums are merged by their
-    sector up_H + up_L, and the chunks' sector sums in the log domain.
+    the chunk sized to hold about _ENUMERATION_CHUNK configurations; E_H and
+    E_L include the weights.  Each row's run of an L sector is summed
+    relative to its own peak, which keeps low temperatures finite; these
+    (row, L sector) sums are merged by their sector up_H + up_L, and the
+    chunks' sector sums in the log domain.
     """
     dims = [s.doubled + 1 for s in spins]
     count = math.prod(dims)
-    if count > ENUMERATION_CAP:
-        raise ValueError(
-            f"a block of {len(spins)} spins has {Decimal(count):.3g} configurations, "
-            f"which exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    if log_weights is None:
+        log_weights = [np.zeros(d) for d in dims]
     split, size_l = len(dims), 1
     while size_l**2 < count:
         split -= 1
         size_l *= dims[split]
-    H, up_H = _configurations(spins[:split])
-    L, up_L = _configurations(spins[split:])
+    H, up_H, w_H = _configurations(spins[:split], log_weights[:split])
+    L, up_L, w_L = _configurations(spins[split:], log_weights[split:])
     order = np.argsort(up_L, kind="stable")
-    L, up_L = L[order], up_L[order]
+    L, up_L, w_L = L[order], up_L[order], w_L[order]
     starts = np.flatnonzero(np.diff(up_L, prepend=-1))
     runs = list(enumerate(zip(starts, [*starts[1:], len(L)])))
     HJ = H @ bJ[:split]
     # zero diagonal makes each full quadratic form twice its i<j pair sum
-    e_H = 0.5 * (HJ[:, :split] * H).sum(axis=1)
-    e_L = 0.5 * ((L @ bJ[split:, split:]) * L).sum(axis=1)
+    e_H = 0.5 * (HJ[:, :split] * H).sum(axis=1) + w_H
+    e_L = 0.5 * ((L @ bJ[split:, split:]) * L).sum(axis=1) + w_L
     A = np.column_stack([HJ[:, split:], e_H, np.ones(len(H))])
     # row-major: numpy's product with a transposed view is several times slower
     B_T = np.ascontiguousarray(np.column_stack([L, np.ones(len(L)), e_L]).T)
@@ -274,15 +396,17 @@ def _log_sector_sums(expo, sector, sectors):
     return peak + np.log(np.maximum(total, 1.0))
 
 
-def _configurations(spins):
+def _configurations(spins, log_weights):
     """Every projection configuration of ``spins``, the first varying slowest.
 
-    Returns the table of projections m, one configuration per row, and each
-    row's count of raising steps sum(m + s) from the all-down configuration.
+    Returns the table of projections m, one configuration per row, each
+    row's count of raising steps sum(m + s) from the all-down configuration,
+    and each row's sum of its spins' log weights by raising steps.
     """
     dims = [s.doubled + 1 for s in spins]
     up = np.indices(dims).reshape(len(dims), math.prod(dims)).T
-    return up - [s.doubled / 2 for s in spins], up.sum(axis=1)
+    weight = sum((w[u] for w, u in zip(log_weights, up.T)), np.zeros(len(up)))
+    return up - [s.doubled / 2 for s in spins], up.sum(axis=1), weight
 
 
 def _log_polymat_mul(A, B):
@@ -381,12 +505,9 @@ def build_long_range(N: int, s: HalfInt, J: float, beta: float) -> PartitionPoly
     # Python floats, which overflow to inf without a warning
     _check_log_weight(float(beta) * float(J) * (N * float(s) ** 2 / 2), beta)
     a = beta * J / (2 * N)
-    site = np.array([-a * float(m) ** 2 for m in projections(s)])
-    two_ns = N * s.doubled
     tag = {"kind": "long_range", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
     if a > 0:
-        log_w = _power(site[:, None, None], N, _log_polymat_mul)[:, 0, 0]
-        factor = (a * (two_ns / 2 - np.arange(two_ns + 1)) ** 2 + log_w, 1)
+        factor = (_all_to_all(s, N, a), 1)
     else:  # N free spins
         factor = (np.zeros(s.doubled + 1), N)
     return PartitionPolynomial(beta, [factor], tag)

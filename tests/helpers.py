@@ -247,6 +247,24 @@ def coupling_blocks_oracle(linked):
     return sorted(blocks)
 
 
+def twin_classes_oracle(two_spins, couplings):
+    """Each spin's lowest twin, comparing every pair of rows entry by entry.
+
+    Spins i and j are twins when they have the same spin and equal couplings
+    to every other spin.
+    """
+    n = len(couplings)
+    rep = list(range(n))
+    for i in range(n):
+        for j in range(i):
+            if two_spins[i] == two_spins[j] and all(
+                couplings[i][k] == couplings[j][k] for k in range(n) if k not in (i, j)
+            ):
+                rep[i] = rep[j]
+                break
+    return rep
+
+
 def multiplicities(spin_list):
     """Exact integer sector multiplicities via convolution of uniform vectors."""
     acc = np.array([1], dtype=object)

@@ -15,16 +15,21 @@ from helpers import (
     multiplicities,
     ring_couplings,
     spins,
+    twin_classes_oracle,
     uniform_couplings,
 )
 import leeyang.partition
+from leeyang.config import RunConfig
 from leeyang.partition import (
     _ENUMERATION_CHUNK,
     _LINEAR_RANGE,
     ENUMERATION_CAP,
     PartitionPolynomial,
+    _MAX_CLASS_STATES,
     _coupling_blocks,
+    _enumerate,
     _log_polymat_mul,
+    _twin_classes,
     build_exact,
     build_long_range,
     build_ring,
@@ -91,33 +96,33 @@ class TestBuildExact:
         n, beta = 18, 0.5
         tracemalloc.start()
         try:
-            poly = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta)
+            got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 40e6
         lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
-        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     def test_partial_last_chunk_matches_long_range(self):
         # 3^11 = 177147 configurations, not a multiple of the chunk size
         n, beta = 11, 0.7
-        poly = build_exact(spins(2, n), uniform_couplings(n, 1.0 / n), beta)
+        got = _enumerate(spins(2, n), beta * uniform_couplings(n, 1.0 / n))
         lc = build_long_range(n, HalfInt(2), 1.0, beta).log_coeffs
-        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     def test_twenty_spins_bounded_memory(self):
         # 2^20 configurations, enumerated as two 2^10-row half-tables
         n, beta = 20, 0.5
         tracemalloc.start()
         try:
-            poly = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta)
+            got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
         lc = build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs
-        assert np.all(np.abs(poly.log_coeffs - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     # Trailing spins join the L part while |L|^2 < count; the rest are H.
     @pytest.mark.parametrize("beta", [0.5, 50.0, 400.0])
@@ -157,9 +162,18 @@ class TestBuildExact:
             build_exact([HalfInt(1), HalfInt(0)], uniform_couplings(2, 1.0), 1.0)
 
     def test_enumeration_cap(self):
-        n = 21  # 2^21 > cap
+        n = 21  # 2^21 > cap; a chain has no twins
+        chain = np.diag(np.ones(n - 1), 1)
         with pytest.raises(ValueError, match=str(ENUMERATION_CAP)):
-            build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
+            build_exact(spins(1, n), chain + chain.T, 1.0)
+
+    @pytest.mark.parametrize("n", [21, 512])
+    def test_uniform_bath_past_the_cap_is_one_class(self, n):
+        # 2^n configurations, but n + 1 states of one collective spin
+        beta = 0.5
+        got = build_exact(spins(1, n), uniform_couplings(n, 1.0), beta).log_coeffs
+        lc = build_long_range(n, HalfInt(1), 1.0 * n, beta).log_coeffs
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     def test_cap_refusal_is_brief(self):
         # 2^1024 configurations: beyond the float range, 309 digits in full
@@ -172,15 +186,31 @@ class TestBuildExact:
         message = str(err.value)
         assert "1024 spins" in message and "1.80e+308 configurations" in message
         assert len(message) < 100
+        # one class of 1024 spins 1001/2: 1025025 states, whose power would sum
+        # about 1e12 terms
+        uniform = uniform_couplings(n, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"enumeration cap {ENUMERATION_CAP}") as err:
+            build_exact(spins(1001, n), uniform, 1.0)
+        assert time.perf_counter() - start < 0.25
+        assert f"1025025 states, more than the {_MAX_CLASS_STATES}" in str(err.value)
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    def test_widest_class_within_the_bound_builds(self, two_s):
+        # 1024 * 3 + 1 = 3073 states at s = 3/2, within the bound
+        n, beta = 1024, 0.5
+        got = build_exact(spins(two_s, n), uniform_couplings(n, 1.0), beta).log_coeffs
+        lc = build_long_range(n, HalfInt(two_s), 1.0 * n, beta).log_coeffs
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
     def test_identical_blocks_enumerated_once(self, monkeypatch):
         calls = 0
         enumerate_block = leeyang.partition._enumerate
 
-        def counting(block, bJ):
+        def counting(*args):
             nonlocal calls
             calls += 1
-            return enumerate_block(block, bJ)
+            return enumerate_block(*args)
 
         monkeypatch.setattr(leeyang.partition, "_enumerate", counting)
         upper = np.triu(np.random.default_rng(3).uniform(0.2, 1.5, (3, 3)), 1)
@@ -201,7 +231,7 @@ class TestBuildExact:
     @pytest.mark.parametrize("beta", [50.0, 400.0, 2000.0])
     @pytest.mark.parametrize("n", [16, 18])
     def test_low_temperature_over_chunks(self, n, beta):
-        got = build_exact(spins(1, n), uniform_couplings(n, 1.0 / n), beta).log_coeffs
+        got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
         for lc in (
             build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs,
             log_coeffs_60_digits("long_range", n, 1, 1.0, beta),
@@ -210,8 +240,9 @@ class TestBuildExact:
 
     def test_cap_counts_one_block(self):
         # four blocks of 64 configurations: 2^24 in all, but each block is
-        # enumerated on its own
-        block = uniform_couplings(6, 1.0)
+        # enumerated on its own; random couplings leave no twins
+        upper = np.triu(np.random.default_rng(6).uniform(0.5, 1.5, (6, 6)), 1)
+        block = upper + upper.T
         couplings = np.kron(np.eye(4), block)
         poly = build_exact(spins(1, 24), couplings, 0.5)
         (lc, count), = poly.factors
@@ -243,10 +274,12 @@ class TestBuildExact:
         assert _coupling_blocks(chain) == coupling_blocks_oracle(chain) == [tuple(range(n))]
 
     def test_large_connected_bath_refused_quickly(self):
+        # every pair coupled, by random couplings that leave no twins
         n = 512
+        upper = np.triu(np.random.default_rng(n).uniform(0.5, 1.5, (n, n)), 1)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"exceed the enumeration cap {ENUMERATION_CAP}"):
-            build_exact(spins(1, n), uniform_couplings(n, 1.0), 1.0)
+            build_exact(spins(1, n), upper + upper.T, 1.0)
         assert time.perf_counter() - start < 1.0
 
     def test_many_distinct_blocks_build_quickly(self):
@@ -277,6 +310,108 @@ class TestBuildExact:
         for p, lc in enumerate((first, second)):
             (expected, _), = build_exact(spins(1, 2), uniform_couplings(2, pair_J[p]), 1.0).factors
             np.testing.assert_array_equal(lc, expected)
+
+
+def star_couplings(leaves):
+    """A centre spin 0 coupled by 1 to each leaf, and no leaf to another."""
+    mat = np.zeros((len(leaves) + 1, len(leaves) + 1))
+    mat[0, 1:] = mat[1:, 0] = leaves
+    return mat
+
+
+def bipartite_couplings(a, b):
+    """K_{a,b}: each of the first a spins coupled by 1 to each of the other b."""
+    mat = np.zeros((a + b, a + b))
+    mat[:a, a:] = mat[a:, :a] = 1.0
+    return mat
+
+
+class TestTwinClasses:
+    """Twin spins enumerated as one collective spin of n*2s + 1 states."""
+
+    ULP = math.nextafter(1.0, 2.0)
+    # name: (doubled spins, couplings, each spin's class as its lowest spin)
+    BLOCKS = {
+        "spin-1 triangle": ([2] * 3, uniform_couplings(3, 1.0), [0, 0, 0]),
+        # leaves share no coupling: J_C = 0
+        "star of 5 leaves": ([1] * 6, star_couplings([1.0] * 5), [0, 1, 1, 1, 1, 1]),
+        "K_2,3": ([1] * 5, bipartite_couplings(2, 3), [0, 0, 2, 2, 2]),
+        "4-ring": ([1] * 4, ring_couplings(4), [0, 1, 0, 1]),
+        # equal couplings, but spin 1/2 never joins spin 1
+        "spins 1/2 and 1": ([1, 2, 1, 2, 2], uniform_couplings(5, 1.0), [0, 1, 0, 1, 1]),
+        # the third leaf's coupling is 1 ulp above the others'
+        "1 ulp apart": ([1] * 5, star_couplings([1.0, 1.0, ULP, 1.0]), [0, 1, 1, 3, 1]),
+    }
+
+    @pytest.mark.parametrize("beta", [0.5, 50.0, 400.0])
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_matches_brute_force_oracle(self, name, beta):
+        two_spins, couplings, classes = self.BLOCKS[name]
+        assert list(_twin_classes(two_spins, beta * couplings)) == classes
+        block = [HalfInt(d) for d in two_spins]
+        lc = brute_force_log_sectors(block, couplings, beta)
+        got = build_exact(block, couplings, beta).log_coeffs
+        assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_without_twins_keep_their_bits(self, seed):
+        # random couplings leave every spin a class of its own, which
+        # enumerates exactly as the block did spin by spin
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        block = [HalfInt(int(d)) for d in rng.integers(1, 4, n)]
+        upper = np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
+        couplings, beta = upper + upper.T, float(rng.choice([0.05, 0.5, 5.0, 400.0]))
+        assert list(_twin_classes([s.doubled for s in block], beta * couplings)) == list(range(n))
+        (lc, _), = build_exact(block, couplings, beta).factors
+        np.testing.assert_array_equal(lc, _enumerate(block, beta * couplings))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_classes_match_pairwise_oracle(self, seed):
+        # a random weighted graph with each vertex blown up into 1 to 4 spins,
+        # coupled by 0 or 1 among themselves; weights from a set of three, so
+        # spins of different vertices turn out twins too
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        upper = np.triu(rng.choice([0.0, 0.5, 1.0], (m, m)), 1)
+        base = upper + upper.T
+        vertex = np.repeat(np.arange(m), rng.integers(1, 5, m))
+        couplings = base[np.ix_(vertex, vertex)]
+        same = vertex[:, None] == vertex
+        couplings[same] = rng.choice([0.0, 1.0], m)[vertex[np.nonzero(same)[0]]]
+        np.fill_diagonal(couplings, 0.0)
+        two_spins = list(rng.integers(1, 3, m)[vertex])
+        expected = twin_classes_oracle(two_spins, couplings.tolist())
+        assert list(_twin_classes(two_spins, couplings)) == expected
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_hash_collisions_merge_no_others(self, monkeypatch, name):
+        # with every row hash equal, each spin's first candidate is the first
+        # spin of its spin value, and the bitwise comparison must turn away
+        # every candidate that is not a twin
+        monkeypatch.setattr(leeyang.partition, "_hash_weights", lambda n: np.zeros(n, np.uint64))
+        two_spins, couplings, classes = self.BLOCKS[name]
+        rep = _twin_classes(two_spins, couplings)
+        assert all(rep[rep] == rep)
+        assert all(classes[i] == classes[r] for i, r in enumerate(rep))
+
+    def test_default_exact_bath_of_1024_spins(self):
+        # the config's default couplings, J to every pair; best of three, so a
+        # cold first call does not count
+        config = {
+            "model": {"kind": "exact", "n_spins": 1024, "two_s": 1},
+            "temperature": {"T_over_J": 1},
+            "probe": {"two_s0": 1},
+        }
+        run = RunConfig(config)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            lc = run.build_polynomial().log_coeffs
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+        ref = build_long_range(1024, HalfInt(1), 1024.0, 1.0).log_coeffs
+        assert np.all(np.abs(lc - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestBuildLongRange:
@@ -646,8 +781,10 @@ class TestDeferredProduct:
         return calls
 
     def test_split_bath_builds_without_a_product(self, products):
-        # two triangles of spin-1/2
-        poly = build_exact(spins(1, 6), np.kron(np.eye(2), uniform_couplings(3, 1.0)), 0.7)
+        # two triangles of spin-1/2, with three couplings each, so no twins:
+        # a twin class's weights are a power, taken when built
+        triangle = np.array([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]])
+        poly = build_exact(spins(1, 6), np.kron(np.eye(2), triangle), 0.7)
         assert not products
         assert [count for _, count in poly.factors] == [2]
         first = poly.log_coeffs
