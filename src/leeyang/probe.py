@@ -17,7 +17,7 @@ the same pass records each factor's sign changes on the grid, which
 detection solves in the angle x = lam delta t and returns as x/(lam delta).
 That solve evaluates the factor over Python floats, in double precision;
 the predicted times come from the zero finder, which solves each factor in
-extended precision (``zeros._cosine_roots``).  Detected zero times are
+extended precision (``zeros._factor_zeros``).  Detected zero times are
 matched against those of the zero angles.
 """
 
@@ -129,7 +129,7 @@ def expectation_series(
     times = np.linspace(0.0, t_max, steps, endpoint=False)
     terms, amplitude, sign_changes = [], 1, []
     for log_coeffs, count in poly.factors:
-        k, w = cosine_terms(np.exp(log_coeffs - log_coeffs.max()))
+        k, w = cosine_terms(log_coeffs)
         k, w = k.astype(float), (w / w.sum()).astype(float)
         terms.append((k, w, count))
         g = cosine_series(k, w, lam * delta * times)
@@ -148,9 +148,9 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     factor, so it is read off that factor's sign changes on the grid
     (``TimeSeries.sign_changes``), factor by factor.  A change between grid
     points i and i+1 is solved to 1e-14 in the angle x = lam*delta*t on
-    [m-1, m+1], where m is the end with the smaller |F_f|; a change whose m
-    is an end of the grid, or whose bracket ends share a sign, is skipped, and
-    so is one whose bracket holds a zero x of an earlier factor with
+    [m-1, m+1], where m is the end with the smaller |F_f|, clipped to the
+    grid.  A change whose bracket ends share a sign is skipped, and so is one
+    whose bracket holds a zero x of an earlier factor with
     |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero, shared by
     both factors, as pi is by every odd-degree factor.  Each factor is
     evaluated with ``_float_cosine_series`` over the series' float64 terms.
@@ -178,9 +178,7 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         roots = []
         for i in changes.tolist():
             m = i if abs(F(angle(i))) <= abs(F(angle(i + 1))) else i + 1
-            if not 0 < m < last:
-                continue
-            a, b = angle(m - 1), angle(m + 1)
+            a, b = angle(max(m - 1, 0)), angle(min(m + 1, last))
             fa, fb = F(a), F(b)
             earlier = solved[bisect_left(solved, a):bisect_right(solved, b)]
             if fa * fb < 0 and all(abs(F(x)) > shared_tol for x in earlier):

@@ -6,7 +6,8 @@ exp(i Ns theta) times the real cosine series F(theta) = sum_n c_n
 cos((n - Ns) theta), so the zeros are the real roots of F on [0, pi] and their
 mirror images.  Multiplicities come from the bath's structure: each distinct
 factor (``PartitionPolynomial.factors``) is solved once and counted per copy,
-and a zero that several factors share adds up their counts.
+and a zero that several factors share adds up their counts.  A factor whose
+sign changes miscount its zeros is refused, saying which way the count failed.
 """
 
 from collections import Counter
@@ -107,14 +108,16 @@ def bracket_root(f, a, b, fa, fb, xtol):
     return a / 2 + b / 2
 
 
-def cosine_terms(c):
+def cosine_terms(log_coeffs):
     """Terms (k, w), in extended precision, of a palindromic polynomial's cosine series.
 
-    On the unit circle, sum_n c_n exp(i n theta) = exp(i d theta / 2) F(theta)
-    with F(theta) = sum_k w_k cos(k theta), k = n - d/2 over the upper half of
+    The coefficients c_n = exp(log_coeffs[n] - max) are at most 1.  On the
+    unit circle sum_n c_n exp(i n theta) = exp(i d theta / 2) F(theta), with
+    F(theta) = sum_k w_k cos(k theta) and k = n - d/2 over the upper half of
     the palindrome.  The pairs c_n, c_{d-n} are symmetrized because the
     builders are palindromic only to rounding.
     """
+    c = np.exp(log_coeffs - log_coeffs.max())
     d = len(c) - 1
     upper = np.arange((d + 1) // 2, d + 1)
     k = (upper - d / 2).astype(np.longdouble)
@@ -137,15 +140,18 @@ def cosine_series(k, w, theta):
     return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
 
 
-def _cosine_roots(c):
-    """Angles in (0, pi) of the zeros of the palindromic polynomial sum c_n z^n.
+def _factor_zeros(log_coeffs):
+    """Angles in (0, pi] of one factor's zeros, each simple, with pi for odd degree.
 
-    Sign changes of F on a grid are solved in extended precision.  For odd
-    degree F(pi) = 0 identically; the caller adds that zero.  Raises
-    RootConvergenceError unless floor(degree / 2) sign changes are found.
+    Equal coefficients, 1 + z + ... + z^d, have the (d+1)-th roots of unity
+    other than 1.  Otherwise the sign changes of the cosine series F on a grid
+    are solved in extended precision.  Raises RootConvergenceError unless
+    there are floor(d / 2) of them, as many as the zeros in (0, pi).
     """
-    d = len(c) - 1
-    k, w = cosine_terms(c)
+    d = len(log_coeffs) - 1
+    if np.all(log_coeffs == log_coeffs[0]):
+        return [2 * np.pi * (j / (d + 1)) for j in range(1, (d + 1) // 2 + 1)]
+    k, w = cosine_terms(log_coeffs)
     F = lambda t: cosine_series(k, w, t)
     expected = d // 2
     theta = np.linspace(0.0, np.pi, _GRID_PER_DEGREE * (d + 1) + 1).astype(np.longdouble)
@@ -168,23 +174,18 @@ def _cosine_roots(c):
             for i in dips
         ]))
     if len(change) != expected:
+        if len(change) > expected:
+            reason = "more than the factor has zeros, so its series is at rounding noise"
+        else:
+            reason = "the zeros are multiple, too close for the grid, or off the unit circle"
         raise RootConvergenceError(
             f"found {len(change)} of {expected} sign changes of the cosine series "
-            f"on [0, pi] for degree {d}; the zeros are multiple or off the unit circle"
+            f"on [0, pi] for degree {d}; {reason}"
         )
     return [
         float(bracket_root(F, theta[i], theta[i + 1], vals[i], vals[i + 1], 1e-17))
         for i in change
-    ]
-
-
-def _factor_zeros(log_coeffs):
-    """Angles in (0, pi] of one factor's zeros, each simple; pi for odd degree."""
-    d = len(log_coeffs) - 1
-    if np.all(log_coeffs == log_coeffs[0]):
-        # 1 + z + ... + z^d: the (d+1)-th roots of unity other than 1
-        return [2 * np.pi * (j / (d + 1)) for j in range(1, (d + 1) // 2 + 1)]
-    return _cosine_roots(np.exp(log_coeffs - log_coeffs.max())) + [np.pi] * (d % 2)
+    ] + [np.pi] * (d % 2)
 
 
 def find_zeros(poly) -> ZeroSet:
@@ -194,9 +195,9 @@ def find_zeros(poly) -> ZeroSet:
     zero.  Shared zeros are equal doubles: pi, and 2*pi*(j/(d+1)), as equal
     fractions j/(d+1) round to one double.
 
-    Raises RootConvergenceError when a factor's zeros cannot all be located
-    as sign changes, for example a multiple root the bath's structure does
-    not account for.
+    Raises RootConvergenceError when a factor's sign changes do not count
+    its zeros, for example at a multiple root the bath's structure does not
+    account for.
     """
     mult = Counter()
     for log_coeffs, count in poly.factors:

@@ -64,6 +64,62 @@ class TestBuildExact:
         with pytest.raises(ValueError, match="symmetric"):
             build_exact(spins(1, 2), bad, 1.0)
 
+    def test_near_symmetric_couplings_build_as_their_symmetric_part(self, monkeypatch):
+        # within 1e-12 of J.T, J builds bit for bit as 0.5*J + 0.5*J.T, on
+        # which twin classes are found; 1e-11 away it is refused
+        rng = np.random.default_rng(11)
+        upper = np.triu(rng.uniform(0.5, 1.5, (5, 5)), 1)
+        J = upper + upper.T
+        J[0, 1] += 1e-13
+        block = spins(1, 5)
+        lc = build_exact(block, J, 0.7).log_coeffs
+        np.testing.assert_array_equal(lc, build_exact(block, 0.5 * J + 0.5 * J.T, 0.7).log_coeffs)
+        ref = brute_force_log_sectors(block, J, 0.7)
+        assert np.all(np.abs(lc - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        J[0, 1] = J[1, 0] + 1e-11
+        with pytest.raises(ValueError, match="symmetric"):
+            build_exact(block, J, 0.7)
+
+        seen, twin_classes = [], leeyang.partition._twin_classes
+
+        def recording(*args):
+            rep = twin_classes(*args)
+            seen.append(list(rep))
+            return rep
+
+        monkeypatch.setattr(leeyang.partition, "_twin_classes", recording)
+        J = uniform_couplings(6, 1.0)
+        J[0, 1] += 1e-13
+        build_exact(spins(1, 6), J, 0.7)
+        assert seen == [[0, 0, 2, 2, 2, 2]]
+
+    @pytest.mark.parametrize("spin_list, couplings, error, match", [
+        ([], np.zeros((0, 0)), ValueError, "at least one bath spin"),
+        (spins(1, 2), np.zeros((2, 3)), ValueError, r"couplings must be 2x2, got \(2, 3\)"),
+        ([HalfInt(1), 0.5], uniform_couplings(2, 1.0), TypeError, "must be a HalfInt"),
+    ], ids=["no-spins", "wrong-shape", "not-a-half-int"])
+    def test_malformed_bath_refused(self, spin_list, couplings, error, match):
+        with pytest.raises(error, match=match):
+            build_exact(spin_list, couplings, 1.0)
+
+    def test_twin_free_block_of_18_spins(self):
+        # no twins, so all 2^18 configurations are enumerated: the one exact
+        # block here that the twin classes do not shrink
+        n, beta = 18, 0.5
+        rng = np.random.default_rng(18)
+        upper = np.triu(rng.uniform(0.5, 1.5, (n, n)) / n, 1)
+        J = upper + upper.T
+        assert list(_twin_classes([1] * n, beta * J)) == list(range(n))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            lc = build_exact(spins(1, n), J, beta).log_coeffs
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+        order = rng.permutation(n)
+        permuted = build_exact(spins(1, n), J[np.ix_(order, order)], beta).log_coeffs
+        assert np.all(np.abs(lc - permuted) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
+
     def test_nonzero_diagonal_rejected(self):
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
@@ -455,6 +511,10 @@ class TestIntegralOracle:
     def test_out_of_range_sector(self):
         with pytest.raises(ValueError):
             long_range_integral_oracle(2, HalfInt(1), 1.0, 1.0, 3)
+
+    def test_invalid_n(self):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            long_range_integral_oracle(0, HalfInt(1), 1.0, 1.0, 0)
 
     @pytest.mark.parametrize("J, beta, name", [
         (1.0, math.nan, "beta"), (1.0, math.inf, "beta"), (1.0, -1.0, "beta"),

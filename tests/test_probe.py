@@ -249,6 +249,20 @@ class TestDetectZeroTimes:
         assert np.min(np.abs(ser.values)) > 0.1
         assert detect_zero_times(ser, 1e-6) == []
 
+    @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.7, 1.9])
+    def test_zero_in_last_grid_interval_detected(self, p):
+        # t_max lies p steps past t0, so t0 lies in the last grid interval, and
+        # for p <= 1.5 the grid's last sample is the one with the smaller |F|
+        poly = build_long_range(4, HalfInt(1), 1.0, 1 / 8)
+        t0 = sorted(find_zeros(poly).times(1.0, 1))[1]
+        ser = expectation_series(
+            poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, t_max=t0 * 64 / (64 - p), steps=64
+        )
+        last = len(ser.times) - 1
+        assert last - 1 < t0 / ser.times[1] < last
+        detected = np.array([t for t, _ in detect_zero_times(ser, 1e-6)])
+        assert np.min(np.abs(detected - t0)) <= 1e-12
+
     def test_state_without_coherence_refused(self, two_half_t_inf):
         state = ProbeState(HalfInt(1), np.array([1.0, 0.0]))
         ser = expectation_series(two_half_t_inf, state, 1.0, 1)

@@ -139,3 +139,7 @@ class TestProbeState:
         state = sx_top_eigenstate(HalfInt(1))
         with pytest.raises(ValueError):
             ladder_overlap(state, 2)
+
+    def test_ladder_overlap_delta_zero(self):
+        with pytest.raises(ValueError, match="delta must be a positive integer"):
+            ladder_overlap(sx_top_eigenstate(HalfInt(1)), 0)

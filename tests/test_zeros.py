@@ -110,6 +110,19 @@ class TestFindZeros:
             find_zeros(poly_from_coeffs([1, 2, 1]))
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("poly, found, reason", [
+        # near beta = 0 the near-5-fold zero at pi leaves the series at rounding noise
+        (build_long_range(5, HalfInt(1), 1.0, 1e-8), "found 39 of 2 sign changes",
+         "more than the factor has zeros, so its series is at rounding noise"),
+        (build_ring(10, HalfInt(1), 1.0, 1e-3), "found 0 of 5 sign changes",
+         "the zeros are multiple, too close for the grid, or off the unit circle"),
+    ], ids=["more", "fewer"])
+    def test_refusal_says_which_way_the_count_failed(self, poly, found, reason):
+        with pytest.raises(RootConvergenceError) as refusal:
+            find_zeros(poly)
+        message = str(refusal.value)
+        assert message.startswith(found) and message.endswith(reason)
+
     @pytest.mark.parametrize("panel", [p for p in figure_panels() if p[1].beta > 0],
                              ids=lambda p: p[0])
     def test_against_60_digit_reference(self, panel):
@@ -286,7 +299,7 @@ class TestPredictedZeroTimes:
 class TestCosineSeries:
     @pytest.fixture
     def terms(self):
-        return cosine_terms(build_ring(7, HalfInt(3), 1.0, 0.6).coeffs())
+        return cosine_terms(build_ring(7, HalfInt(3), 1.0, 0.6).log_coeffs)
 
     def test_scalar_equals_array_element_in_extended_precision(self, terms):
         k, w = terms
