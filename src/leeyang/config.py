@@ -10,7 +10,9 @@ from .partition import build_exact, build_long_range, build_ring
 from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
-# Largest time grid: the series and detection at 2**20 steps trace a 56 MiB peak.
+# Largest time grid: the series and detection at 2**20 steps trace a 40 MiB peak
+# (ring 2s=2 N=10), and 48 MiB once the series is written, as the complex signal
+# is formed only then.
 # `reproduce` also holds its figure's time column as a byte matrix, one row per
 # step: about 20 bytes per step on the default grid (20 MB at MAX_STEPS), and
 # at most 44 (46 MB) when a block mixes every notation.

@@ -19,11 +19,16 @@ That solve evaluates the factor over Python floats, in double precision;
 the predicted times come from the zero finder, which solves each factor in
 extended precision (``zeros._factor_zeros``).  Detected zero times are
 matched against those of the zero angles.
+
+The series keeps F/F(0) at each sample; the complex signal
+``TimeSeries.values`` is formed on first read, so detection and
+correlation never hold it.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,19 +37,32 @@ from .spins import ProbeState, ladder_overlap
 from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
 
 
+_PAIR_BLOCK = 2**16  # most predicted x detected distances that correlate holds at once
+
+
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled probe signal, its factors' sign changes, and everything to re-evaluate it."""
+    """Sampled probe signal, its factors' sign changes, and everything to re-evaluate it.
+
+    ``amplitude`` holds the real F/F(0) at each sample; the complex signal
+    ``values`` is formed from it on first read, so a run that only detects
+    and correlates zeros never holds it.
+    """
 
     lam: float
     delta: int
     h0: float
     times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    amplitude: np.ndarray = field(repr=False)  # F/F(0) at each sample
     sign_changes: tuple = field(repr=False)  # per factor, each i with a sign change to i+1
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
     terms: tuple = field(repr=False)  # (k, w, count) per factor of F, each 1 at 0
+
+    @cached_property
+    def values(self):
+        """The complex signal at each sample, <(S+)^delta>_0 * exp(-i h0 delta t) * F/F(0)."""
+        return self.overlap * np.exp(-1j * self.h0 * self.delta * self.times) * self.amplitude
 
     @property
     def period(self):
@@ -127,17 +145,17 @@ def expectation_series(
         if not phase < math.inf:
             raise ValueError(f"the sample phase {name} must be finite, got {phase}")
     times = np.linspace(0.0, t_max, steps, endpoint=False)
+    x = lam * delta * times
     terms, amplitude, sign_changes = [], 1, []
     for log_coeffs, count in poly.factors:
         k, w = cosine_terms(log_coeffs)
         k, w = k.astype(float), (w / w.sum()).astype(float)
         terms.append((k, w, count))
-        g = cosine_series(k, w, lam * delta * times)
+        g = cosine_series(k, w, x)
         amplitude = amplitude * _power(g, count)
         sign_changes.append(np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])))
-    values = overlap * np.exp(-1j * h0 * delta * times) * amplitude
     return TimeSeries(
-        lam, delta, h0, times, values, tuple(sign_changes), poly, overlap, tuple(terms)
+        lam, delta, h0, times, amplitude, tuple(sign_changes), poly, overlap, tuple(terms)
     )
 
 
@@ -202,8 +220,11 @@ def correlate(
 
     The window is the same at every multiplicity.  Each cluster of roots
     predicts one time.  Only pairs whose distance, wrapped around the
-    fundamental period, is within the window are kept, one array operation
-    per predicted time, and they are paired greedily, nearest first.
+    fundamental period, is within the window are kept, and they are paired
+    greedily, nearest first.  The distances are formed one block of
+    predicted times at a time, as a broadcast matrix of at most
+    ``_PAIR_BLOCK`` entries (one row if a row alone is longer), so memory
+    stays bounded however many zeros there are.
     """
     if not 0 < window < math.inf:
         raise ValueError(f"window must be finite and positive, got {window}")
@@ -217,17 +238,18 @@ def correlate(
         )
 
     period = series.period
-    # one time per cluster: a cluster's angle repeats by its multiplicity
-    predicted = sorted(set(zeros.times(series.lam, series.delta).tolist()))
+    predicted = sorted(zeros.cluster_times(series.lam, series.delta).tolist())
 
     detected = detect_zero_times(series, magnitude_tol)
     detected_times = np.array([t for t, _ in detected])
+    predicted_column = np.array(predicted)[:, None]
     pairs = []  # (distance, predicted index, detected index) within the window
-    for i, p in enumerate(predicted):
-        d = np.abs(p - detected_times) % period
+    rows = max(1, _PAIR_BLOCK // max(1, len(detected)))
+    for lo in range(0, len(predicted), rows):
+        d = np.abs(predicted_column[lo:lo + rows] - detected_times) % period
         d = np.minimum(d, period - d)
-        near = np.flatnonzero(d <= window)
-        pairs += zip(d[near].tolist(), [i] * len(near), near.tolist())
+        i, j = np.nonzero(d <= window)
+        pairs += zip(d[i, j].tolist(), (i + lo).tolist(), j.tolist())
     used_p, used_d, matches = set(), set(), []
     for dev, i, j in sorted(pairs):
         if i in used_p or j in used_d:

@@ -62,6 +62,10 @@ class ZeroSet:
 
     def times(self, lam: float, delta: int):
         """Zero times t_n = ((-theta_n) mod 2pi) / (lam * delta), in root order."""
+        return np.repeat(self.cluster_times(lam, delta), [m for _, m in self.clusters])
+
+    def cluster_times(self, lam: float, delta: int):
+        """One zero time per cluster, in cluster order: ``times`` without repeats."""
         if not 0 < lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {lam}")
         if not isinstance(delta, int) or delta < 1:
@@ -69,7 +73,7 @@ class ZeroSet:
         period = 2 * np.pi / (float(lam) * delta)  # a Python float: inf, with no warning
         if period == np.inf:
             raise ValueError(f"the period 2pi/(lam*delta) must be finite, got lam = {lam}")
-        return np.mod(-self.angles, 2 * np.pi) / (lam * delta)
+        return np.mod(-np.array([a for a, _ in self.clusters]), 2 * np.pi) / (lam * delta)
 
 
 def bracket_root(f, a, b, fa, fb, xtol):

@@ -317,3 +317,36 @@ def pair_all(predicted, detected, period, window):
         [p for i, p in enumerate(predicted) if i not in used_p],
         [d for j, d in enumerate(detected) if j not in used_d],
     )
+
+
+def pair_per_predicted(predicted, detected, period, window):
+    """``probe.correlate``'s pairing with one array operation per predicted time.
+
+    The reference for the blocked pairing: for each predicted time, the
+    distance to every detected time, wrapped around the period, is kept when
+    within the window; the kept pairs are then paired greedily in order of
+    (distance, predicted index, detected index).  Returns (matches, unmatched
+    predicted, unmatched detected, max deviation), as ``CorrelationReport``
+    holds them.
+    """
+    detected_times = np.array([t for t, _ in detected])
+    pairs = []
+    for i, p in enumerate(predicted):
+        d = np.abs(p - detected_times) % period
+        d = np.minimum(d, period - d)
+        near = np.flatnonzero(d <= window)
+        pairs += zip(d[near].tolist(), [i] * len(near), near.tolist())
+    used_p, used_d, matches = set(), set(), []
+    for dev, i, j in sorted(pairs):
+        if i in used_p or j in used_d:
+            continue
+        used_p.add(i)
+        used_d.add(j)
+        matches.append((predicted[i], detected[j][0], dev))
+    matches.sort()
+    return (
+        matches,
+        [p for i, p in enumerate(predicted) if i not in used_p],
+        [d for j, d in enumerate(detected) if j not in used_d],
+        max((m[2] for m in matches), default=0.0),
+    )

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from leeyang.config import (
     MAX_EXACT_SPINS, MAX_STEPS, MODEL_KINDS, ConfigError, RunConfig, load_config,
 )
 from leeyang.partition import build_long_range
-from leeyang.probe import TimeSeries, correlate, expectation_series
+from leeyang.probe import correlate, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
 from leeyang.zeros import find_zeros
 
@@ -446,6 +447,26 @@ class TestCliCommands:
         assert main(args + ["--steps", "1000000000000"]) == 2
         assert f"error: --steps: must be <= {MAX_STEPS}" in capsys.readouterr().err
 
+    def test_correlation_never_forms_the_complex_signal(self):
+        poly, zeros, series, report = cli._run_correlation(panel_config("fig6", "b"))
+        assert report.all_matched
+        assert "values" not in series.__dict__
+
+    def test_correlation_at_max_steps_in_bounded_memory(self):
+        # ring 2s=2 N=10 at T = 2J; the complex signal alone would be 16 MiB
+        cfg = RunConfig(base_config(
+            model={"kind": "ring", "n_spins": 10, "two_s": 2},
+            temperature={"T_over_J": 2}, grid={"steps": MAX_STEPS},
+        ))
+        tracemalloc.start()
+        try:
+            _, _, series, report = cli._run_correlation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series.times) == MAX_STEPS and report.all_matched
+        assert peak < 48 * 2**20
+
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
     def test_t_max_override_must_be_positive_and_finite(self, tmp_path, t_max):
         cfg = write_config(tmp_path, base_config())
@@ -611,7 +632,7 @@ class TestWriters:
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         times[0] = -0.0
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
+        series = _series_to_write(times, values, poly)
         path = tmp_path / "series.csv"
         check_series_file(path, series, poly.model_tag)
         assert path.read_text().splitlines()[3] == "-0,-0,0,0"
@@ -635,15 +656,12 @@ class TestWriters:
             assert 0 < real_rows < len(values[lo:lo + cli._BLOCK_ROWS])
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
+        series = _series_to_write(times, values, poly)
         check_series_file(tmp_path / "series.csv", series, poly.model_tag)
 
         # h0 != 0 leaves im != 0 on every row but t = 0, so no row takes re's text
         full = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.7, steps=n + 1)
-        series = TimeSeries(
-            full.lam, full.delta, full.h0, full.times[1:], full.values[1:],
-            tuple(c[c > 0] - 1 for c in full.sign_changes), poly, full.overlap, full.terms,
-        )
+        series = _series_to_write(full.times[1:], full.values[1:], poly, h0=full.h0)
         assert np.all(series.values.imag != 0)
         check_series_file(tmp_path / "series.csv", series, poly.model_tag)
 
@@ -658,9 +676,7 @@ class TestWriters:
         values.imag = im
         n = len(values)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(
-            1.0, 1, 0.0, np.linspace(0.0, 1.0, n), values, (), poly, 1.0, None
-        )
+        series = _series_to_write(np.linspace(0.0, 1.0, n), values, poly)
         path = tmp_path / "series.csv"
         cli.write_series_csv(path, series)
         text = path.read_text()
@@ -682,7 +698,7 @@ class TestWriters:
         assert np.all(np.signbit(values.imag) != np.signbit(values.real))
         times = np.linspace(0.0, 3.0, n, endpoint=False)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
+        series = _series_to_write(times, values, poly)
         path = tmp_path / "series.csv"
         check_series_file(path, series, poly.model_tag)
         rows = path.read_text().splitlines()[3:5]
@@ -695,7 +711,7 @@ class TestWriters:
         time_text = []
         for seed in (1, 2):
             values = np.random.default_rng(seed).standard_normal(n) + 0j
-            series = TimeSeries(1.0, 1, 0.0, times, values, (), poly, 1.0, None)
+            series = _series_to_write(times, values, poly)
             path = tmp_path / f"series{seed}.csv"
             cli.write_series_csv(path, series, time_text)
             assert_same_text(path.read_text(), reference_series_csv(series, poly.model_tag))
@@ -710,13 +726,18 @@ class TestWriters:
         assert text.translate(None, b"\0").decode() == "".join(f"{_ref(t)}\n" for t in times)
 
 
+def _series_to_write(times, values, poly, h0=0.0):
+    """What ``write_series_csv`` reads of a series, with hand-made complex values."""
+    return SimpleNamespace(poly=poly, lam=1.0, delta=1, h0=h0, times=times, values=values)
+
+
 def _column_series(x):
     """A series whose times, re and im are the values x, im shuffled."""
     x = np.asarray(x, dtype=float)
     values = x.astype(complex)
     values.imag = np.random.default_rng(len(x)).permutation(x)
     poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-    return TimeSeries(1.0, 1, 0.0, x, values, (), poly, 1.0, None), poly.model_tag
+    return _series_to_write(x, values, poly), poly.model_tag
 
 
 def _signed_text(x):

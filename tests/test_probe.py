@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from helpers import (
     figure_panels,
     log_coeffs_60_digits,
     pair_all,
+    pair_per_predicted,
     probe_coherence_oracle,
     ring_couplings,
     spins,
@@ -22,7 +24,7 @@ from leeyang import probe
 from leeyang.partition import PartitionPolynomial, build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
-from leeyang.zeros import cosine_series, find_zeros
+from leeyang.zeros import cosine_series, cosine_terms, find_zeros
 
 
 @pytest.fixture
@@ -122,6 +124,40 @@ class TestExpectationSeries:
         state = sx_top_eigenstate(HalfInt(1))
         with pytest.raises(ValueError, match=re.escape(f"sample phase {name} must be finite")):
             expectation_series(poly, state, lam, 1, h0, t_max)
+
+    @pytest.mark.parametrize("poly, state, delta, h0", [
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0),
+         sx_top_eigenstate(HalfInt(1)), 1, 0.0),
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0),
+         sx_top_eigenstate(HalfInt(1)), 1, 0.7),
+        (build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0),
+         sx_top_eigenstate(HalfInt(5)), 2, 0.0),
+        (build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0),
+         sx_top_eigenstate(HalfInt(5)), 1, 0.7),
+        (build_ring(6, HalfInt(2), 1.0, 0.5),
+         ProbeState(HalfInt(2), [0.6, 0.48j, 0.64]), 1, 0.7),
+        (build_ring(6, HalfInt(2), 1.0, 0.5),
+         ProbeState(HalfInt(2), [0.6, 0.48j, 0.64]), 2, 0.0),
+        (spin_half_blocks([(3, 1.0), (5, 1.0)], 0.5), sx_top_eigenstate(HalfInt(1)), 1, 0.0),
+        (spin_half_blocks([(3, 1.0), (5, 1.0)], 0.5), sx_top_eigenstate(HalfInt(1)), 1, 0.7),
+    ], ids=[
+        "2s0=1-h0=0", "2s0=1-h0=0.7", "2s0=5-delta=2-h0=0", "2s0=5-h0=0.7",
+        "complex-amplitudes-h0=0.7", "complex-amplitudes-delta=2-h0=0",
+        "split-bath-h0=0", "split-bath-h0=0.7",
+    ])
+    def test_values_formed_on_read_equal_the_eager_signal(self, poly, state, delta, h0):
+        ser = expectation_series(poly, state, 1.0, delta, h0)
+        assert "values" not in ser.__dict__
+        x = 1.0 * delta * ser.times
+        amplitude = 1
+        for log_coeffs, count in poly.factors:
+            k, w = cosine_terms(log_coeffs)
+            g = cosine_series(k.astype(float), (w / w.sum()).astype(float), x)
+            amplitude = amplitude * probe._power(g, count)
+        eager = ladder_overlap(state, delta) * np.exp(-1j * h0 * delta * ser.times) * amplitude
+        # compared as bits, so that signed zeros and NaN count
+        assert np.array_equal(ser.values.view(np.uint64), eager.view(np.uint64))
+        assert ser.values is ser.values
 
     def test_default_grid_spans_one_period(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 2.0, 1)
@@ -624,13 +660,94 @@ class TestCorrelate:
             found = [(t, 0.0) for t in times.tolist()]
             window = spacing * rng.choice([1e-4, 0.1, 0.6, 1.5])  # wider than half the spacing too
             monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
-            zeros = SimpleNamespace(times=lambda *_: predicted)
+            zeros = SimpleNamespace(cluster_times=lambda *_: predicted)
             report = correlate(zeros, ser, window=window)
             matches, unmatched_p, unmatched_d = pair_all(report.predicted, found, period, window)
             assert report.matches == matches
             assert report.unmatched_predicted == unmatched_p
             assert report.unmatched_detected == unmatched_d
             assert report.max_deviation == max((m[2] for m in matches), default=0.0)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e12])
+    def test_blocked_pairing_matches_per_predicted_reference(self, two_half_t_inf, lam, monkeypatch):
+        period = 2 * np.pi / lam
+        # the detected times span three periods, as a grid with t_max = 3 periods has them
+        ser = expectation_series(
+            two_half_t_inf, sx_top_eigenstate(HalfInt(1)), lam, 1, t_max=3 * period
+        )
+        assert ser.period == period
+        rng = np.random.default_rng(round(math.log10(lam)) + 60)
+        for case in range(120):
+            n = int(rng.integers(1, 30))
+            spacing = period / n
+            window = spacing * rng.choice([1e-4, 0.1, 0.6, 1.5])
+            predicted = rng.uniform(0, period, n)
+            if case % 4 == 0:  # within a window of t = 0 and of the period
+                predicted[0] = rng.uniform(0, window)
+                predicted[-1] = period - rng.uniform(0, window)
+            if case % 6 == 5:  # on a dyadic grid, so that distances tie exactly
+                step = 2.0 ** (math.floor(math.log2(spacing)) - 2)
+                predicted = rng.integers(0, int(period / step), n) * step
+                window = step * int(rng.integers(1, 6))
+            kept = predicted[rng.random(n) < 0.8]
+            if case % 6 == 5:
+                noise = rng.integers(-3, 4, len(kept)) * step
+            else:
+                noise = rng.normal(0, spacing * rng.choice([1e-3, 0.1, 0.5]), len(kept))
+            laps = rng.integers(0, 3, len(kept)) * period
+            spurious = rng.uniform(0, 3 * period, rng.integers(0, 4))
+            times = np.sort(np.concatenate([np.mod(kept + noise + laps, 3 * period), spurious]))
+            found = [] if case % 10 == 7 else [(t, 0.0) for t in times.tolist()]
+            monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
+            report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser, window=window)
+            assert report.predicted == sorted(predicted.tolist())
+            matches, unmatched_p, unmatched_d, max_deviation = pair_per_predicted(
+                report.predicted, found, period, window
+            )
+            assert report.matches == matches
+            assert report.unmatched_predicted == unmatched_p
+            assert report.unmatched_detected == unmatched_d
+            assert report.max_deviation == max_deviation
+
+    def test_equal_distances_pair_the_earlier_predicted_time(self, two_half_t_inf, monkeypatch):
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        # 1.25 is 0.25 from both 1.0 and 1.5; 0.75 is 0.25 from 1.0 alone
+        found = [(0.75, 0.0), (1.25, 0.0)]
+        monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
+        predicted = np.array([1.5, 1.0])
+        report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser, window=0.25)
+        assert report.matches == [(1.0, 0.75, 0.25), (1.5, 1.25, 0.25)]
+        assert (report.matches, report.unmatched_predicted, report.unmatched_detected) == (
+            pair_per_predicted([1.0, 1.5], found, ser.period, 0.25)[:3]
+        )
+        report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser, window=0.3)
+        assert report.matches == [(1.0, 0.75, 0.25), (1.5, 1.25, 0.25)]
+        found[:] = [(1.25, 0.0)]
+        report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser, window=0.25)
+        assert report.matches == [(1.0, 1.25, 0.25)] and report.unmatched_predicted == [1.5]
+
+    def test_pairing_5000_zeros_in_bounded_memory(self, two_half_t_inf, monkeypatch):
+        # all 2.5e7 distances at once would be a 200 MB matrix
+        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        rng = np.random.default_rng(5000)
+        predicted = rng.uniform(0, ser.period, 5000)
+        times = np.sort(np.mod(predicted + rng.normal(0, 3e-7, 5000), ser.period))
+        found = [(t, 0.0) for t in times.tolist()]
+        monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
+        tracemalloc.start()
+        try:
+            report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        matches, unmatched_p, unmatched_d, max_deviation = pair_per_predicted(
+            report.predicted, found, ser.period, report.window
+        )
+        assert len(matches) > 4900
+        assert report.matches == matches and report.max_deviation == max_deviation
+        assert report.unmatched_predicted == unmatched_p
+        assert report.unmatched_detected == unmatched_d
 
     def test_pairing_2000_zeros_is_fast(self, two_half_t_inf, monkeypatch):
         # a 1000-spin ring's 2000 zeros: sorting all 4e6 pairs as tuples takes seconds
@@ -639,6 +756,6 @@ class TestCorrelate:
         found = [(t, 0.0) for t in (predicted + 1e-9).tolist()]
         monkeypatch.setattr(probe, "detect_zero_times", lambda series, tol: found)
         start = time.perf_counter()
-        report = correlate(SimpleNamespace(times=lambda *_: predicted), ser)
+        report = correlate(SimpleNamespace(cluster_times=lambda *_: predicted), ser)
         assert time.perf_counter() - start < 1.0
         assert len(report.matches) == 2000 and not report.unmatched_detected
