@@ -40,6 +40,7 @@ from decimal import Decimal  # rounds counts beyond the float range
 import numpy as np
 
 from .spins import HalfInt, _check_magnitude, projections
+from .zeros import Factor
 
 ENUMERATION_CAP = 2_000_000
 # Most states of one twin class.  Its weights are a power that sums about
@@ -74,7 +75,7 @@ class PartitionPolynomial:
     """Degree-2Ns polynomial in z with positive coefficients, stored in logs.
 
     ``factors`` is the polynomial's factorization by the bath's structure, as
-    (log_coeffs, count) pairs: the product of each factor raised to its count.
+    ``zeros.Factor`` (log_coeffs, count) pairs: each factor raised to its count.
     A bath that splits into independent parts (coupling components, or free
     spins at beta*J = 0) has a factor per distinct part, any other bath one
     factor, once.  The degree ``two_ns`` is derived from them, the sum of
@@ -89,12 +90,7 @@ class PartitionPolynomial:
     def __post_init__(self):
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
-        factors = tuple((np.asarray(lc, dtype=float), count) for lc, count in self.factors)
-        for lc, count in factors:
-            if lc.ndim != 1 or not lc.size or not np.all(np.isfinite(lc)):
-                raise ValueError("each factor must be a finite, non-empty 1-D array")
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"a factor's count must be an integer >= 1, got {count!r}")
+        factors = tuple(Factor(lc, count) for lc, count in self.factors)
         two_ns = sum(count * (len(lc) - 1) for lc, count in factors)
         if two_ns < 1:
             raise ValueError(f"the factors' degree sum, {two_ns}, must be >= 1")
@@ -149,7 +145,7 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     if not spins:
         raise ValueError("need at least one bath spin")
     n = len(spins)
-    J = np.asarray(couplings, dtype=float)
+    J = np.asarray(couplings, dtype=float) + 0.0  # -0.0 becomes 0.0, as _twin_classes needs
     if J.shape != (n, n):
         raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
     if not np.array_equal(J, J.T):

@@ -9,16 +9,14 @@ every field entering as -h S^z as in z = exp(-beta h), it factorizes as
 where <(S+)^delta>_0 is the ladder overlap of the initial probe state and F
 is the real cosine series of the partition polynomial, the same series whose
 roots are the Lee-Yang zero angles.  F/F(0) is evaluated as the product of
-the bath's factors (``PartitionPolynomial.factors``), each a cosine series
-normalized to 1 at 0 and raised to its count, so near a zero its rounding
-error is relative to its own value, not to F(0).  As each factor has only
-simple zeros, every zero of any multiplicity is a sign change of one factor:
-the same pass records each factor's sign changes on the grid, which
-detection solves in the angle x = lam delta t and returns as x/(lam delta).
-That solve evaluates the factor over Python floats, in double precision;
-the predicted times come from the zero finder, which solves each factor in
-extended precision (``zeros._factor_zeros``).  Detected zero times are
-matched against those of the zero angles.
+the bath's factors (``PartitionPolynomial.factors``), each its cosine series
+normalized to 1 at 0 (``Factor.unit_terms``) raised to its count, so near a
+zero its rounding error is relative to its own value, not to F(0).  As each
+factor has only simple zeros, every zero of any multiplicity is a sign change
+of one factor: the same pass records each factor's sign changes on the grid,
+which detection solves in x = lam delta t over Python floats (``Factor.scalar``)
+and returns as x/(lam delta).  The predicted times come from the zero finder,
+which solves each factor on its extended-precision ``Factor.terms``.
 
 The series keeps F/F(0) at each sample; the complex signal
 ``TimeSeries.values`` is formed on first read, so detection and
@@ -34,7 +32,7 @@ import numpy as np
 
 from .partition import _power
 from .spins import ProbeState, ladder_overlap
-from .zeros import ZeroSet, bracket_root, cosine_series, cosine_terms
+from .zeros import ZeroSet, bracket_root, cosine_series
 
 
 _PAIR_BLOCK = 2**16  # most predicted x detected distances that correlate holds at once
@@ -46,7 +44,7 @@ class TimeSeries:
 
     ``amplitude`` holds the real F/F(0) at each sample; the complex signal
     ``values`` is formed from it on first read, so a run that only detects
-    and correlates zeros never holds it.
+    and correlates zeros never holds it.  ``poly.factors`` re-evaluate it.
     """
 
     lam: float
@@ -57,7 +55,6 @@ class TimeSeries:
     sign_changes: tuple = field(repr=False)  # per factor, each i with a sign change to i+1
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
-    terms: tuple = field(repr=False)  # (k, w, count) per factor of F, each 1 at 0
 
     @cached_property
     def values(self):
@@ -72,7 +69,7 @@ class TimeSeries:
         """Exact signal value at arbitrary time(s), not an interpolation."""
         t = np.asarray(t, dtype=float)
         phase = np.exp(-1j * self.h0 * self.delta * t)
-        return self.overlap * phase * _amplitude(self.terms, self.lam * self.delta * t)
+        return self.overlap * phase * _amplitude(self.poly.factors, self.lam * self.delta * t)
 
 
 @dataclass(frozen=True)
@@ -92,30 +89,9 @@ class CorrelationReport:
         return not self.unmatched_predicted
 
 
-def _amplitude(terms, x):
+def _amplitude(factors, x):
     """F(x)/F(0), the product of the factors' cosine series raised to their counts."""
-    return math.prod(_power(cosine_series(k, w, x), count) for k, w, count in terms)
-
-
-def _float_cosine_series(k, w):
-    """F(x) = sum_k w_k cos(k x) at a scalar angle, summed over Python floats.
-
-    The terms are read into Python once, so each call is a loop of
-    ``math.cos`` without numpy's per-call dispatch, about three times faster
-    than ``cosine_series`` on a dozen terms.  It sums the terms in order in
-    double precision, so on float64 terms it agrees with ``cosine_series``
-    to rounding.
-    """
-    terms = list(zip(k.tolist(), w.tolist()))
-    cos = math.cos
-
-    def F(x):
-        total = 0.0
-        for kk, wk in terms:
-            total += wk * cos(kk * x)
-        return total
-
-    return F
+    return math.prod(_power(cosine_series(*f.unit_terms, x), f.count) for f in factors)
 
 
 def expectation_series(
@@ -146,17 +122,12 @@ def expectation_series(
             raise ValueError(f"the sample phase {name} must be finite, got {phase}")
     times = np.linspace(0.0, t_max, steps, endpoint=False)
     x = lam * delta * times
-    terms, amplitude, sign_changes = [], 1, []
-    for log_coeffs, count in poly.factors:
-        k, w = cosine_terms(log_coeffs)
-        k, w = k.astype(float), (w / w.sum()).astype(float)
-        terms.append((k, w, count))
-        g = cosine_series(k, w, x)
-        amplitude = amplitude * _power(g, count)
+    amplitude, sign_changes = 1, []
+    for factor in poly.factors:
+        g = cosine_series(*factor.unit_terms, x)
+        amplitude = amplitude * _power(g, factor.count)
         sign_changes.append(np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])))
-    return TimeSeries(
-        lam, delta, h0, times, amplitude, tuple(sign_changes), poly, overlap, tuple(terms)
-    )
+    return TimeSeries(lam, delta, h0, times, amplitude, tuple(sign_changes), poly, overlap)
 
 
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
@@ -170,11 +141,11 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     grid.  A change whose bracket ends share a sign is skipped, and so is one
     whose bracket holds a zero x of an earlier factor with
     |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero, shared by
-    both factors, as pi is by every odd-degree factor.  Each factor is
-    evaluated with ``_float_cosine_series`` over the series' float64 terms.
-    Zeros whose |F(x)|/F(0), from ``_amplitude`` on all solved angles at once,
-    exceeds magnitude_tol are discarded.  Returns (x/(lam*delta), |f|
-    residual) pairs in ascending time.
+    both factors, as pi is by every odd-degree factor.  Each factor F_f of
+    ``series.poly.factors`` is evaluated by ``Factor.scalar`` over its float64
+    ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from ``_amplitude`` on all
+    solved angles at once, exceeds magnitude_tol are discarded.  Returns
+    (x/(lam*delta), |f| residual) pairs in ascending time.
     """
     if not 0 < magnitude_tol < math.inf:
         raise ValueError(f"magnitude_tol must be finite and positive, got {magnitude_tol}")
@@ -191,8 +162,8 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         return rate * times.item(i)
 
     solved = []  # ascending zeros of the factors walked so far
-    for (k, w, _), changes in zip(series.terms, series.sign_changes):
-        F, shared_tol = _float_cosine_series(k, w), 64 * len(k) * np.finfo(float).eps
+    for factor, changes in zip(series.poly.factors, series.sign_changes):
+        F, shared_tol = factor.scalar, 64 * len(factor.unit_terms[0]) * np.finfo(float).eps
         roots = []
         for i in changes.tolist():
             m = i if abs(F(angle(i))) <= abs(F(angle(i + 1))) else i + 1
@@ -205,7 +176,7 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         solved = sorted(solved + roots)
 
     solved = np.array(solved)
-    residuals = np.abs(_amplitude(series.terms, solved))
+    residuals = np.abs(_amplitude(series.poly.factors, solved))
     keep = residuals <= magnitude_tol
     return list(zip(
         (solved[keep] / rate).tolist(), (residuals[keep] * abs(series.overlap)).tolist()

@@ -5,12 +5,13 @@ zero lies on the unit circle.  On z = exp(i theta) the polynomial is
 exp(i Ns theta) times the real cosine series F(theta) = sum_n c_n
 cos((n - Ns) theta), so the zeros are the real roots of F on [0, pi] and their
 mirror images.  Multiplicities come from the bath's structure: each distinct
-factor (``PartitionPolynomial.factors``) is solved once and counted per copy,
-and a zero that several factors share adds up their counts.  A factor whose
-sign changes miscount its zeros is refused, saying which way the count failed.
+``Factor`` (``PartitionPolynomial.factors``) is solved once and counted per
+copy, and a zero that several factors share adds up their counts.  A factor
+whose sign changes miscount its zeros is refused, saying which way it failed.
 """
 
-from collections import Counter
+import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,23 +113,55 @@ def bracket_root(f, a, b, fa, fb, xtol):
     return a / 2 + b / 2
 
 
-def cosine_terms(log_coeffs):
-    """Terms (k, w), in extended precision, of a palindromic polynomial's cosine series.
+class Factor(namedtuple("Factor", "log_coeffs count")):
+    """A checked factor (log_coeffs, count) of a polynomial, with its cosine series.
 
-    The coefficients c_n = exp(log_coeffs[n] - max) are at most 1.  On the
-    unit circle sum_n c_n exp(i n theta) = exp(i d theta / 2) F(theta), with
-    F(theta) = sum_k w_k cos(k theta) and k = n - d/2 over the upper half of
-    the palindrome.  The pairs c_n, c_{d-n} are symmetrized because the
-    builders are palindromic only to rounding.
+    On the unit circle sum_n c_n exp(i n theta) = exp(i d theta / 2) F(theta),
+    with F(theta) = sum_k w_k cos(k theta) and k = n - d/2 over the upper half
+    of the palindrome; the pairs c_n, c_{d-n} are symmetrized because the
+    builders are palindromic only to rounding.  Each form of F is formed once,
+    on first read, for every zero set and series of the polynomial.
     """
-    c = np.exp(log_coeffs - log_coeffs.max())
-    d = len(c) - 1
-    upper = np.arange((d + 1) // 2, d + 1)
-    k = (upper - d / 2).astype(np.longdouble)
-    w = (c[upper] + c[::-1][upper]).astype(np.longdouble)
-    if d % 2 == 0:
-        w[0] /= 2
-    return k, w
+
+    def __new__(cls, log_coeffs, count):
+        log_coeffs = np.asarray(log_coeffs, dtype=float)
+        if log_coeffs.ndim != 1 or not log_coeffs.size or not np.all(np.isfinite(log_coeffs)):
+            raise ValueError("each factor must be a finite, non-empty 1-D array")
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"a factor's count must be an integer >= 1, got {count!r}")
+        return super().__new__(cls, log_coeffs, count)
+
+    @cached_property
+    def terms(self):
+        """(k, w) in extended precision, from c_n = exp(log_coeffs[n] - max) <= 1."""
+        c = np.exp(self.log_coeffs - self.log_coeffs.max())
+        d = len(c) - 1
+        upper = np.arange((d + 1) // 2, d + 1)
+        k = (upper - d / 2).astype(np.longdouble)
+        w = (c[upper] + c[::-1][upper]).astype(np.longdouble)
+        if d % 2 == 0:
+            w[0] /= 2
+        return k, w
+
+    @cached_property
+    def unit_terms(self):
+        """(k, w) in float64, normalized to F(0) = sum w = 1."""
+        k, w = self.terms
+        return k.astype(float), (w / w.sum()).astype(float)
+
+    @cached_property
+    def scalar(self):
+        """F(x)/F(0) at a scalar angle, summed over Python floats without numpy dispatch."""
+        k, w = self.unit_terms
+        terms, cos = list(zip(k.tolist(), w.tolist())), math.cos
+
+        def F(x):
+            total = 0.0
+            for kk, wk in terms:
+                total += wk * cos(kk * x)
+            return total
+
+        return F
 
 
 def cosine_series(k, w, theta):
@@ -144,7 +177,7 @@ def cosine_series(k, w, theta):
     return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
 
 
-def _factor_zeros(log_coeffs):
+def _factor_zeros(factor):
     """Angles in (0, pi] of one factor's zeros, each simple, with pi for odd degree.
 
     Equal coefficients, 1 + z + ... + z^d, have the (d+1)-th roots of unity
@@ -152,10 +185,10 @@ def _factor_zeros(log_coeffs):
     are solved in extended precision.  Raises RootConvergenceError unless
     there are floor(d / 2) of them, as many as the zeros in (0, pi).
     """
-    d = len(log_coeffs) - 1
-    if np.all(log_coeffs == log_coeffs[0]):
+    d = len(factor.log_coeffs) - 1
+    if np.all(factor.log_coeffs == factor.log_coeffs[0]):
         return [2 * np.pi * (j / (d + 1)) for j in range(1, (d + 1) // 2 + 1)]
-    k, w = cosine_terms(log_coeffs)
+    k, w = factor.terms
     F = lambda t: cosine_series(k, w, t)
     expected = d // 2
     theta = np.linspace(0.0, np.pi, _GRID_PER_DEGREE * (d + 1) + 1).astype(np.longdouble)
@@ -204,9 +237,9 @@ def find_zeros(poly) -> ZeroSet:
     account for.
     """
     mult = Counter()
-    for log_coeffs, count in poly.factors:
-        for theta in _factor_zeros(log_coeffs):
-            mult[theta] += count
+    for factor in poly.factors:
+        for theta in _factor_zeros(factor):
+            mult[theta] += factor.count
     clusters = list(mult.items())
     clusters += [(-theta, m) for theta, m in clusters if theta != np.pi]
     clusters.sort()

@@ -409,6 +409,22 @@ class TestTwinClasses:
         got = build_exact(block, couplings, beta).log_coeffs
         assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
+    @pytest.mark.parametrize("both", [True, False], ids=["both entries", "upper entry"])
+    def test_negative_zero_couplings_build_the_same_bits(self, both):
+        # -0.0 equals 0.0 but differs in its bits, which the twin classes
+        # compare; a -0.0 above the diagonal alone also passes as exactly
+        # symmetric.  K_32,32 with within-side pairs (i + j) % 3 == 0 set to
+        # -0.0 must build the bits of the plain matrix, as two twin classes.
+        couplings = bipartite_couplings(32, 32)
+        i, j = np.nonzero((couplings == 0) & (np.add.outer(range(64), range(64)) % 3 == 0))
+        pick = (i != j) & (both | (i < j))
+        signed = couplings.copy()
+        signed[i[pick], j[pick]] = -0.0
+        assert np.signbit(signed).sum() == pick.sum() > 0
+        got = build_exact(spins(1, 64), signed, 0.5).log_coeffs
+        want = build_exact(spins(1, 64), couplings, 0.5).log_coeffs
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_blocks_without_twins_keep_their_bits(self, seed):
         # random couplings leave every spin a class of its own, which

@@ -24,7 +24,7 @@ from leeyang import probe
 from leeyang.partition import PartitionPolynomial, build_exact, build_long_range, build_ring
 from leeyang.probe import correlate, detect_zero_times, expectation_series
 from leeyang.spins import HalfInt, ProbeState, ladder_overlap, sx_top_eigenstate
-from leeyang.zeros import cosine_series, cosine_terms, find_zeros
+from leeyang.zeros import Factor, cosine_series, find_zeros
 
 
 @pytest.fixture
@@ -150,14 +150,35 @@ class TestExpectationSeries:
         assert "values" not in ser.__dict__
         x = 1.0 * delta * ser.times
         amplitude = 1
-        for log_coeffs, count in poly.factors:
-            k, w = cosine_terms(log_coeffs)
+        for factor in poly.factors:
+            k, w = factor.terms
             g = cosine_series(k.astype(float), (w / w.sum()).astype(float), x)
-            amplitude = amplitude * probe._power(g, count)
+            amplitude = amplitude * probe._power(g, factor.count)
         eager = ladder_overlap(state, delta) * np.exp(-1j * h0 * delta * ser.times) * amplitude
         # compared as bits, so that signed zeros and NaN count
         assert np.array_equal(ser.values.view(np.uint64), eager.view(np.uint64))
         assert ser.values is ser.values
+
+    @pytest.mark.parametrize("poly", [
+        spin_half_blocks([(3, 1.0), (5, 1.0)], 0.5),
+        build_long_range(4, HalfInt(3), 1.0, 0.0),
+        build_ring(6, HalfInt(2), 1.0, 0.3),
+    ], ids=["3+5 split bath", "closed form", "ring"])
+    def test_each_factor_forms_its_terms_once(self, poly, monkeypatch):
+        # the zero finder, the series and detection all read one record per
+        # factor, so its extended-precision terms are formed once in all
+        formed = []
+        terms = Factor.terms.func
+
+        def counting(factor):
+            formed.append(id(factor))
+            return terms(factor)
+
+        monkeypatch.setattr(Factor.terms, "func", counting)
+        zeros = find_zeros(poly)
+        series = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        assert correlate(zeros, series).all_matched
+        assert sorted(formed) == sorted(id(factor) for factor in poly.factors)
 
     def test_default_grid_spans_one_period(self, two_half_t_inf):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 2.0, 1)
@@ -413,20 +434,18 @@ class TestDetectZeroTimes:
             scalar_calls += np.ndim(x) == 0
             return cosine_series(k, w, x)
 
-        def counting_evaluator(k, w):
-            F = float_cosine_series(k, w)
-
-            def counted(x):
+        def counted(F):
+            def call(x):
                 nonlocal scalar_calls
                 scalar_calls += 1
                 return F(x)
 
-            return counted
+            return call
 
-        float_cosine_series = probe._float_cosine_series
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, steps=steps)
         monkeypatch.setattr(probe, "cosine_series", counting)
-        monkeypatch.setattr(probe, "_float_cosine_series", counting_evaluator)
+        for factor in poly.factors:
+            monkeypatch.setattr(factor, "scalar", counted(factor.scalar))
         detected = detect_zero_times(ser)
         assert len(detected) == len(find_zeros(poly).clusters)
         assert scalar_calls <= 40 * len(detected)
@@ -507,16 +526,16 @@ class TestDetectZeroTimes:
         build_long_range(40, HalfInt(1), 1.0, 2.0),
     ], ids=["degree 1", "degree 5", "degree 10", "degree 39", "degree 40", "long_range 40"])
     def test_float_evaluator_matches_the_array_path(self, poly):
-        # the bracketing solver's evaluator on the float64 terms that
-        # expectation_series keeps, against cosine_series on an array of angles
+        # the bracketing solver's evaluator on a factor's float64 unit terms,
+        # against cosine_series on an array of angles
         near = np.array([1e-12, 3e-13, 5e-324])
         x = np.concatenate([
             np.linspace(0.0, 2 * np.pi, 1001),
             near, np.pi - near, np.pi + near, 2 * np.pi - near, [np.pi, 2 * np.pi],
         ])
-        terms = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, steps=2).terms
-        for k, w, _ in terms:
-            F = probe._float_cosine_series(k, w)
+        for factor in poly.factors:
+            k, w = factor.unit_terms
+            F = factor.scalar
             scalar = np.array([F(a) for a in x.tolist()])
             bound = 8 * len(k) * np.finfo(float).eps * np.abs(w).sum()
             assert np.max(np.abs(scalar - cosine_series(k, w, x))) <= bound

@@ -15,10 +15,10 @@ from leeyang.partition import (
 )
 from leeyang.spins import HalfInt
 from leeyang.zeros import (
+    Factor,
     RootConvergenceError,
     bracket_root,
     cosine_series,
-    cosine_terms,
     find_zeros,
 )
 
@@ -155,6 +155,19 @@ class TestBracketRoot:
         root = bracket_root(f, a, b, math.cos(a / 2), math.cos(b / 2), 1e-14)
         assert abs(root - math.pi) <= 1e-15
         assert calls <= 6
+
+    def test_secant_step_outside_the_bracket_bisects(self):
+        # with fa = -1e-300 the first secant step rounds to 2 ulps below a, so
+        # the solver's first evaluation is the midpoint a/2 + b/2
+        points = []
+
+        def f(x):
+            points.append(x)
+            return (x - 0.1) / 0.6 - 1e-300
+
+        root = bracket_root(f, 0.1, 0.7, -1e-300, 1.0, 1e-17)
+        assert points[0] == 0.1 / 2 + 0.7 / 2
+        assert 0.1 <= root <= 0.7
 
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
     def test_stops_on_adjacent_floats(self, dtype):
@@ -299,7 +312,7 @@ class TestPredictedZeroTimes:
 class TestCosineSeries:
     @pytest.fixture
     def terms(self):
-        return cosine_terms(build_ring(7, HalfInt(3), 1.0, 0.6).log_coeffs)
+        return Factor(build_ring(7, HalfInt(3), 1.0, 0.6).log_coeffs, 1).terms
 
     def test_scalar_equals_array_element_in_extended_precision(self, terms):
         k, w = terms
