@@ -6,7 +6,6 @@ from .partition import (
     build_exact,
     build_long_range,
     build_ring,
-    long_range_integral_oracle,
 )
 from .probe import (
     CorrelationReport,
@@ -45,7 +44,6 @@ __all__ = [
     "ladder_overlap",
     "ladder_product_coeff",
     "load_config",
-    "long_range_integral_oracle",
     "projections",
     "sx_top_eigenstate",
 ]

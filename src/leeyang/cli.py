@@ -71,16 +71,6 @@ FIGURE_PRESETS = {
 _BLOCK_ROWS = 1024
 
 
-def _write_block(f, row_format, columns):
-    """Write equal-length columns as CSV rows with one `%` formatting operation.
-
-    ``%.17g`` of a Python float gives the digits of ``format(x, ".17g")``, and
-    ``%d`` writes the integer-valued columns.
-    """
-    rows = np.column_stack(columns)
-    f.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
-
-
 def write_zeros_csv(path, zeros, lam, delta, tag):
     mults = [m for _, m in zeros.clusters]
     multiplicity = np.repeat(mults, mults)
@@ -97,10 +87,12 @@ def write_zeros_csv(path, zeros, lam, delta, tag):
             z = zeros.roots[b]
             # hypot is the scalar abs() of a complex; numpy's vectorised
             # complex abs can differ from it in the last bit
-            _write_block(f, "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n", [
+            rows = np.column_stack([
                 np.arange(lo, lo + len(z)), z.real, z.imag, zeros.angles[b],
                 np.hypot(z.real, z.imag) - 1.0, multiplicity[b], times[b],
             ])
+            # one `%` per block: %.17g of a float is format(x, ".17g"); %d for the integer columns
+            f.write("%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" * len(z) % tuple(rows.ravel().tolist()))
 
 
 # _digit_rows lays out the text of a number in 48 byte columns, six

@@ -10,19 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInt:
     """A half-integer value ``doubled / 2`` stored as a doubled integer."""
 
     doubled: int
-
-    @classmethod
-    def make(cls, value):
-        """Build from an int/float like 2.5; rejects non-half-integers."""
-        d = round(2 * value)
-        if abs(2 * value - d) > 1e-9:
-            raise ValueError(f"{value} is not a half-integer")
-        return cls(int(d))
 
     def __float__(self):
         return self.doubled / 2

@@ -20,7 +20,7 @@ from leeyang.cli import main
 from leeyang.config import (
     MAX_EXACT_SPINS, MAX_STEPS, MODEL_KINDS, ConfigError, RunConfig, load_config,
 )
-from leeyang.partition import build_long_range
+from leeyang.partition import build_long_range, build_ring
 from leeyang.probe import correlate, expectation_series
 from leeyang.spins import HalfInt, sx_top_eigenstate
 from leeyang.zeros import find_zeros
@@ -606,6 +606,18 @@ class TestWriters:
         assert np.array_equal(im, zeros.roots.imag)
         assert np.array_equal(theta, zeros.angles)
         assert np.array_equal(np.sort(times), np.sort(zeros.times(cfg.lam, cfg.delta)))
+
+    @pytest.mark.parametrize("build, args, rows", [
+        (build_long_range, (1100, HalfInt(1), 1.0, 0.0), 1100),  # one cluster at pi
+        (build_ring, (600, HalfInt(2), 1.0, 0.0), 1200),  # 600 each at +-2pi/3
+    ])
+    def test_zeros_file_over_several_blocks(self, tmp_path, build, args, rows):
+        poly = build(*args)
+        zeros = find_zeros(poly)
+        assert len(zeros.roots) == rows > cli._BLOCK_ROWS
+        path = tmp_path / "zeros.csv"
+        cli.write_zeros_csv(path, zeros, 1.0, 1, poly.model_tag)
+        assert_same_text(path.read_text(), reference_zeros_csv(zeros, 1.0, 1, poly.model_tag))
 
     def test_reproduce_shares_time_text_over_a_partial_block(self, tmp_path):
         steps = 1500

@@ -16,17 +16,9 @@ from leeyang.spins import (
 
 class TestHalfInt:
     def test_make_and_float(self):
-        assert float(HalfInt.make(2.5)) == 2.5
-        assert HalfInt.make(1).doubled == 2
+        assert float(HalfInt(5)) == 2.5
         assert str(HalfInt(5)) == "5/2"
         assert str(HalfInt(4)) == "2"
-
-    def test_make_rejects_non_half_integer(self):
-        with pytest.raises(ValueError):
-            HalfInt.make(0.3)
-
-    def test_ordering(self):
-        assert HalfInt(1) < HalfInt(3)
 
 
 class TestProjections:
