@@ -61,7 +61,7 @@ _LINEAR_RANGE = 700.0
 _MAX_LOG_WEIGHT = np.finfo(float).max / 8
 
 
-def logsumexp(a, axis=None):
+def logsumexp(a, axis):
     """log(sum(exp(a))) over ``axis`` without overflow; all -inf gives -inf."""
     peak = np.max(a, axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0

@@ -149,8 +149,6 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """
     if not 0 < magnitude_tol < math.inf:
         raise ValueError(f"magnitude_tol must be finite and positive, got {magnitude_tol}")
-    if len(series.times) < 3:
-        raise ValueError("series too short for zero detection")
     if series.overlap == 0:
         raise ValueError(
             "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "

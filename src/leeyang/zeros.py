@@ -165,15 +165,10 @@ class Factor(namedtuple("Factor", "log_coeffs count")):
 
 
 def cosine_series(k, w, theta):
-    """F(theta) = sum_k w_k cos(k theta), for a scalar or an array of angles.
+    """F(theta) = sum_k w_k cos(k theta) at an array of angles, summed term by term.
 
-    A scalar angle is one dot product over the terms.  With extended-precision
-    terms it sums them in the term loop's order, so it equals the matching
-    element of an array evaluation.  An array of angles is summed term by
-    term, which holds one array of the angles' size at a time.
+    It holds one array of the angles' size at a time.
     """
-    if np.ndim(theta) == 0:
-        return w @ np.cos(k * theta)
     return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
 
 
@@ -189,11 +184,10 @@ def _factor_zeros(factor):
     if np.all(factor.log_coeffs == factor.log_coeffs[0]):
         return [2 * np.pi * (j / (d + 1)) for j in range(1, (d + 1) // 2 + 1)]
     k, w = factor.terms
-    F = lambda t: cosine_series(k, w, t)
     expected = d // 2
     theta = np.linspace(0.0, np.pi, _GRID_PER_DEGREE * (d + 1) + 1).astype(np.longdouble)
     for _ in range(_MAX_REFINEMENTS + 1):
-        vals = F(theta)
+        vals = cosine_series(k, w, theta)
         if d % 2:
             # in place of F(pi) = 0, F(pi - h) to first order, which has its sign
             vals[-1] = (theta[-1] - theta[-2]) * (w * k * np.sin(k * np.pi)).sum()
@@ -219,6 +213,9 @@ def _factor_zeros(factor):
             f"found {len(change)} of {expected} sign changes of the cosine series "
             f"on [0, pi] for degree {d}; {reason}"
         )
+    # In longdouble this dot product sums the terms in cosine_series' order,
+    # so F at an angle equals the matching element of a grid evaluation.
+    F = lambda t: w @ np.cos(k * t)
     return [
         float(bracket_root(F, theta[i], theta[i + 1], vals[i], vals[i + 1], 1e-17))
         for i in change

@@ -330,6 +330,18 @@ class TestCliCommands:
         assert len(report["matches"]) == len(report["predicted"])
         assert report["circle_deviation"] < 1e-8
 
+    def test_two_step_series_detects_its_zero(self):
+        # the bracket of a sign change is clipped to the grid, so the two
+        # samples 0 and pi bracket the zero between them
+        cfg = RunConfig(base_config(
+            model={"kind": "long_range", "n_spins": 2, "two_s": 1},
+            temperature={"T_over_J": 2}, grid={"steps": 2},
+        ))
+        _, _, series, report = cli._run_correlation(cfg)
+        assert len(series.times) == 2
+        assert report.matches == [(2.651941333120174, 2.651941333120174, 0.0)]
+        assert report.unmatched_predicted == [3.6312439740594122]
+
     def test_correlate_mirror_image_blocks(self, tmp_path):
         # a 3-spin path J01=1, J12=2 and its mirror image have one polynomial,
         # so every zero of the bath is triple

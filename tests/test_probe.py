@@ -241,6 +241,21 @@ class TestSignalInvariants:
         phase = np.exp(-1j * 0.7 * base.times)
         np.testing.assert_allclose(shifted.values, base.values * phase, atol=1e-13)
 
+    @pytest.mark.parametrize("poly", [
+        build_ring(10, HalfInt(2), 1.0, 1 / 8), build_ring(10, HalfInt(2), 1.0, 0.5),
+        build_ring(10, HalfInt(2), 1.0, 4.0), build_long_range(4, HalfInt(1), 1.0, 16.0),
+        build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0),
+    ], ids=["ring 2s=2 N=10 beta=1/8", "ring 2s=2 N=10 beta=0.5", "ring 2s=2 N=10 beta=4",
+            "long_range 2s=1 N=4 beta=16", "exact 2s=5 N=2 beta=1"])
+    def test_scalar_time_evaluates_the_array_element_bits(self, poly):
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.3, steps=2)
+        t = np.random.default_rng(11).uniform(0.0, 2 * ser.period, 500)
+        grid = ser.evaluate(t)
+        for i, ti in enumerate(t.tolist()):
+            scalar = ser.evaluate(ti)
+            assert scalar.real.view(np.uint64) == grid[i].real.view(np.uint64)
+            assert scalar.imag.view(np.uint64) == grid[i].imag.view(np.uint64)
+
     @pytest.mark.parametrize("h0", [0.0, 0.7])
     def test_signal_is_partition_ratio_at_complex_field(self, h0):
         # the oracle: complex Horner evaluation of Z(z)/Z(1) at z = exp(-i lam delta t)

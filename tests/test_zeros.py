@@ -319,7 +319,8 @@ class TestCosineSeries:
         theta = np.linspace(0.0, np.pi, 101).astype(np.longdouble)
         grid = cosine_series(k, w, theta)
         for i in range(len(theta)):
-            assert cosine_series(k, w, theta[i]) == grid[i]
+            # the finder's bracket solve evaluates F at one angle this way
+            assert w @ np.cos(k * theta[i]) == grid[i]
 
     def test_scalar_matches_array_element_in_double(self, terms):
         k, w = terms
@@ -327,7 +328,7 @@ class TestCosineSeries:
         theta = np.linspace(-2.0, 9.0, 101)
         grid = cosine_series(k, w, theta)
         for i in range(len(theta)):
-            assert abs(cosine_series(k, w, float(theta[i])) - grid[i]) <= 1e-15
+            assert cosine_series(k, w, float(theta[i])).view(np.uint64) == grid[i].view(np.uint64)
 
 
 class TestAngleSymmetry:
