@@ -269,41 +269,41 @@ def _twin_classes(two_spins, S):
 
     Twins i and j have equal rows once each row's diagonal entry is set to
     S[i, j], so they are found by a hash of the rows, in O(n^2): with
-    h_i = sum_{k != i} bits(S[i, k]) r_k (mod 2^64, fixed random r), row i
-    with diagonal S[i, j] hashes to G[i, j] = h_i + bits(S[i, j]) r_i, and
-    twins have G[i, j] = G[j, i].  Each spin's first hash partner is then
-    compared bit for bit; a spin whose comparison fails, which only a hash
-    collision can cause, is a class of its own.
+    h_i = sum_{k != i} x(S[i, k]) r_k (mod 2^64, r_k splitmix64 of k + 1),
+    row i with diagonal S[i, j] hashes to G[i, j] = h_i + x(S[i, j]) r_i, and
+    twins have G[i, j] = G[j, i].  x(b) = b ^ (b >> 32) spreads an entry's bits
+    b downward: a double with a zero mantissa is a multiple of 2^52.  Each spin's
+    first hash partner is compared bit for bit; a failure, which only a hash
+    collision can cause, leaves the spin a class of its own.  Twins hash equal,
+    so every representative is its class's lowest spin, with no normalization pass.
     """
     n = len(S)
     spin = np.asarray(two_spins)
     bits = S.view(np.uint64)
+    bits = bits ^ (bits >> np.uint64(32))  # a new array: S may be the caller's bJ
     r = _hash_weights(n)
     h = bits @ r - bits.diagonal() * r  # wraps modulo 2^64
-    # G[i, j] - G[j, i], with bits(S[i, j]) = bits(S[j, i]), in one array
+    # G[i, j] - G[j, i], with x(S[i, j]) = x(S[j, i]), in one array
     differ = np.subtract.outer(r, r)
     differ *= bits
     differ += h[:, None]
     differ -= h
-    own = np.arange(n)
-    rep = ((differ == 0) & (spin[:, None] == spin)).argmax(axis=1)  # <= own, the diagonal
-    i = np.flatnonzero(rep != own)
+    rep = ((differ == 0) & (spin[:, None] == spin)).argmax(axis=1)  # <= i, the diagonal
+    i = np.flatnonzero(rep != np.arange(n))
     j = rep[i]
     rows_i, rows_j = S[i], S[j]
     rows_i[np.arange(len(i)), i] = rows_j[np.arange(len(i)), j] = S[i, j]
     mismatch = np.any(rows_i.view(np.uint64) != rows_j.view(np.uint64), axis=1)
     rep[i[mismatch]] = i[mismatch]
-    root = rep[rep] == rep
-    rep[~root] = own[~root]
     return rep
 
 
-@functools.lru_cache
 def _hash_weights(n):
-    """n fixed random 64-bit weights for _twin_classes' row hash, read-only."""
-    r = np.random.default_rng(0).integers(2**64, size=n, dtype=np.uint64)
-    r.flags.writeable = False  # one array serves every caller
-    return r
+    """splitmix64's finalizer of 1..n, the weights of _twin_classes' row hash."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _all_to_all(s, n, a):

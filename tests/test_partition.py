@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from leeyang.partition import (
     build_exact,
     build_long_range,
     build_ring,
+    logsumexp,
     long_range_integral_oracle,
 )
 from leeyang.spins import HalfInt
@@ -438,11 +443,16 @@ class TestTwinClasses:
         (lc, _), = build_exact(block, couplings, beta).factors
         np.testing.assert_array_equal(lc, _enumerate(block, beta * couplings))
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_classes_match_pairwise_oracle(self, seed):
+    @pytest.mark.parametrize("seed, scale", [
+        pytest.param(seed, scale, id=str(seed) if scale == 1 else f"{seed}-scale {scale}")
+        for scale in (1, 2, 1 / 8) for seed in range(20)
+    ])
+    def test_classes_match_pairwise_oracle(self, seed, scale):
         # a random weighted graph with each vertex blown up into 1 to 4 spins,
         # coupled by 0 or 1 among themselves; weights from a set of three, so
-        # spins of different vertices turn out twins too
+        # spins of different vertices turn out twins too.  Every coupling is
+        # then scaled: at scale 2 the weights 1 and 2 are powers of two, whose
+        # doubles have a zero mantissa
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 8))
         upper = np.triu(rng.choice([0.0, 0.5, 1.0], (m, m)), 1)
@@ -452,20 +462,76 @@ class TestTwinClasses:
         same = vertex[:, None] == vertex
         couplings[same] = rng.choice([0.0, 1.0], m)[vertex[np.nonzero(same)[0]]]
         np.fill_diagonal(couplings, 0.0)
+        couplings *= scale
         two_spins = list(rng.integers(1, 3, m)[vertex])
         expected = twin_classes_oracle(two_spins, couplings.tolist())
         assert list(_twin_classes(two_spins, couplings)) == expected
 
-    @pytest.mark.parametrize("name", BLOCKS)
-    def test_hash_collisions_merge_no_others(self, monkeypatch, name):
-        # with every row hash equal, each spin's first candidate is the first
-        # spin of its spin value, and the bitwise comparison must turn away
-        # every candidate that is not a twin
-        monkeypatch.setattr(leeyang.partition, "_hash_weights", lambda n: np.zeros(n, np.uint64))
+    @pytest.mark.parametrize("name, seed", [
+        pytest.param(name, seed, id=name if seed is None else f"{name}-weights 0-2 seed {seed}")
+        for name in BLOCKS for seed in (None, 0, 1, 2)
+    ])
+    def test_hash_collisions_merge_no_others(self, monkeypatch, name, seed):
+        # with every row hash equal (zero weights), each spin's first candidate
+        # is the first spin of its spin value; seeded weights in {0, 1, 2}
+        # collide some rows and not others.  The bitwise comparison must turn
+        # away every candidate that is not a twin, and each representative
+        # must be the lowest spin of its class, which no later pass enforces
+        def weights(n):
+            if seed is None:
+                return np.zeros(n, np.uint64)
+            return np.random.default_rng(seed).integers(0, 3, n).astype(np.uint64)
+
+        monkeypatch.setattr(leeyang.partition, "_hash_weights", weights)
         two_spins, couplings, classes = self.BLOCKS[name]
         rep = _twin_classes(two_spins, couplings)
         assert all(rep[rep] == rep)
         assert all(classes[i] == classes[r] for i, r in enumerate(rep))
+
+    @pytest.mark.parametrize("beta", [1 / 16, 1 / 8, 1 / 2, 1.0, 2.0])
+    @pytest.mark.parametrize("a", [16, 32, 128, 512])
+    def test_complete_bipartite_at_power_of_two_beta(self, a, beta):
+        # beta*J a power of two has a zero mantissa: its bits are a multiple
+        # of 2^52, and must still reach the hash's low bits.  The pairwise
+        # oracle is O(n^3), so the known answer: one class per side
+        two_spins = [1] * (2 * a)
+        got = _twin_classes(two_spins, beta * bipartite_couplings(a, a))
+        assert list(got) == [0] * a + [a] * a
+
+    def test_complete_bipartite_256_spins_at_half_beta(self):
+        # K_128,128 at beta*J = 1/2: two classes of 129 states, so 16,641
+        # configurations for 2^256 spin configurations.  With u and v spins
+        # down on each side, M_A M_B = (u - 64)(v - 64) and the sector is u + v
+        a, beta = 128, 0.5
+        poly = build_exact(spins(1, 2 * a), bipartite_couplings(a, a), beta)
+        (lc, count), = poly.factors
+        assert count == 1 and lc.shape == (2 * a + 1,)
+        log_comb = np.array([math.log(math.comb(a, u)) for u in range(a + 1)])
+        u = np.arange(a + 1)
+        terms = np.full((2 * a + 1, a + 1), -np.inf)  # by sector u + v, then u
+        for v in range(a + 1):
+            terms[u + v, u] = log_comb + log_comb[v] + beta * (u - a / 2) * (v - a / 2)
+        expected = logsumexp(terms, axis=1)
+        assert np.all(np.abs(lc - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_exact_bath_does_not_load_numpy_random(self):
+        # the twin hash's weights are a pure function of the index
+        src = str(Path(leeyang.partition.__file__).resolve().parent.parent)
+        code = (
+            "import sys, numpy; print('numpy.random' in sys.modules); "
+            "import leeyang; from leeyang.spins import HalfInt; "
+            "couplings = numpy.ones((6, 6)) - numpy.eye(6); "
+            "leeyang.build_exact([HalfInt(1)] * 6, couplings, 0.5).log_coeffs; "
+            "print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        with_numpy, after_build = out.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert after_build == "False"
 
     def test_default_exact_bath_of_1024_spins(self):
         # the config's default couplings, J to every pair; best of three, so a
