@@ -13,10 +13,11 @@ the bath's factors (``PartitionPolynomial.factors``), each its cosine series
 normalized to 1 at 0 (``Factor.unit_terms``) raised to its count, so near a
 zero its rounding error is relative to its own value, not to F(0).  As each
 factor has only simple zeros, every zero of any multiplicity is a sign change
-of one factor: the same pass records each factor's sign changes on the grid,
-which detection solves in x = lam delta t over Python floats (``Factor.scalar``)
-and returns as x/(lam delta).  The predicted times come from the zero finder,
-which solves each factor on its extended-precision ``Factor.terms``.
+of one factor: the same pass brackets each factor's sign changes on the grid
+and up to t_max.  Detection re-evaluates both ends of each bracket, solves it
+in x = lam delta t over Python floats (``Factor.scalar``) and returns
+x/(lam delta).  The predicted times come from the zero finder, which solves
+each factor on its extended-precision ``Factor.terms``.
 
 The series keeps F/F(0) at each sample; the complex signal
 ``TimeSeries.values`` is formed on first read, so detection and
@@ -40,7 +41,7 @@ _PAIR_BLOCK = 2**16  # most predicted x detected distances that correlate holds 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled probe signal, its factors' sign changes, and everything to re-evaluate it.
+    """Sampled probe signal, its factors' sign-change brackets, and all to re-evaluate it.
 
     ``amplitude`` holds the real F/F(0) at each sample; the complex signal
     ``values`` is formed from it on first read, so a run that only detects
@@ -52,7 +53,7 @@ class TimeSeries:
     h0: float
     times: np.ndarray = field(repr=False)
     amplitude: np.ndarray = field(repr=False)  # F/F(0) at each sample
-    sign_changes: tuple = field(repr=False)  # per factor, each i with a sign change to i+1
+    brackets: tuple = field(repr=False)  # per factor, angles (a, b) around each sign change
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
 
@@ -101,7 +102,8 @@ def expectation_series(
     """Sample <(S+)^delta>(t) on a uniform grid.
 
     Defaults to one fundamental period [0, 2pi/(lam*delta)) with the endpoint
-    excluded.  ``ladder_overlap`` checks delta against the probe's spin.
+    excluded; the factors are also evaluated at t_max, to bracket a sign change
+    after the last sample.  ``ladder_overlap`` checks delta against the probe.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -120,31 +122,34 @@ def expectation_series(
     ]:
         if not phase < math.inf:
             raise ValueError(f"the sample phase {name} must be finite, got {phase}")
-    times = np.linspace(0.0, t_max, steps, endpoint=False)
-    x = lam * delta * times
-    amplitude, sign_changes = 1, []
+    grid = np.linspace(0.0, t_max, steps + 1)  # the samples, then t_max
+    x = lam * delta * grid
+    amplitude, brackets = 1, []
     for factor in poly.factors:
         g = cosine_series(*factor.unit_terms, x)
-        amplitude = amplitude * _power(g, factor.count)
-        sign_changes.append(np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])))
-    return TimeSeries(lam, delta, h0, times, amplitude, tuple(sign_changes), poly, overlap)
+        amplitude = amplitude * _power(g[:-1], factor.count)
+        i = np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))
+        m = i + (np.abs(g[i + 1]) < np.abs(g[i]))  # the end with the smaller |F_f|
+        hi = np.where(i == steps - 1, steps, np.minimum(m + 1, steps - 1))
+        brackets.append((x[np.maximum(m - 1, 0)], x[hi]))
+    return TimeSeries(lam, delta, h0, grid[:-1], amplitude, tuple(brackets), poly, overlap)
 
 
 def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     """Zero times of the sampled signal, each refined once by exact re-evaluation.
 
     Every zero of F, touching or of any multiplicity, is a simple zero of one
-    factor, so it is read off that factor's sign changes on the grid
-    (``TimeSeries.sign_changes``), factor by factor.  A change between grid
-    points i and i+1 is solved to 1e-14 in the angle x = lam*delta*t on
-    [m-1, m+1], where m is the end with the smaller |F_f|, clipped to the
-    grid.  A change whose bracket ends share a sign is skipped, and so is one
-    whose bracket holds a zero x of an earlier factor with
-    |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero, shared by
-    both factors, as pi is by every odd-degree factor.  Each factor F_f of
-    ``series.poly.factors`` is evaluated by ``Factor.scalar`` over its float64
-    ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from ``_amplitude`` on all
-    solved angles at once, exceeds magnitude_tol are discarded.  Returns
+    factor, so it is read off that factor's brackets from the sampling pass
+    (``TimeSeries.brackets``), factor by factor.  A change between grid points
+    i and i+1 is bracketed by [m-1, m+1], where m is the end with the smaller
+    |F_f|, clipped to the grid, or to t_max for a change after the last sample.
+    Both ends are re-evaluated, and the bracket is solved to 1e-14 in the angle
+    x = lam*delta*t unless they share a sign or it holds a zero x of an earlier
+    factor with |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero,
+    shared by both factors, as pi is by every odd-degree factor.  Each factor
+    F_f of ``series.poly.factors`` is evaluated by ``Factor.scalar`` over its
+    float64 ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from ``_amplitude``
+    on all solved angles at once, exceeds magnitude_tol are discarded.  Returns
     (x/(lam*delta), |f| residual) pairs in ascending time.
     """
     if not 0 < magnitude_tol < math.inf:
@@ -154,18 +159,12 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
             "probe state has no coherence: <(S+)^delta> = 0 at t = 0, so the "
             "signal vanishes identically and has no zero times"
         )
-    rate, times, last = series.lam * series.delta, series.times, len(series.times) - 1
-
-    def angle(i):  # as expectation_series sampled it
-        return rate * times.item(i)
-
+    rate = series.lam * series.delta
     solved = []  # ascending zeros of the factors walked so far
-    for factor, changes in zip(series.poly.factors, series.sign_changes):
+    for factor, (lo, hi) in zip(series.poly.factors, series.brackets):
         F, shared_tol = factor.scalar, 64 * len(factor.unit_terms[0]) * np.finfo(float).eps
         roots = []
-        for i in changes.tolist():
-            m = i if abs(F(angle(i))) <= abs(F(angle(i + 1))) else i + 1
-            a, b = angle(max(m - 1, 0)), angle(min(m + 1, last))
+        for a, b in zip(lo.tolist(), hi.tolist()):
             fa, fb = F(a), F(b)
             earlier = solved[bisect_left(solved, a):bisect_right(solved, b)]
             if fa * fb < 0 and all(abs(F(x)) > shared_tol for x in earlier):

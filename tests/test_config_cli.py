@@ -342,6 +342,24 @@ class TestCliCommands:
         assert report.matches == [(2.651941333120174, 2.651941333120174, 0.0)]
         assert report.unmatched_predicted == [3.6312439740594122]
 
+    @pytest.mark.parametrize("model, probe, T_over_J, steps, matched", [
+        ({"kind": "exact", "n_spins": 2, "two_s": 5}, {"two_s0": 5}, 1, 16, 10),
+        ({"kind": "ring", "n_spins": 4, "two_s": 1}, {"two_s0": 1}, "inf", 2, 1),
+    ], ids=["fig2 T=J 16 steps", "free ring 2 steps"])
+    def test_zero_after_the_last_sample_matched(
+        self, tmp_path, model, probe, T_over_J, steps, matched
+    ):
+        # a zero between the last sample and t_max is bracketed up to t_max:
+        # 5.9545393160333822 for fig2 at 16 steps, pi for the ring at 2
+        data = base_config(
+            model=model, probe=probe, temperature={"T_over_J": T_over_J}, grid={"steps": steps}
+        )
+        cfg, out = write_config(tmp_path, data), tmp_path / "report.json"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["matches"]) == len(report["predicted"]) == matched
+        assert report["unmatched_detected"] == []
+
     def test_correlate_mirror_image_blocks(self, tmp_path):
         # a 3-spin path J01=1, J12=2 and its mirror image have one polynomial,
         # so every zero of the bath is triple

@@ -321,19 +321,55 @@ class TestDetectZeroTimes:
         assert np.min(np.abs(ser.values)) > 0.1
         assert detect_zero_times(ser, 1e-6) == []
 
-    @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.7, 1.9])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9])
     def test_zero_in_last_grid_interval_detected(self, p):
-        # t_max lies p steps past t0, so t0 lies in the last grid interval, and
-        # for p <= 1.5 the grid's last sample is the one with the smaller |F|
+        # t_max lies p steps past t0: for p > 1, t0 lies in the interval before
+        # the last sample, and for p <= 1.5 that sample has the smaller |F|;
+        # for p < 1, t0 lies between the last sample and t_max
         poly = build_long_range(4, HalfInt(1), 1.0, 1 / 8)
         t0 = sorted(find_zeros(poly).times(1.0, 1))[1]
         ser = expectation_series(
             poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, t_max=t0 * 64 / (64 - p), steps=64
         )
         last = len(ser.times) - 1
-        assert last - 1 < t0 / ser.times[1] < last
+        lo = last if p < 1 else last - 1
+        assert lo < t0 / ser.times[1] < lo + 1
         detected = np.array([t for t, _ in detect_zero_times(ser, 1e-6)])
         assert np.min(np.abs(detected - t0)) <= 1e-12
+
+    def test_samples_are_evaluated_only_at_bracket_ends(self, monkeypatch):
+        # the sampling pass picks each bracket, so detection evaluates a
+        # factor at a sample angle only at the two ends of a bracket it solves
+        poly = build_ring(10, HalfInt(2), 1.0, 1 / 8)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
+        # lam*delta = 1, so the sample angles are the sample times and t_max
+        samples = set(np.linspace(0.0, ser.period, len(ser.times) + 1).tolist())
+        calls = []
+
+        def recorded(F):
+            def call(x):
+                calls.append(x)
+                return F(x)
+
+            return call
+
+        for factor in poly.factors:
+            monkeypatch.setattr(factor, "scalar", recorded(factor.scalar))
+        assert len(detect_zero_times(ser)) == 20
+        at_samples = [x for x in calls if x in samples]
+        assert len(at_samples) == 40
+        ends = [x for lo, hi in ser.brackets for x in np.column_stack([lo, hi]).ravel().tolist()]
+        assert at_samples == ends
+
+    @pytest.mark.parametrize("steps", [2, 3, 4096, 2**20])
+    @pytest.mark.parametrize("t_max", [None, 1.5, 2.0, 1e3])
+    def test_sample_times_are_the_endpoint_free_grid(self, two_half_t_inf, steps, t_max):
+        # the pass also samples t_max, and the kept samples keep their bits
+        ser = expectation_series(
+            two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1, t_max=t_max, steps=steps
+        )
+        grid = np.linspace(0.0, ser.period if t_max is None else t_max, steps, endpoint=False)
+        assert ser.times.tobytes() == grid.tobytes()
 
     def test_state_without_coherence_refused(self, two_half_t_inf):
         state = ProbeState(HalfInt(1), np.array([1.0, 0.0]))
