@@ -103,10 +103,6 @@ class PartitionPolynomial:
         powers = (_power(lc[:, None, None], n, _log_polymat_mul) for lc, n in self.factors)
         return functools.reduce(_log_polymat_mul, powers)[:, 0, 0]
 
-    def coeffs(self) -> np.ndarray:
-        """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
-        return np.exp(self.log_coeffs - self.log_coeffs.max())
-
 
 def _validate_ferromagnetic(J):
     if not 0 <= J < math.inf:
@@ -319,12 +315,12 @@ def _all_to_all(s, n, a):
     return a * (two_ns / 2 - np.arange(two_ns + 1)) ** 2 + log_w
 
 
-def _enumerate(spins, bJ, log_weights=None):
+def _enumerate(spins, bJ, log_weights):
     """Log sector weights of one block of spins, over all its configurations.
 
-    ``bJ`` is the block's couplings times beta, and ``log_weights[i]``, if
-    given, spin i's log weight by raising steps from -s_i; each
-    configuration adds its spins' weights to its exponent.
+    ``bJ`` is the block's couplings times beta, and ``log_weights[i]`` spin
+    i's log weight by raising steps from -s_i; each configuration adds its
+    spins' weights to its exponent.
 
     The energy is a quadratic form, so with the spins split into leading spins
     H and trailing spins L it reads E(h, l) = E_H(h) + E_L(l) + m_h J_HL m_l.
@@ -341,8 +337,6 @@ def _enumerate(spins, bJ, log_weights=None):
     """
     dims = [s.doubled + 1 for s in spins]
     count = math.prod(dims)
-    if log_weights is None:
-        log_weights = [np.zeros(d) for d in dims]
     split, size_l = len(dims), 1
     while size_l**2 < count:
         split -= 1

@@ -14,10 +14,10 @@ normalized to 1 at 0 (``Factor.unit_terms``) raised to its count, so near a
 zero its rounding error is relative to its own value, not to F(0).  As each
 factor has only simple zeros, every zero of any multiplicity is a sign change
 of one factor: the same pass brackets each factor's sign changes on the grid
-and up to t_max.  Detection re-evaluates both ends of each bracket, solves it
-in x = lam delta t over Python floats (``Factor.scalar``) and returns
-x/(lam delta).  The predicted times come from the zero finder, which solves
-each factor on its extended-precision ``Factor.terms``.
+and up to t_max, and keeps the factor's values at both ends.  Detection solves
+each bracket from them in x = lam delta t over Python floats (``Factor.scalar``)
+and returns x/(lam delta).  The predicted times come from the zero finder, which
+solves each factor on its extended-precision ``Factor.terms``.
 
 The series keeps F/F(0) at each sample; the complex signal
 ``TimeSeries.values`` is formed on first read, so detection and
@@ -53,7 +53,7 @@ class TimeSeries:
     h0: float
     times: np.ndarray = field(repr=False)
     amplitude: np.ndarray = field(repr=False)  # F/F(0) at each sample
-    brackets: tuple = field(repr=False)  # per factor, angles (a, b) around each sign change
+    brackets: tuple = field(repr=False)  # per factor, (a, b, F_f(a), F_f(b)) per sign change
     poly: object = field(repr=False)
     overlap: complex  # <(S+)^delta> of the initial probe state
 
@@ -130,8 +130,9 @@ def expectation_series(
         amplitude = amplitude * _power(g[:-1], factor.count)
         i = np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))
         m = i + (np.abs(g[i + 1]) < np.abs(g[i]))  # the end with the smaller |F_f|
+        lo = np.maximum(m - 1, 0)
         hi = np.where(i == steps - 1, steps, np.minimum(m + 1, steps - 1))
-        brackets.append((x[np.maximum(m - 1, 0)], x[hi]))
+        brackets.append((x[lo], x[hi], g[lo], g[hi]))
     return TimeSeries(lam, delta, h0, grid[:-1], amplitude, tuple(brackets), poly, overlap)
 
 
@@ -140,17 +141,17 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
 
     Every zero of F, touching or of any multiplicity, is a simple zero of one
     factor, so it is read off that factor's brackets from the sampling pass
-    (``TimeSeries.brackets``), factor by factor.  A change between grid points
-    i and i+1 is bracketed by [m-1, m+1], where m is the end with the smaller
-    |F_f|, clipped to the grid, or to t_max for a change after the last sample.
-    Both ends are re-evaluated, and the bracket is solved to 1e-14 in the angle
-    x = lam*delta*t unless they share a sign or it holds a zero x of an earlier
-    factor with |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same zero,
-    shared by both factors, as pi is by every odd-degree factor.  Each factor
-    F_f of ``series.poly.factors`` is evaluated by ``Factor.scalar`` over its
-    float64 ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from ``_amplitude``
-    on all solved angles at once, exceeds magnitude_tol are discarded.  Returns
-    (x/(lam*delta), |f| residual) pairs in ascending time.
+    (``TimeSeries.brackets``), with the factor's values at their ends, factor by
+    factor.  A change between grid points i and i+1 is bracketed by [m-1, m+1],
+    where m is the end with the smaller |F_f|, clipped to the grid, or to t_max
+    for a change after the last sample.  It is solved to 1e-14 in the angle
+    x = lam*delta*t unless its ends share a sign or it holds a zero x of an
+    earlier factor with |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same
+    zero, shared by both factors, as pi is by every odd-degree factor.  Each
+    factor F_f of ``series.poly.factors`` is evaluated by ``Factor.scalar`` over
+    its float64 ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from
+    ``_amplitude`` on all solved angles at once, exceeds magnitude_tol are
+    discarded.  Returns (x/(lam*delta), |f| residual) pairs in ascending time.
     """
     if not 0 < magnitude_tol < math.inf:
         raise ValueError(f"magnitude_tol must be finite and positive, got {magnitude_tol}")
@@ -161,11 +162,10 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         )
     rate = series.lam * series.delta
     solved = []  # ascending zeros of the factors walked so far
-    for factor, (lo, hi) in zip(series.poly.factors, series.brackets):
+    for factor, ends in zip(series.poly.factors, series.brackets):
         F, shared_tol = factor.scalar, 64 * len(factor.unit_terms[0]) * np.finfo(float).eps
         roots = []
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            fa, fb = F(a), F(b)
+        for a, b, fa, fb in zip(*(e.tolist() for e in ends)):
             earlier = solved[bisect_left(solved, a):bisect_right(solved, b)]
             if fa * fb < 0 and all(abs(F(x)) > shared_tol for x in earlier):
                 roots.append(bracket_root(F, a, b, fa, fb, 1e-14))

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 
-from leeyang.partition import build_exact, build_long_range, build_ring, logsumexp
+from leeyang.partition import _enumerate, build_exact, build_long_range, build_ring, logsumexp
 from leeyang.spins import HalfInt
 
 
@@ -62,6 +62,16 @@ def assert_roots_match(got, expected, atol=1e-9):
     assert worst < atol, f"root sets differ by {worst:.3e}"
 
 
+def coeffs(poly):
+    """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
+    return np.exp(poly.log_coeffs - poly.log_coeffs.max())
+
+
+def enumerate_unweighted(block, bJ):
+    """``partition._enumerate`` with every spin's log weight zero."""
+    return _enumerate(block, bJ, [np.zeros(s.doubled + 1) for s in block])
+
+
 def eval_ratio(poly, z):
     """Z(beta, h_complex) / Z(beta, 0) at z = exp(-beta*h_complex).
 
@@ -69,7 +79,7 @@ def eval_ratio(poly, z):
     independent of the package's cosine-series evaluator.  For |z| = 1 the
     modulus is bounded by 1 up to rounding.
     """
-    c = poly.coeffs()
+    c = coeffs(poly)
     return np.polynomial.polynomial.polyval(z, c) / c.sum()
 
 

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     brute_force_log_sectors,
     coupling_blocks_oracle,
+    enumerate_unweighted,
     eval_ratio,
     log_coeffs_60_digits,
     log_polymat_mul_reference,
@@ -31,7 +32,6 @@ from leeyang.partition import (
     PartitionPolynomial,
     _MAX_CLASS_STATES,
     _coupling_blocks,
-    _enumerate,
     _log_polymat_mul,
     _twin_classes,
     build_exact,
@@ -157,7 +157,7 @@ class TestBuildExact:
         n, beta = 18, 0.5
         tracemalloc.start()
         try:
-            got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
+            got = enumerate_unweighted(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -168,7 +168,7 @@ class TestBuildExact:
     def test_partial_last_chunk_matches_long_range(self):
         # 3^11 = 177147 configurations, not a multiple of the chunk size
         n, beta = 11, 0.7
-        got = _enumerate(spins(2, n), beta * uniform_couplings(n, 1.0 / n))
+        got = enumerate_unweighted(spins(2, n), beta * uniform_couplings(n, 1.0 / n))
         lc = build_long_range(n, HalfInt(2), 1.0, beta).log_coeffs
         assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
 
@@ -177,7 +177,7 @@ class TestBuildExact:
         n, beta = 20, 0.5
         tracemalloc.start()
         try:
-            got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
+            got = enumerate_unweighted(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,7 +280,7 @@ class TestBuildExact:
         assert calls == 1
         (lc, count), = poly.factors
         assert count == 4
-        np.testing.assert_array_equal(lc, enumerate_block(spins(1, 3), 0.3 * block))
+        np.testing.assert_array_equal(lc, enumerate_unweighted(spins(1, 3), 0.3 * block))
         oracle = brute_force_log_sectors(spins(1, 3), block, 0.3)
         expected = np.exp(oracle)
         for _ in range(3):
@@ -292,7 +292,7 @@ class TestBuildExact:
     @pytest.mark.parametrize("beta", [50.0, 400.0, 2000.0])
     @pytest.mark.parametrize("n", [16, 18])
     def test_low_temperature_over_chunks(self, n, beta):
-        got = _enumerate(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
+        got = enumerate_unweighted(spins(1, n), beta * uniform_couplings(n, 1.0 / n))
         for lc in (
             build_long_range(n, HalfInt(1), 1.0, beta).log_coeffs,
             log_coeffs_60_digits("long_range", n, 1, 1.0, beta),
@@ -441,7 +441,7 @@ class TestTwinClasses:
         couplings, beta = upper + upper.T, float(rng.choice([0.05, 0.5, 5.0, 400.0]))
         assert list(_twin_classes([s.doubled for s in block], beta * couplings)) == list(range(n))
         (lc, _), = build_exact(block, couplings, beta).factors
-        np.testing.assert_array_equal(lc, _enumerate(block, beta * couplings))
+        np.testing.assert_array_equal(lc, enumerate_unweighted(block, beta * couplings))
 
     @pytest.mark.parametrize("seed, scale", [
         pytest.param(seed, scale, id=str(seed) if scale == 1 else f"{seed}-scale {scale}")
@@ -879,10 +879,6 @@ class TestPartitionPolynomial:
     def test_builders_refuse_coupling(self, build, J):
         with pytest.raises(ValueError, match="J must be finite and non-negative"):
             build(4, HalfInt(1), J, 0.5)
-
-    def test_coeffs_max_normalized(self):
-        poly = PartitionPolynomial(0.0, [(np.array([0.0, 5.0, 0.0]), 1)], {})
-        assert poly.coeffs().max() == 1.0
 
     @pytest.mark.parametrize(
         "factors, message",

@@ -337,9 +337,9 @@ class TestDetectZeroTimes:
         detected = np.array([t for t, _ in detect_zero_times(ser, 1e-6)])
         assert np.min(np.abs(detected - t0)) <= 1e-12
 
-    def test_samples_are_evaluated_only_at_bracket_ends(self, monkeypatch):
-        # the sampling pass picks each bracket, so detection evaluates a
-        # factor at a sample angle only at the two ends of a bracket it solves
+    def test_detection_evaluates_no_sample_angle(self, monkeypatch):
+        # the sampling pass keeps each factor's values at its brackets' ends,
+        # so detection evaluates a factor at no sample angle and not at t_max
         poly = build_ring(10, HalfInt(2), 1.0, 1 / 8)
         ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         # lam*delta = 1, so the sample angles are the sample times and t_max
@@ -353,13 +353,14 @@ class TestDetectZeroTimes:
 
             return call
 
-        for factor in poly.factors:
+        for factor, (a, b, fa, fb) in zip(poly.factors, ser.brackets):
+            # the kept values are the ones the solve's own evaluator gives
+            assert [factor.scalar(x) for x in a.tolist()] == fa.tolist()
+            assert [factor.scalar(x) for x in b.tolist()] == fb.tolist()
             monkeypatch.setattr(factor, "scalar", recorded(factor.scalar))
         assert len(detect_zero_times(ser)) == 20
-        at_samples = [x for x in calls if x in samples]
-        assert len(at_samples) == 40
-        ends = [x for lo, hi in ser.brackets for x in np.column_stack([lo, hi]).ravel().tolist()]
-        assert at_samples == ends
+        assert calls
+        assert not [x for x in calls if x in samples]
 
     @pytest.mark.parametrize("steps", [2, 3, 4096, 2**20])
     @pytest.mark.parametrize("t_max", [None, 1.5, 2.0, 1e3])
@@ -557,6 +558,24 @@ class TestDetectZeroTimes:
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
         with pytest.raises(ValueError, match="magnitude_tol must be finite and positive"):
             detect_zero_times(ser, tol)
+
+    def test_magnitude_tol_rejects_the_larger_residuals(self):
+        # fig6/b: at magnitude_tol = 1 every zero is kept, with |F|/F(0) from
+        # 1.8e-19 to 1.8e-16; a tolerance between the 10th and 11th smallest
+        # keeps those 10 and rejects the other 10
+        poly = build_ring(10, HalfInt(2), 1.0, 1 / 8)
+        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, steps=4096)
+        everything = detect_zero_times(ser, 1.0)
+        assert len(everything) == 20
+        scaled = sorted(r / abs(ser.overlap) for _, r in everything)
+        tol = 5.3e-17
+        assert scaled[9] < tol < scaled[10]
+        kept = detect_zero_times(ser, tol)
+        assert kept == [(t, r) for t, r in everything if r / abs(ser.overlap) <= tol]
+        assert len(kept) == 10
+        report = correlate(find_zeros(poly), ser, magnitude_tol=tol)
+        assert len(report.matches) == 10
+        assert len(report.unmatched_predicted) == 10
 
     def test_simple_root_refinement_accuracy(self, triangle_beta_one):
         zs = find_zeros(triangle_beta_one)

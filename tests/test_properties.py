@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_roots_match, eval_ratio, spins, uniform_couplings
+from helpers import assert_roots_match, coeffs, eval_ratio, spins, uniform_couplings
 from leeyang.partition import build_exact, build_long_range, build_ring
 from leeyang.spins import HalfInt, ladder_product_coeff
 from leeyang.zeros import find_zeros
@@ -50,7 +50,7 @@ def test_root_set_structure(kind, n, two_s, beta):
     # closed under conjugation
     assert_roots_match(zs.roots, np.conj(zs.roots), atol=1e-9)
     # product of roots
-    c = poly.coeffs()
+    c = coeffs(poly)
     expected = (-1) ** poly.two_ns * c[0] / c[-1]
     assert np.prod(zs.roots) == pytest.approx(expected, rel=1e-9)
 
