@@ -85,11 +85,9 @@ def write_zeros_csv(path, zeros, lam, delta, tag):
         for lo in range(0, len(times), _BLOCK_ROWS):
             b = slice(lo, lo + _BLOCK_ROWS)
             z = zeros.roots[b]
-            # hypot is the scalar abs() of a complex; numpy's vectorised
-            # complex abs can differ from it in the last bit
             rows = np.column_stack([
                 np.arange(lo, lo + len(z)), z.real, z.imag, zeros.angles[b],
-                np.hypot(z.real, z.imag) - 1.0, multiplicity[b], times[b],
+                zeros.abs_minus_1[b], multiplicity[b], times[b],
             ])
             # one `%` per block: %.17g of a float is format(x, ".17g"); %d for the integer columns
             f.write("%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" * len(z) % tuple(rows.ravel().tolist()))

@@ -20,6 +20,8 @@ MAX_STEPS = 2**20
 # Most spins in an exact bath, checked before the n x n coupling matrix exists:
 # at 1024 free spins a build traces a 36 MB peak.
 MAX_EXACT_SPINS = 1024
+# Largest probe 2s0: the Sx amplitudes take 0.21 s at 2048 and 1.3 s at 4000 on a 2-core host.
+MAX_TWO_S0 = 2048
 
 
 class ConfigError(ValueError):
@@ -30,6 +32,14 @@ def _require(mapping, key, where):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field '{key}'")
     return mapping[key]
+
+
+def _section(data, key, required=False):
+    """The object at data[key]; an optional section that is absent is empty."""
+    section = _require(data, key, "top level") if required else data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object")
+    return section
 
 
 def _is_number_type(kind):
@@ -69,9 +79,7 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("top level: expected a JSON object")
 
-        model = _require(data, "model", "top level")
-        if not isinstance(model, dict):
-            raise ConfigError("model: expected an object")
+        model = _section(data, "model", required=True)
         self.model_kind = _require(model, "kind", "model")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(
@@ -116,9 +124,7 @@ class RunConfig:
         if self.model_kind == "ring" and self.n_spins < 3:
             raise ConfigError("model.n_spins: a ring needs at least 3 spins")
 
-        temp = _require(data, "temperature", "top level")
-        if not isinstance(temp, dict):
-            raise ConfigError("temperature: expected an object")
+        temp = _section(data, "temperature", required=True)
         keys = set(temp) & {"beta", "T_over_J"}
         if len(keys) != 1:
             raise ConfigError(
@@ -141,10 +147,8 @@ class RunConfig:
                     raise ConfigError(f"temperature.T_over_J: must be positive, got {t}")
                 self.beta = 1.0 / t
 
-        probe = _require(data, "probe", "top level")
-        if not isinstance(probe, dict):
-            raise ConfigError("probe: expected an object")
-        self.two_s0 = _integer(_require(probe, "two_s0", "probe"), "probe.two_s0", 1)
+        probe = _section(data, "probe", required=True)
+        self.two_s0 = _integer(_require(probe, "two_s0", "probe"), "probe.two_s0", 1, MAX_TWO_S0)
         self.delta = _integer(probe.get("delta", 1), "probe.delta", 1)
         if self.delta > self.two_s0:
             raise ConfigError(
@@ -183,17 +187,13 @@ class RunConfig:
 
         self.lam = _number(data.get("lambda", 1.0), "lambda", 0.0, strict=True)
 
-        grid = data.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError("grid: expected an object")
+        grid = _section(data, "grid")
         self.steps = _integer(grid.get("steps", 4096), "grid.steps", 2, MAX_STEPS)
         self.t_max = None
         if "t_max" in grid:
             self.t_max = _number(grid["t_max"], "grid.t_max", 0.0, strict=True)
 
-        tols = data.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances: expected an object")
+        tols = _section(data, "tolerances")
         self.magnitude_tol = _number(
             tols.get("magnitude_tol", 1e-6), "tolerances.magnitude_tol", 0.0, strict=True
         )

@@ -557,11 +557,9 @@ def build_ring(N: int, s: HalfInt, J: float, beta: float) -> PartitionPolynomial
     ms = np.array([float(m) for m in projections(s)])
     tag = {"kind": "ring", "n_spins": N, "two_s": s.doubled, "J": J, "beta": beta}
     if beta * J > 0:
-        D = s.doubled + 1
-        V = np.full((D, D, D), -np.inf)
-        for row, m in enumerate(projections(s)):
-            k = (s.doubled - m.doubled) // 2  # z-power carried by this row
-            V[k, row, :] = beta * J * float(m) * ms
+        r = np.arange(len(ms))
+        V = np.full((len(ms),) * 3, -np.inf)
+        V[r[::-1], r] = beta * J * ms[:, None] * ms  # row m carries z^(s - m)
         power = _power(V, N, _log_polymat_mul)
         factor = (logsumexp(np.diagonal(power, axis1=1, axis2=2), axis=1), 1)
     else:  # N free spins

@@ -1,9 +1,11 @@
 """Exact half-integer spin bookkeeping and ladder-operator coefficients.
 
 Spin magnitudes and projections are stored as doubled integers so that all
-quantum-number arithmetic stays exact; floats only appear inside square roots.
+quantum-number arithmetic stays exact; each float is the root of an exact ratio,
+as <l+delta|(S+)^delta|l> = sqrt((2s0-k)! (k+delta)! / ((2s0-k-delta)! k!)), k = s0 + l.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,28 +40,34 @@ def projections(s: HalfInt):
     return [HalfInt(d) for d in range(-s.doubled, s.doubled + 1, 2)]
 
 
+def _ladder(d0, k, delta):
+    """<l+delta|(S+)^delta|l> of the spin s0 = d0/2 at k = s0 + l, as sqrt(float(p)).
+
+    p = perm(2s0 - k, delta) perm(k + delta, delta) is an exact integer; past
+    the float range it is divided by 4**j, and the root multiplied by 2**j.
+    """
+    p = math.perm(d0 - k, delta) * math.perm(k + delta, delta)
+    j = max(0, p.bit_length() - 1000) // 2
+    try:
+        return math.ldexp(math.sqrt(p / 4**j), j)
+    except OverflowError:
+        raise ValueError(f"<(S+)^{delta}> of a spin 2s0 = {d0} exceeds the float range") from None
+
+
 def ladder_product_coeff(s0: HalfInt, l: HalfInt, delta: int) -> float:
     """Matrix element <l+delta| (S+)^delta |l> for a spin of magnitude s0.
 
-    Equals the product over q = 1..delta of
-    sqrt(s0(s0+1) - (l+q-1)(l+q)), computed with exact integer arithmetic
-    in units of quarters.
+    The product over q = 1..delta of sqrt(s0(s0+1) - (l+q-1)(l+q)), which is
+    sqrt((2s0-k)! (k+delta)! / ((2s0-k-delta)! k!)) with k = s0 + l.
     """
     _check_magnitude(s0)
     if not isinstance(delta, int) or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
     if delta > s0.doubled:
         raise ValueError(f"delta={delta} exceeds 2*s0={s0.doubled}")
-    if l.doubled < -s0.doubled or l.doubled > s0.doubled - 2 * delta:
-        raise ValueError(
-            f"projection l={l} out of range [-{s0}, {s0}-{delta}] for delta={delta}"
-        )
-    d0, dl = s0.doubled, l.doubled
-    prod = 1
-    for q in range(1, delta + 1):
-        # 4*[s0(s0+1) - (l+q-1)(l+q)], an exact integer the range check keeps >= 4*d0
-        prod *= d0 * (d0 + 2) - (dl + 2 * q - 2) * (dl + 2 * q)
-    return math.sqrt(float(prod)) / 2.0**delta
+    if (l.doubled - s0.doubled) % 2 or not -s0.doubled <= l.doubled <= s0.doubled - 2 * delta:
+        raise ValueError(f"projection l={l} is not one of -{s0}, -{s0}+1, ..., {s0}-{delta}")
+    return _ladder(s0.doubled, (s0.doubled + l.doubled) // 2, delta)
 
 
 @dataclass(frozen=True)
@@ -86,29 +94,25 @@ def sx_top_eigenstate(s0: HalfInt) -> ProbeState:
     """Top eigenstate of the probe Sx operator (eigenvalue +s0).
 
     Closed binomial form: a_m = 2^{-s0} sqrt(C(2s0, s0+m)), all real and
-    non-negative.
+    non-negative: the root of that C over 2^(2s0 - 2s0 mod 2), times 2^{-1/2} for odd 2s0.
     """
     _check_magnitude(s0)
-    d0 = s0.doubled
-    amps = np.array(
-        [math.sqrt(math.comb(d0, k)) * 2.0 ** (-d0 / 2) for k in range(d0 + 1)],
-        dtype=complex,
-    )
-    return ProbeState(s0, amps)
+    d0, odd = s0.doubled, s0.doubled % 2
+    amps = [math.sqrt(math.comb(d0, k) / 2 ** (d0 - odd)) * 0.5 ** (odd / 2) for k in range(d0 + 1)]
+    return ProbeState(s0, np.array(amps, dtype=complex))
 
 
 def ladder_overlap(state: ProbeState, delta: int) -> complex:
-    """Sum over l of a_l a*_{l+delta} <l+delta|(S+)^delta|l> for the state."""
+    """Sum over l of a_l a*_{l+delta} <l+delta|(S+)^delta|l>; ValueError if not finite."""
     d0 = state.s0.doubled
     if not isinstance(delta, int) or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
     if delta > d0:
         raise ValueError(f"delta={delta} exceeds 2*s0={d0}: operator annihilates")
-    amps = state.amplitudes
+    amps = state.amplitudes.tolist()
     total = 0.0 + 0.0j
     for k in range(d0 + 1 - delta):
-        l = HalfInt(-d0 + 2 * k)
-        total += amps[k] * np.conj(amps[k + delta]) * ladder_product_coeff(
-            state.s0, l, delta
-        )
-    return complex(total)
+        total += amps[k] * amps[k + delta].conjugate() * _ladder(d0, k, delta)
+    if not cmath.isfinite(total):
+        raise ValueError(f"<(S+)^{delta}> of a spin 2s0 = {d0} is not finite: {total}")
+    return total

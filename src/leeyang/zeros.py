@@ -40,10 +40,10 @@ class ZeroSet:
     repeats.  By the circle theorem that is the whole answer; ``angles`` and
     ``roots`` repeat each cluster by its multiplicity, in the same order.
     The roots are built as exp(i theta), so they lie on the unit circle by
-    construction and ``circle_deviation``, the largest | hypot(re, im) - 1 |,
-    is rounding-level.  What proves the circle theorem for a given polynomial
-    is the count certificate: find_zeros returns only when sign changes of F
-    account for all 2Ns roots.
+    construction: ``abs_minus_1``, C's hypot(re, im) - 1 of each root, and its
+    largest magnitude ``circle_deviation`` are rounding-level.  What proves the
+    circle theorem for a given polynomial is the count certificate: find_zeros
+    returns only when sign changes of F account for all 2Ns roots.
     """
 
     clusters: list  # (representative angle, multiplicity)
@@ -57,9 +57,12 @@ class ZeroSet:
         return np.exp(1j * self.angles)
 
     @cached_property
+    def abs_minus_1(self):
+        return np.hypot(self.roots.real, self.roots.imag) - 1.0  # np.abs may differ by an ulp
+
+    @cached_property
     def circle_deviation(self):
-        z = self.roots
-        return float(np.max(np.abs(np.hypot(z.real, z.imag) - 1.0)))
+        return float(np.max(np.abs(self.abs_minus_1)))
 
     def times(self, lam: float, delta: int):
         """Zero times t_n = ((-theta_n) mod 2pi) / (lam * delta), in root order."""

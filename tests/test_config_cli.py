@@ -18,7 +18,7 @@ from helpers import assert_same_text, figure_panels
 from leeyang import cli
 from leeyang.cli import main
 from leeyang.config import (
-    MAX_EXACT_SPINS, MAX_STEPS, MODEL_KINDS, ConfigError, RunConfig, load_config,
+    MAX_EXACT_SPINS, MAX_STEPS, MAX_TWO_S0, MODEL_KINDS, ConfigError, RunConfig, load_config,
 )
 from leeyang.partition import build_long_range, build_ring
 from leeyang.probe import correlate, expectation_series
@@ -141,6 +141,16 @@ class TestRunConfigValidation:
         args = ["evolve", "--config", write_config(tmp_path, over), "--out", str(tmp_path / "s.csv")]
         assert main(args) == 2
         assert f"error: grid.steps: must be <= {MAX_STEPS}" in capsys.readouterr().err
+
+    def test_probe_spin_capped(self, tmp_path, capsys):
+        probe = {"two_s0": MAX_TWO_S0, "delta": 1}
+        assert RunConfig(base_config(probe=probe)).two_s0 == MAX_TWO_S0 == 2048
+        over = base_config(probe=dict(probe, two_s0=2100))
+        with pytest.raises(ConfigError, match=f"probe.two_s0: must be <= {MAX_TWO_S0}, got 2100"):
+            RunConfig(over)
+        cfg = write_config(tmp_path, over)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: probe.two_s0: must be <= {MAX_TWO_S0}" in capsys.readouterr().err
 
     def test_exact_spins_capped_before_the_coupling_matrix(self, tmp_path, capsys):
         model = {"kind": "exact", "n_spins": MAX_EXACT_SPINS, "two_s": 1}
@@ -436,11 +446,26 @@ class TestCliCommands:
         ), "beta * J must be finite"),
         ("correlate", base_config(**{"lambda": 5e-324}, grid={"t_max": 1.0}),
          "the period 2pi/(lam*delta) must be finite"),
-    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period"])
+        # a matrix element of (S+)^1030, 1030! at k = 0, is beyond the float range
+        ("correlate", base_config(probe={"two_s0": 1030, "delta": 1030}),
+         "<(S+)^1030> of a spin 2s0 = 1030 exceeds the float range"),
+    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period", "correlate-prefactor"])
     def test_overflowing_run_exits_one(self, tmp_path, capsys, command, data, message):
         cfg = write_config(tmp_path, data)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_spin_750_probe_matches_every_zero(self, tmp_path):
+        # long-range spin-1/2 N=4 at T = 2J, probed by a spin 750
+        data = base_config(
+            model={"kind": "long_range", "n_spins": 4, "two_s": 1},
+            temperature={"T_over_J": 2}, probe={"two_s0": 1500},
+        )
+        out = tmp_path / "r.json"
+        assert main(["correlate", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["matches"]) == len(report["predicted"]) == 4
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(temperature={"T_over_J": 0}))
@@ -910,6 +935,9 @@ def _slots(value):
 def _configs(draw):
     """A run configuration of at most 6 spins of 2s <= 3 and 512 steps.
 
+    The probe has 2s0 <= 3, or 1029, 1030 or 2100 with the sx_max state, and
+    any delta up to 2s0.
+
     Its numbers come from _NUMBERS, and then up to two of its values, the
     whole object included, are replaced by any number or other JSON value, or
     deleted.
@@ -932,11 +960,13 @@ def _configs(draw):
     temperature = {"beta": draw(_NUMBERS)} if draw(st.booleans()) else {
         "T_over_J": draw(st.just("inf") | _NUMBERS)
     }
-    two_s0 = draw(st.integers(1, 3))
+    # a large probe spin, about the float range of its amplitudes and past the cap
+    two_s0 = draw(st.integers(1, 3) | st.sampled_from([1029, 1030, 2100]))
     probe = maybe({"two_s0": two_s0}, "delta", st.integers(1, two_s0))
     maybe(probe, "h0", _NUMBERS)
     amplitude = _NUMBERS | st.lists(_NUMBERS, min_size=2, max_size=2)
-    maybe(probe, "state", st.lists(amplitude, min_size=two_s0 + 1, max_size=two_s0 + 1))
+    if two_s0 <= 3:  # the larger spins keep the sx_max state
+        maybe(probe, "state", st.lists(amplitude, min_size=two_s0 + 1, max_size=two_s0 + 1))
     data = {"model": model, "temperature": temperature, "probe": probe}
     maybe(data, "lambda", _NUMBERS)
     data["grid"] = maybe({"steps": draw(st.integers(2, 512))}, "t_max", _NUMBERS)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,9 @@ class TestLadderProductCoeff:
             ladder_product_coeff(HalfInt(1), HalfInt(1), 1)
         with pytest.raises(ValueError):
             ladder_product_coeff(HalfInt(2), HalfInt(2), 1)
+        # l = -1/2 lies in [-1, 0] but is not a projection of spin 1
+        with pytest.raises(ValueError, match="not one of -1, -1\\+1, ..., 1-1"):
+            ladder_product_coeff(HalfInt(2), HalfInt(-1), 1)
 
     def test_delta_too_large(self):
         with pytest.raises(ValueError):
@@ -74,6 +78,21 @@ class TestLadderProductCoeff:
     def test_delta_not_positive(self):
         with pytest.raises(ValueError):
             ladder_product_coeff(HalfInt(2), HalfInt(0), 0)
+
+    @pytest.mark.parametrize("d0, delta", [(200, 150), (200, 200), (300, 120), (1029, 60)])
+    def test_every_finite_coefficient_of_a_large_spin(self, d0, delta):
+        # sqrt(p) to an ulp for p = perm(2s0 - k, delta) perm(k + delta, delta),
+        # past the float range of p itself; refused, naming 2s0 and delta, past
+        # that of sqrt(p)
+        for k in range(d0 + 1 - delta):
+            p = math.perm(d0 - k, delta) * math.perm(k + delta, delta)
+            if math.log(p) / 2 < math.log(np.finfo(float).max):
+                got = ladder_product_coeff(HalfInt(d0), HalfInt(2 * k - d0), delta)
+                ulp = Fraction(math.ulp(got))
+                assert (Fraction(got) - ulp) ** 2 <= p <= (Fraction(got) + ulp) ** 2
+            else:
+                with pytest.raises(ValueError, match=rf"\^{delta}> of a spin 2s0 = {d0} exceeds"):
+                    ladder_product_coeff(HalfInt(d0), HalfInt(2 * k - d0), delta)
 
 
 class TestSxTopEigenstate:
@@ -126,6 +145,28 @@ class TestProbeState:
         for d0 in (1, 2, 5):
             state = sx_top_eigenstate(HalfInt(d0))
             assert ladder_overlap(state, 1) == pytest.approx(d0 / 2, rel=1e-14)
+
+    @pytest.mark.parametrize("d0", [*range(1, 394, 7), 1500], ids=lambda d0: f"2s0={d0}")
+    def test_ladder_overlap_of_sx_state_is_closed_form(self, d0):
+        # <(S+)^delta> = perm(2s0, delta) / 2^delta for the Sx top eigenstate
+        state = sx_top_eigenstate(HalfInt(d0))
+        for delta in range(1, min(d0, 40) + 1):
+            exact = math.perm(d0, delta) / 2**delta
+            assert ladder_overlap(state, delta) == pytest.approx(exact, rel=4e-15, abs=0)
+
+    def test_ladder_overlap_near_the_float_maximum(self):
+        state = sx_top_eigenstate(HalfInt(200))
+        exact = math.perm(200, 150) / 2**150  # about 1.8e265
+        assert ladder_overlap(state, 150) == pytest.approx(exact, rel=4e-15, abs=0)
+        # at delta = 200 the one coefficient, 200! (about 7.9e374), is beyond the range
+        with pytest.raises(ValueError, match="<\\(S\\+\\)\\^200> of a spin 2s0 = 200 exceeds"):
+            ladder_overlap(state, 200)
+
+    def test_ladder_overlap_refuses_a_sum_that_is_not_finite(self):
+        # the normalization check of ProbeState lets NaN amplitudes through
+        state = ProbeState(HalfInt(1), np.array([math.nan, math.nan]))
+        with pytest.raises(ValueError, match=r"<\(S\+\)\^1> of a spin 2s0 = 1 is not finite"):
+            ladder_overlap(state, 1)
 
     def test_ladder_overlap_delta_too_large(self):
         state = sx_top_eigenstate(HalfInt(1))
