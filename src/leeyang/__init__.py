@@ -18,7 +18,6 @@ from .spins import (
     HalfInt,
     ProbeState,
     ladder_overlap,
-    ladder_product_coeff,
     projections,
     sx_top_eigenstate,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "expectation_series",
     "find_zeros",
     "ladder_overlap",
-    "ladder_product_coeff",
     "load_config",
     "projections",
     "sx_top_eigenstate",

@@ -1,11 +1,11 @@
 """Exact half-integer spin bookkeeping and ladder-operator coefficients.
 
 Spin magnitudes and projections are stored as doubled integers so that all
-quantum-number arithmetic stays exact; each float is the root of an exact ratio,
-as <l+delta|(S+)^delta|l> = sqrt((2s0-k)! (k+delta)! / ((2s0-k-delta)! k!)), k = s0 + l.
+quantum-number arithmetic stays exact; each matrix element is the root of an exact
+ratio, <l+delta|(S+)^delta|l> = sqrt((2s0-k)! (k+delta)! / ((2s0-k-delta)! k!)) with
+k = s0 + l, held as (r, j) for r * 2**j so that it never leaves the float range.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -41,33 +41,14 @@ def projections(s: HalfInt):
 
 
 def _ladder(d0, k, delta):
-    """<l+delta|(S+)^delta|l> of the spin s0 = d0/2 at k = s0 + l, as sqrt(float(p)).
+    """<l+delta|(S+)^delta|l> = r * 2**j of the spin s0 = d0/2 at k = s0 + l, as (r, j).
 
     p = perm(2s0 - k, delta) perm(k + delta, delta) is an exact integer; past
-    the float range it is divided by 4**j, and the root multiplied by 2**j.
+    the float range it is divided by 4**j, so r = sqrt(p / 4**j) is below 2**501.
     """
     p = math.perm(d0 - k, delta) * math.perm(k + delta, delta)
     j = max(0, p.bit_length() - 1000) // 2
-    try:
-        return math.ldexp(math.sqrt(p / 4**j), j)
-    except OverflowError:
-        raise ValueError(f"<(S+)^{delta}> of a spin 2s0 = {d0} exceeds the float range") from None
-
-
-def ladder_product_coeff(s0: HalfInt, l: HalfInt, delta: int) -> float:
-    """Matrix element <l+delta| (S+)^delta |l> for a spin of magnitude s0.
-
-    The product over q = 1..delta of sqrt(s0(s0+1) - (l+q-1)(l+q)), which is
-    sqrt((2s0-k)! (k+delta)! / ((2s0-k-delta)! k!)) with k = s0 + l.
-    """
-    _check_magnitude(s0)
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError(f"delta must be a positive integer, got {delta!r}")
-    if delta > s0.doubled:
-        raise ValueError(f"delta={delta} exceeds 2*s0={s0.doubled}")
-    if (l.doubled - s0.doubled) % 2 or not -s0.doubled <= l.doubled <= s0.doubled - 2 * delta:
-        raise ValueError(f"projection l={l} is not one of -{s0}, -{s0}+1, ..., {s0}-{delta}")
-    return _ladder(s0.doubled, (s0.doubled + l.doubled) // 2, delta)
+    return math.sqrt(p / 4**j), j
 
 
 @dataclass(frozen=True)
@@ -85,7 +66,7 @@ class ProbeState:
                 f"expected {self.s0.doubled + 1} amplitudes, got {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum|a_m|^2 = {norm}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -103,16 +84,23 @@ def sx_top_eigenstate(s0: HalfInt) -> ProbeState:
 
 
 def ladder_overlap(state: ProbeState, delta: int) -> complex:
-    """Sum over l of a_l a*_{l+delta} <l+delta|(S+)^delta|l>; ValueError if not finite."""
+    """Sum over l of a_l a*_{l+delta} <l+delta|(S+)^delta|l>; ValueError past the float range.
+
+    Each term is summed scaled by 2**-top, top the largest j of the matrix
+    elements r * 2**j, and the sum is scaled back once.
+    """
     d0 = state.s0.doubled
     if not isinstance(delta, int) or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
     if delta > d0:
         raise ValueError(f"delta={delta} exceeds 2*s0={d0}: operator annihilates")
     amps = state.amplitudes.tolist()
+    elements = [_ladder(d0, k, delta) for k in range(d0 + 1 - delta)]
+    top = max(j for _, j in elements)
     total = 0.0 + 0.0j
-    for k in range(d0 + 1 - delta):
-        total += amps[k] * amps[k + delta].conjugate() * _ladder(d0, k, delta)
-    if not cmath.isfinite(total):
-        raise ValueError(f"<(S+)^{delta}> of a spin 2s0 = {d0} is not finite: {total}")
-    return total
+    for k, (r, j) in enumerate(elements):
+        total += amps[k] * amps[k + delta].conjugate() * math.ldexp(r, j - top)
+    try:
+        return complex(math.ldexp(total.real, top), math.ldexp(total.imag, top))
+    except OverflowError:
+        raise ValueError(f"<(S+)^{delta}> of a spin 2s0 = {d0} exceeds the float range") from None

@@ -297,6 +297,29 @@ def figure_panels():
     return panels
 
 
+def kappa2_from_coefficients(poly):
+    """The variance of n - Ns over the weights p_n, from ``poly.log_coeffs``."""
+    lc = poly.log_coeffs
+    w = np.exp(lc - np.max(lc))
+    dev = poly.two_ns / 2 - np.arange(len(lc))
+    return float(np.sum(w * dev**2) / np.sum(w))
+
+
+def kappa2_from_zeros(zeros):
+    """The sum over the roots of |1 - z_k|^-2 = 1 / (4 sin^2(theta_k / 2)), with multiplicity.
+
+    -d^2/dtheta^2 log(Z(e^{i theta}) e^{-i Ns theta}) at 0, so it equals
+    kappa2_from_coefficients when the zeros are the polynomial's.
+    """
+    return sum(m / (4 * math.sin(a / 2) ** 2) for a, m in zeros.clusters)
+
+
+def kappa2_gap(poly, zeros):
+    """The relative gap between kappa_2 from the zeros and from the coefficients."""
+    exact = kappa2_from_coefficients(poly)
+    return abs(kappa2_from_zeros(zeros) - exact) / exact
+
+
 def pair_all(predicted, detected, period, window):
     """Greedy nearest-first pairing over every predicted x detected pair.
 

@@ -446,21 +446,29 @@ class TestCliCommands:
         ), "beta * J must be finite"),
         ("correlate", base_config(**{"lambda": 5e-324}, grid={"t_max": 1.0}),
          "the period 2pi/(lam*delta) must be finite"),
-        # a matrix element of (S+)^1030, 1030! at k = 0, is beyond the float range
+        # <(S+)^1030> of the sx_max state, 1030! / 2^1030 (about 5e2347), is beyond the float range
         ("correlate", base_config(probe={"two_s0": 1030, "delta": 1030}),
          "<(S+)^1030> of a spin 2s0 = 1030 exceeds the float range"),
-    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period", "correlate-prefactor"])
+        # so is perm(200, 187) / 2^187, about 6.5e308, the first past it at 2s0 = 200
+        ("correlate", base_config(probe={"two_s0": 200, "delta": 187}),
+         "<(S+)^187> of a spin 2s0 = 200 exceeds the float range"),
+    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period", "correlate-prefactor",
+            "correlate-prefactor-delta-187"])
     def test_overflowing_run_exits_one(self, tmp_path, capsys, command, data, message):
         cfg = write_config(tmp_path, data)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.filterwarnings("error")
-    def test_spin_750_probe_matches_every_zero(self, tmp_path):
-        # long-range spin-1/2 N=4 at T = 2J, probed by a spin 750
+    @pytest.mark.parametrize(
+        "two_s0, delta", [(1500, 1), (200, 170)], ids=["spin-750", "spin-100-delta-170"]
+    )
+    def test_large_probe_matches_every_zero(self, tmp_path, two_s0, delta):
+        # long-range spin-1/2 N=4 at T = 2J; <(S+)^170> of a spin 100 is about
+        # 2.0e291, though its largest matrix element passes the float range
         data = base_config(
             model={"kind": "long_range", "n_spins": 4, "two_s": 1},
-            temperature={"T_over_J": 2}, probe={"two_s0": 1500},
+            temperature={"T_over_J": 2}, probe={"two_s0": two_s0, "delta": delta},
         )
         out = tmp_path / "r.json"
         assert main(["correlate", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0

@@ -14,9 +14,12 @@ kept with the first words of its reason).  The groups:
   have a closed form (Lee & Yang 1952).
 
 Every ring s=1/2 cell with beta > 0 also records its worst angle error
-against that closed form.  The test fails when a cell's outcome or counts
-differ from frontier_outcomes.json, or a recorded deviation or error moves
-by more than FLOAT_RTOL (or FLOAT_ATOL near zero).  A change that moves a
+against that closed form, and every answered cell its ``kappa2_gap``: the
+relative gap between kappa_2 summed over its zeros and kappa_2 from its
+coefficients (test_moments.py), which no matched cell lets pass 1e-10.  The
+test fails when a cell's outcome or counts differ from frontier_outcomes.json,
+or a recorded deviation, error or gap moves by more than FLOAT_RTOL (or
+FLOAT_ATOL near zero).  A change that moves a
 cell rewrites the file and says which cells moved.  To rewrite it:
 
     PYTHONPATH=src python tests/test_frontier.py
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import kappa2_gap
 from leeyang import RootConvergenceError, RunConfig
 from leeyang.cli import _run_correlation
 
@@ -44,7 +48,7 @@ CLOSED_FORM_NS = (14, 18, 22, 26, 30)
 # are not moves.
 FLOAT_RTOL = 0.01
 FLOAT_ATOL = 1e-12
-FLOAT_FIELDS = ("max_deviation", "closed_form_error")
+FLOAT_FIELDS = ("max_deviation", "closed_form_error", "kappa2_gap")
 
 
 def cell_id(kind, two_s, n, beta):
@@ -89,7 +93,7 @@ def measure(kind, two_s, n, beta):
         "probe": {"two_s0": 1},
     })
     try:
-        _, zeros, _, report = _run_correlation(cfg)
+        poly, zeros, _, report = _run_correlation(cfg)
     except RootConvergenceError as exc:
         return {"outcome": "refused", "reason": " ".join(str(exc).split()[:6])}
     cell = {
@@ -102,6 +106,7 @@ def measure(kind, two_s, n, beta):
     if kind == "ring" and two_s == 1 and beta > 0:
         error = np.max(np.abs(zeros.angles - closed_form_angles(n, beta * cfg.J)))
         cell["closed_form_error"] = float(error)
+    cell["kappa2_gap"] = kappa2_gap(poly, zeros)
     return cell
 
 
@@ -172,6 +177,12 @@ def test_cells_keep_their_pinned_outcome(pinned, measured, group):
             changes.append(f"{name}: " + "; ".join(fields))
     assert not changes, f"{len(changes)} {group} cell(s) moved:\n" + "\n".join(changes)
     assert measured["groups"][group] == pinned["groups"][group]
+
+
+def test_every_matched_cell_has_the_kappa2_of_its_coefficients(measured):
+    gaps = {name: cell["kappa2_gap"] for name, cell in measured["cells"].items()
+            if cell["outcome"] == "matched"}
+    assert max(gaps.values()) <= 1e-10, {k: g for k, g in gaps.items() if g > 1e-10}
 
 
 def test_outcomes_file_lists_exactly_the_cells(pinned):

@@ -1,12 +1,14 @@
 """Property-based checks over randomized ferromagnetic baths."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import assert_roots_match, coeffs, eval_ratio, spins, uniform_couplings
 from leeyang.partition import build_exact, build_long_range, build_ring
-from leeyang.spins import HalfInt, ladder_product_coeff
+from leeyang.spins import HalfInt, _ladder
 from leeyang.zeros import find_zeros
 
 BETA = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -75,11 +77,9 @@ def test_ladder_coefficients_positive_and_symmetric(data):
     d0 = data.draw(st.integers(min_value=1, max_value=12))
     delta = data.draw(st.integers(min_value=1, max_value=d0))
     k = data.draw(st.integers(min_value=0, max_value=d0 - delta))
-    l = HalfInt(-d0 + 2 * k)
-    coeff = ladder_product_coeff(HalfInt(d0), l, delta)
+    coeff = math.ldexp(*_ladder(d0, k, delta))
     assert coeff > 0
-    # (S+)^delta matrix elements are mirror symmetric: <l+d| |l> = <-l| |-l-d>
-    mirror = HalfInt(-(l.doubled + 2 * delta))
-    assert coeff == pytest.approx(
-        ladder_product_coeff(HalfInt(d0), mirror, delta), rel=1e-13
-    )
+    # (S+)^delta matrix elements are mirror symmetric: <l+d| |l> = <-l| |-l-d>,
+    # and -l-d sits at k' = 2s0 - k - delta
+    mirror = math.ldexp(*_ladder(d0, d0 - k - delta, delta))
+    assert coeff == pytest.approx(mirror, rel=1e-13)

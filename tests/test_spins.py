@@ -8,8 +8,8 @@ from helpers import splus_matrix, sx_matrix
 from leeyang.spins import (
     HalfInt,
     ProbeState,
+    _ladder,
     ladder_overlap,
-    ladder_product_coeff,
     projections,
     sx_top_eigenstate,
 )
@@ -39,60 +39,38 @@ class TestProjections:
             projections(HalfInt(-2))
 
 
-class TestLadderProductCoeff:
+class TestLadder:
     def test_spin_half_norm(self):
-        assert ladder_product_coeff(HalfInt(1), HalfInt(-1), 1) == 1.0
+        assert math.ldexp(*_ladder(1, 0, 1)) == 1.0
 
     def test_spin_one_double_step(self):
-        assert ladder_product_coeff(HalfInt(2), HalfInt(-2), 2) == pytest.approx(2.0, abs=1e-15)
+        assert math.ldexp(*_ladder(2, 0, 2)) == pytest.approx(2.0, abs=1e-15)
 
     def test_spin_five_half(self):
-        got = ladder_product_coeff(HalfInt(5), HalfInt(3), 1)
-        assert got == pytest.approx(math.sqrt(5), rel=1e-15)
+        # l = 3/2, so k = s0 + l = 4
+        assert math.ldexp(*_ladder(5, 4, 1)) == pytest.approx(math.sqrt(5), rel=1e-15)
 
     @pytest.mark.parametrize("d0", range(1, 11))
     def test_matches_dense_ladder_power(self, d0):
-        s0 = HalfInt(d0)
         sp = splus_matrix(d0)
         for delta in range(1, d0 + 1):
             power = np.linalg.matrix_power(sp, delta)
             for k in range(d0 + 1 - delta):
-                l = HalfInt(-d0 + 2 * k)
-                got = ladder_product_coeff(s0, l, delta)
+                got = math.ldexp(*_ladder(d0, k, delta))
                 assert got == pytest.approx(power[k + delta, k], rel=1e-12)
                 assert got > 0
 
-    def test_out_of_range_projection(self):
-        with pytest.raises(ValueError):
-            ladder_product_coeff(HalfInt(1), HalfInt(1), 1)
-        with pytest.raises(ValueError):
-            ladder_product_coeff(HalfInt(2), HalfInt(2), 1)
-        # l = -1/2 lies in [-1, 0] but is not a projection of spin 1
-        with pytest.raises(ValueError, match="not one of -1, -1\\+1, ..., 1-1"):
-            ladder_product_coeff(HalfInt(2), HalfInt(-1), 1)
-
-    def test_delta_too_large(self):
-        with pytest.raises(ValueError):
-            ladder_product_coeff(HalfInt(1), HalfInt(-1), 2)
-
-    def test_delta_not_positive(self):
-        with pytest.raises(ValueError):
-            ladder_product_coeff(HalfInt(2), HalfInt(0), 0)
-
     @pytest.mark.parametrize("d0, delta", [(200, 150), (200, 200), (300, 120), (1029, 60)])
-    def test_every_finite_coefficient_of_a_large_spin(self, d0, delta):
-        # sqrt(p) to an ulp for p = perm(2s0 - k, delta) perm(k + delta, delta),
-        # past the float range of p itself; refused, naming 2s0 and delta, past
-        # that of sqrt(p)
+    def test_every_coefficient_of_a_large_spin(self, d0, delta):
+        # r * 2**j is sqrt(p) to an ulp of r, scaled, for p = perm(2s0 - k, delta)
+        # perm(k + delta, delta), past the float range of p and of sqrt(p)
         for k in range(d0 + 1 - delta):
             p = math.perm(d0 - k, delta) * math.perm(k + delta, delta)
+            r, j = _ladder(d0, k, delta)
+            got, ulp = Fraction(r) * 2**j, Fraction(math.ulp(r)) * 2**j
+            assert (got - ulp) ** 2 <= p <= (got + ulp) ** 2
             if math.log(p) / 2 < math.log(np.finfo(float).max):
-                got = ladder_product_coeff(HalfInt(d0), HalfInt(2 * k - d0), delta)
-                ulp = Fraction(math.ulp(got))
-                assert (Fraction(got) - ulp) ** 2 <= p <= (Fraction(got) + ulp) ** 2
-            else:
-                with pytest.raises(ValueError, match=rf"\^{delta}> of a spin 2s0 = {d0} exceeds"):
-                    ladder_product_coeff(HalfInt(d0), HalfInt(2 * k - d0), delta)
+                assert Fraction(math.ldexp(r, j)) == got
 
 
 class TestSxTopEigenstate:
@@ -136,6 +114,13 @@ class TestProbeState:
         with pytest.raises(ValueError):
             ProbeState(HalfInt(1), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "amps", [[math.nan, math.nan], [math.nan, 1]], ids=["nan-nan", "nan-1"]
+    )
+    def test_rejects_nan_amplitudes(self, amps):
+        with pytest.raises(ValueError, match="state not normalized: sum\\|a_m\\|\\^2 = nan"):
+            ProbeState(HalfInt(1), np.array(amps))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ProbeState(HalfInt(2), np.array([1.0, 0.0]))
@@ -154,19 +139,22 @@ class TestProbeState:
             exact = math.perm(d0, delta) / 2**delta
             assert ladder_overlap(state, delta) == pytest.approx(exact, rel=4e-15, abs=0)
 
-    def test_ladder_overlap_near_the_float_maximum(self):
-        state = sx_top_eigenstate(HalfInt(200))
-        exact = math.perm(200, 150) / 2**150  # about 1.8e265
-        assert ladder_overlap(state, 150) == pytest.approx(exact, rel=4e-15, abs=0)
-        # at delta = 200 the one coefficient, 200! (about 7.9e374), is beyond the range
-        with pytest.raises(ValueError, match="<\\(S\\+\\)\\^200> of a spin 2s0 = 200 exceeds"):
-            ladder_overlap(state, 200)
+    @pytest.mark.parametrize("d0, last", [(200, 186), (1024, 114)])
+    def test_ladder_overlap_near_the_float_maximum(self, d0, last):
+        # every finite <(S+)^delta> = perm(2s0, delta) / 2^delta (about 9.2e307 at
+        # (200, 186)), though at 2s0 = 200 a matrix element passes the float range
+        # from delta = 159 on
+        state = sx_top_eigenstate(HalfInt(d0))
+        for delta in range(1, last + 1):
+            exact = math.perm(d0, delta) / 2**delta
+            assert ladder_overlap(state, delta) == pytest.approx(exact, rel=4e-15, abs=0)
 
-    def test_ladder_overlap_refuses_a_sum_that_is_not_finite(self):
-        # the normalization check of ProbeState lets NaN amplitudes through
-        state = ProbeState(HalfInt(1), np.array([math.nan, math.nan]))
-        with pytest.raises(ValueError, match=r"<\(S\+\)\^1> of a spin 2s0 = 1 is not finite"):
-            ladder_overlap(state, 1)
+    @pytest.mark.parametrize("delta", [187, 200])
+    def test_ladder_overlap_refuses_past_the_float_range(self, delta):
+        # perm(200, 187) / 2^187 is about 6.5e308; 200! / 2^200 about 4.9e314
+        state = sx_top_eigenstate(HalfInt(200))
+        with pytest.raises(ValueError, match=rf"<\(S\+\)\^{delta}> of a spin 2s0 = 200 exceeds"):
+            ladder_overlap(state, delta)
 
     def test_ladder_overlap_delta_too_large(self):
         state = sx_top_eigenstate(HalfInt(1))
