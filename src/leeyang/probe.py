@@ -13,11 +13,12 @@ the bath's factors (``PartitionPolynomial.factors``), each its cosine series
 normalized to 1 at 0 (``Factor.unit_terms``) raised to its count, so near a
 zero its rounding error is relative to its own value, not to F(0).  As each
 factor has only simple zeros, every zero of any multiplicity is a sign change
-of one factor: the same pass brackets each factor's sign changes on the grid
-and up to t_max, and keeps the factor's values at both ends.  Detection solves
-each bracket from them in x = lam delta t over Python floats (``Factor.scalar``)
-and returns x/(lam delta).  The predicted times come from the zero finder, which
-solves each factor on its extended-precision ``Factor.terms``.
+of one factor: a change of sign bit between two consecutive samples, t_max the
+last.  The sampling pass keeps those two samples and the factor's values there
+as its bracket; detection solves each bracket in x = lam delta t over Python
+floats (``Factor.scalar``) and returns x/(lam delta).  The predicted times come
+from the zero finder, which solves each factor on its extended-precision
+``Factor.terms``.
 
 The series keeps F/F(0) at each sample; the complex signal
 ``TimeSeries.values`` is formed on first read, so detection and
@@ -102,8 +103,9 @@ def expectation_series(
     """Sample <(S+)^delta>(t) on a uniform grid.
 
     Defaults to one fundamental period [0, 2pi/(lam*delta)) with the endpoint
-    excluded; the factors are also evaluated at t_max, to bracket a sign change
-    after the last sample.  ``ladder_overlap`` checks delta against the probe.
+    excluded.  The factors are also evaluated at t_max, and each sign change of
+    a factor is bracketed by the two samples that hold it, the interval after
+    the last sample included.  ``ladder_overlap`` checks delta against the probe.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -129,10 +131,7 @@ def expectation_series(
         g = cosine_series(*factor.unit_terms, x)
         amplitude = amplitude * _power(g[:-1], factor.count)
         i = np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))
-        m = i + (np.abs(g[i + 1]) < np.abs(g[i]))  # the end with the smaller |F_f|
-        lo = np.maximum(m - 1, 0)
-        hi = np.where(i == steps - 1, steps, np.minimum(m + 1, steps - 1))
-        brackets.append((x[lo], x[hi], g[lo], g[hi]))
+        brackets.append((x[i], x[i + 1], g[i], g[i + 1]))
     return TimeSeries(lam, delta, h0, grid[:-1], amplitude, tuple(brackets), poly, overlap)
 
 
@@ -142,16 +141,14 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
     Every zero of F, touching or of any multiplicity, is a simple zero of one
     factor, so it is read off that factor's brackets from the sampling pass
     (``TimeSeries.brackets``), with the factor's values at their ends, factor by
-    factor.  A change between grid points i and i+1 is bracketed by [m-1, m+1],
-    where m is the end with the smaller |F_f|, clipped to the grid, or to t_max
-    for a change after the last sample.  It is solved to 1e-14 in the angle
-    x = lam*delta*t unless its ends share a sign or it holds a zero x of an
-    earlier factor with |F_f(x)| <= 64*len(k)*eps (F_f(0) = 1): that is the same
-    zero, shared by both factors, as pi is by every odd-degree factor.  Each
-    factor F_f of ``series.poly.factors`` is evaluated by ``Factor.scalar`` over
-    its float64 ``unit_terms`` (k, w).  Zeros whose |F(x)|/F(0), from
-    ``_amplitude`` on all solved angles at once, exceeds magnitude_tol are
-    discarded.  Returns (x/(lam*delta), |f| residual) pairs in ascending time.
+    factor.  Each bracket is solved to 1e-14 in the angle x = lam*delta*t unless
+    it holds a zero x of an earlier factor with |F_f(x)| <= 64*len(k)*eps
+    (F_f(0) = 1): that is the same zero, shared by both factors, as pi is by
+    every odd-degree factor.  Each factor F_f of ``series.poly.factors`` is
+    evaluated by ``Factor.scalar`` over its float64 ``unit_terms`` (k, w).
+    Zeros whose |F(x)|/F(0), from ``_amplitude`` on all solved angles at once,
+    exceeds magnitude_tol are discarded.  Returns (x/(lam*delta), |f| residual)
+    pairs in ascending time.
     """
     if not 0 < magnitude_tol < math.inf:
         raise ValueError(f"magnitude_tol must be finite and positive, got {magnitude_tol}")
@@ -167,7 +164,7 @@ def detect_zero_times(series: TimeSeries, magnitude_tol: float = 1e-6):
         roots = []
         for a, b, fa, fb in zip(*(e.tolist() for e in ends)):
             earlier = solved[bisect_left(solved, a):bisect_right(solved, b)]
-            if fa * fb < 0 and all(abs(F(x)) > shared_tol for x in earlier):
+            if all(abs(F(x)) > shared_tol for x in earlier):
                 roots.append(bracket_root(F, a, b, fa, fb, 1e-14))
         # after the loop: every zero of F_f would pass the test against F_f itself
         solved = sorted(solved + roots)

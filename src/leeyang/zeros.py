@@ -81,17 +81,17 @@ class ZeroSet:
 
 
 def bracket_root(f, a, b, fa, fb, xtol):
-    """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite sign.
+    """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite sign bit.
 
-    Illinois method: secant steps that keep the root bracketed, halving the
-    stored value of an end that survives two steps in a row so that both ends
-    converge.  A step that rounds onto an end moves one float inside the
-    bracket instead of bisecting it: the secant puts the root within an ulp
-    of that end, which bisection would reach only after some forty halvings.
-    Returns the bracket's midpoint once it is narrower than xtol or cannot
-    shrink further in floating point.  A midpoint is a/2 + b/2: for normal
-    ends it has the bits of (a + b)/2, and it stays finite for ends beyond
-    half the float range.
+    An end where f is 0.0 reads as positive, as its sign bit does.  Illinois
+    method: secant steps that keep the root bracketed, halving the stored value
+    of an end that survives two steps in a row so that both ends converge.  A
+    step that rounds onto an end moves one float inside the bracket instead of
+    bisecting it: the secant puts the root within an ulp of that end, which
+    bisection would reach only after some forty halvings.  Returns the
+    bracket's midpoint once it is narrower than xtol or cannot shrink further
+    in floating point.  A midpoint is a/2 + b/2: for normal ends it has the
+    bits of (a + b)/2, and it stays finite for ends beyond half the float range.
     """
     side = 0
     for _ in range(_MAX_SOLVER_STEPS):
@@ -105,7 +105,7 @@ def bracket_root(f, a, b, fa, fb, xtol):
         fc = f(c)
         if fc == 0:
             return c
-        if (fc > 0) == (fb > 0):
+        if math.copysign(1, fc) == math.copysign(1, fb):
             b, fb = c, fc
             fa = fa / 2 if side == -1 else fa
             side = -1
@@ -194,7 +194,7 @@ def _factor_zeros(factor):
         if d % 2:
             # in place of F(pi) = 0, F(pi - h) to first order, which has its sign
             vals[-1] = (theta[-1] - theta[-2]) * (w * k * np.sin(k * np.pi)).sum()
-        change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        change = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
         if len(change) >= expected:
             break
         # Halve the grid spacing, and resample around the deepest local minima

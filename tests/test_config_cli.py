@@ -340,17 +340,32 @@ class TestCliCommands:
         assert len(report["matches"]) == len(report["predicted"])
         assert report["circle_deviation"] < 1e-8
 
-    def test_two_step_series_detects_its_zero(self):
-        # the bracket of a sign change is clipped to the grid, so the two
-        # samples 0 and pi bracket the zero between them
+    def test_two_step_series_detects_both_zeros(self):
+        # the samples 0 and pi bracket the first zero, pi and t_max the second
         cfg = RunConfig(base_config(
             model={"kind": "long_range", "n_spins": 2, "two_s": 1},
             temperature={"T_over_J": 2}, grid={"steps": 2},
         ))
         _, _, series, report = cli._run_correlation(cfg)
         assert len(series.times) == 2
-        assert report.matches == [(2.651941333120174, 2.651941333120174, 0.0)]
-        assert report.unmatched_predicted == [3.6312439740594122]
+        assert report.matches == [
+            (2.651941333120174, 2.651941333120174, 0.0),
+            (3.6312439740594122, 3.6312439740594122, 0.0),
+        ]
+        assert report.unmatched_predicted == []
+
+    @pytest.mark.parametrize("two_s, n", [(1, 3), (1, 4), (2, 3), (3, 3), (3, 4)])
+    def test_near_infinite_temperature_ring_matches_every_zero_once(self, two_s, n):
+        # at beta = 1e-6 the zeros come in groups under 2 grid steps wide (near
+        # pi, and 2pi/3 or pi/2), so one factor changes sign in adjacent grid
+        # intervals, and at N = 3 the zero pi is a sample
+        cfg = RunConfig(base_config(
+            model={"kind": "ring", "n_spins": n, "two_s": two_s}, temperature={"beta": 1e-6},
+        ))
+        _, _, series, report = cli._run_correlation(cfg)
+        assert len(series.times) == 4096
+        assert len(report.matches) == len(report.predicted)
+        assert report.unmatched_detected == []
 
     @pytest.mark.parametrize("model, probe, T_over_J, steps, matched", [
         ({"kind": "exact", "n_spins": 2, "two_s": 5}, {"two_s0": 5}, 1, 16, 10),

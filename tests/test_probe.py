@@ -324,8 +324,7 @@ class TestDetectZeroTimes:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9])
     def test_zero_in_last_grid_interval_detected(self, p):
         # t_max lies p steps past t0: for p > 1, t0 lies in the interval before
-        # the last sample, and for p <= 1.5 that sample has the smaller |F|;
-        # for p < 1, t0 lies between the last sample and t_max
+        # the last sample, and for p < 1 between the last sample and t_max
         poly = build_long_range(4, HalfInt(1), 1.0, 1 / 8)
         t0 = sorted(find_zeros(poly).times(1.0, 1))[1]
         ser = expectation_series(

@@ -176,6 +176,19 @@ class TestBracketRoot:
         assert points[0] == 0.1 / 2 + 0.7 / 2
         assert 0.1 <= root <= 0.7
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: x - 2.0, 2.0), (lambda x: -(x - 2.0), 2.0),
+        (lambda x: 1.0 - x, 1.0), (lambda x: -(1.0 - x), 1.0),
+    ], ids=["-, +0 at b", "+, -0 at b", "+0 at a, -", "-0 at a, +"])
+    def test_end_that_is_a_root(self, dtype, f, root):
+        # the ends' sign bits differ and one end is an exact (signed) zero
+        a, b = dtype(1.0), dtype(2.0)
+        fa, fb = f(a), f(b)
+        assert np.signbit(fa) != np.signbit(fb)
+        assert abs(bracket_root(f, a, b, fa, fb, 1e-14) - root) <= 1e-14
+
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
     def test_stops_on_adjacent_floats(self, dtype):
         a = dtype(1.0)
