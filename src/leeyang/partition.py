@@ -17,6 +17,11 @@ read.  Each product sums its output degrees a block at a time
 _LINEAR_RANGE, as in every product of the bundled figure panels, a block is
 one BLAS matrix product of the operands exponentiated once.  Wider operands
 take one exponential per term, and their time is set by the exponentials.
+On small operands a product's time is mostly its fixed cost, so a squaring
+prepares its one operand once, and a product of operands with no absent term
+(every long-range and all-to-all power) takes its log in place: every term is
+a positive normal double, so no output degree is zero and the log needs no
+error-state switch.  A ring's transfer matrix has absent terms and keeps it.
 
 Each block factor of an exact bath comes from enumerating its configurations
 (_enumerate) by twin class (_twin_classes).  Twin spins have the same spin
@@ -412,19 +417,36 @@ def _log_polymat_mul(A, B):
     shifted by its maximum and exponentiated once, and each block is one
     matrix product.  Every term is then a positive normal double, so each sum
     is accurate to n*eps relative to itself, as a log-sum-exp is, and costs
-    no exponential per term.  Wider operands are summed as one log-sum-exp over
-    (p, inner index) per block, with one broadcast sum per block.  A block
-    holds at most _ENUMERATION_CHUNK terms, or the terms of a single degree.
+    no exponential per term.  When neither operand has an absent term, every
+    output degree sums at least one such term and is positive, so its log is
+    taken in place with no error-state switch; an absent term can leave a
+    degree at zero, whose log is -inf.  Wider operands are summed as one
+    log-sum-exp over (p, inner index) per block, with one broadcast sum per
+    block.  A block holds at most _ENUMERATION_CHUNK terms, or the terms of a
+    single degree.
+
+    When B is A, as in every squaring _power makes, the operand's peak, floor
+    of finite entries and exponential are taken once and serve both sides:
+    the arithmetic, and so every bit, is that of the product with a copy.
     """
     da, db = A.shape[0] - 1, B.shape[0] - 1
     D = A.shape[1]
-    peak_a, peak_b = A.max(), B.max()
+    same = B is A  # every squaring of _power: prepare the one operand once
+    peak_a = A.max()
+    peak_b = peak_a if same else B.max()
     if peak_a == -np.inf or peak_b == -np.inf:
         return np.full((da + db + 1, D, D), -np.inf)
-    low = A[A > -np.inf].min() + B[B > -np.inf].min()
-    linear = peak_a + peak_b - low <= _LINEAR_RANGE
+    low_a = A.min()
+    low_b = low_a if same else B.min()
+    dense = low_a > -np.inf and low_b > -np.inf  # no absent term
+    if low_a == -np.inf:
+        low_a = A[A > -np.inf].min()
+    if low_b == -np.inf:
+        low_b = low_a if same else B[B > -np.inf].min()
+    linear = peak_a + peak_b - (low_a + low_b) <= _LINEAR_RANGE
     if linear:
-        A, B = np.exp(A - peak_a), np.exp(B - peak_b)
+        A = np.exp(A - peak_a)
+        B = A if same else np.exp(B - peak_b)
     # A as (i, p, l); B degree-reversed and padded with da absent degrees on
     # each side, as (j, r, l) with r = db + da - q.  The factor B[k - p] of
     # output degree k then sits at r = db + da - k + p: for each degree one
@@ -457,9 +479,14 @@ def _log_polymat_mul(A, B):
         else:
             terms = At[None, :, None, lo:hi].reshape(1, D, 1, -1) + Bk[:, None]
             C[k0:k1] = logsumexp(terms, axis=3)
-    if linear:
+    if not linear:
+        return C
+    if dense:  # every degree sums positive normal terms, so none is log(0)
+        np.log(C, out=C)
+    else:
         with np.errstate(divide="ignore"):  # a degree with no terms is log(0) = -inf
-            return np.log(C) + (peak_a + peak_b)
+            np.log(C, out=C)
+    C += peak_a + peak_b
     return C
 
 

@@ -33,6 +33,7 @@ from leeyang.partition import (
     _MAX_CLASS_STATES,
     _coupling_blocks,
     _log_polymat_mul,
+    _power,
     _twin_classes,
     build_exact,
     build_long_range,
@@ -598,6 +599,12 @@ class TestIntegralOracle:
         with pytest.raises(ValueError, match="N must be a positive integer"):
             long_range_integral_oracle(0, HalfInt(1), 1.0, 1.0, 0)
 
+    def test_imaginary_residue_refused(self):
+        # p_0 of 40 spins is about 1e-11 of the sum of all p_n, which sets the
+        # quadrature's rounding: its imaginary residue is far above 1e-10 of it
+        with pytest.raises(RuntimeError, match=r"quadrature imaginary residue \S+ too large"):
+            long_range_integral_oracle(40, HalfInt(1), 1.0, 0.5, 0)
+
     @pytest.mark.parametrize("J, beta, name", [
         (1.0, math.nan, "beta"), (1.0, math.inf, "beta"), (1.0, -1.0, "beta"),
         (math.nan, 1.0, "J"), (math.inf, 1.0, "J"),
@@ -727,11 +734,24 @@ class TestInvariants:
         assert np.all(np.abs(poly.log_coeffs - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
-def random_log_polymat(rng, degree, D, scale=1e3):
-    """Log entries up to ``scale`` in magnitude, about 30% of them -inf."""
+def random_log_polymat(rng, degree, D, scale=1e3, absent=0.3):
+    """Log entries up to ``scale`` in magnitude, about a share ``absent`` of them -inf."""
     A = rng.uniform(-scale, scale, (degree + 1, D, D))
-    A[rng.random(A.shape) < 0.3] = -np.inf
+    A[rng.random(A.shape) < absent] = -np.inf
     return A
+
+
+def ring_transfer_matrix(two_s, bJ):
+    """build_ring's transfer matrix in logs: row m is bJ*m*m' at degree s - m, all else absent."""
+    ms = np.arange(two_s + 1) - two_s / 2
+    V = np.full((two_s + 1,) * 3, -np.inf)
+    r = np.arange(two_s + 1)
+    V[r[::-1], r] = bJ * ms[:, None] * ms
+    return V
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def assert_matches_reference(A, B, tol):
@@ -794,6 +814,52 @@ class TestLogPolymatMul:
         r = _LINEAR_RANGE + excess
         A = np.array([0.0, -r / 2]).reshape(2, 1, 1)
         assert_matches_reference(A, A, operand_bound(A, A))
+
+    # a squaring passes one array as both operands; it must round as a
+    # product with a copy does.  Scale 170 is the linear path, 1e3 the wide one.
+    @pytest.mark.parametrize("absent", [0.0, 0.3], ids=["no-absent", "absent"])
+    @pytest.mark.parametrize("scale", [1.0, 170.0, 1e3])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 7, 200])
+    def test_aliased_operand_matches_a_copy(self, degree, D, scale, absent):
+        rng = np.random.default_rng(100 * degree + 10 * D + int(scale))
+        A = random_log_polymat(rng, degree, D, scale, absent)
+        np.testing.assert_array_equal(
+            bits(_log_polymat_mul(A, A)), bits(_log_polymat_mul(A, A.copy()))
+        )
+
+    # a ring's transfer matrix has absent terms, a long-range site factor none
+    @pytest.mark.parametrize("x", [
+        ring_transfer_matrix(2, 0.5),
+        -0.5 / (2 * 40) * np.array([1.0, 0.0, 1.0])[:, None, None],
+    ], ids=["ring", "long_range"])
+    def test_power_matches_a_chain_of_copies(self, x):
+        def with_copy(a, b):
+            return _log_polymat_mul(a, b.copy())
+
+        for n in range(1, 34):
+            np.testing.assert_array_equal(
+                bits(_power(x, n, _log_polymat_mul)), bits(_power(x, n, with_copy)), err_msg=f"n={n}"
+            )
+
+    # with no absent term every degree has a positive sum, so the log may
+    # skip the error-state switch; an absent one must keep it
+    @pytest.mark.parametrize("scale", [1.0, 170.0])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("da, db", DEGREES)
+    def test_linear_product_without_absent_terms_is_finite(self, da, db, D, scale):
+        rng = np.random.default_rng(1000 * da + 10 * db + D + int(scale))
+        A, B = (random_log_polymat(rng, d, D, scale, absent=0.0) for d in (da, db))
+        with np.errstate(divide="raise"):
+            assert np.all(np.isfinite(_log_polymat_mul(A, B)))
+            assert np.all(np.isfinite(_log_polymat_mul(A, A)))
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    def test_degree_without_terms_stays_absent(self, two_s):
+        V = ring_transfer_matrix(two_s, 0.5)
+        assert np.any(np.isneginf(log_polymat_mul_reference(V, V)))
+        with np.errstate(divide="raise"):
+            assert_matches_reference(V, V, operand_bound(V, V))
 
     @pytest.mark.parametrize(
         "build, two_s", [(build_ring, 2), (build_long_range, 2)], ids=["ring", "long_range"]
