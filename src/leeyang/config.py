@@ -146,6 +146,10 @@ class RunConfig:
                 if t < 0:
                     raise ConfigError(f"temperature.T_over_J: must be positive, got {t}")
                 self.beta = 1.0 / t
+                if self.beta == math.inf:
+                    raise ConfigError(
+                        f"temperature.T_over_J: beta = 1/T_over_J must be finite, got {t}"
+                    )
 
         probe = _section(data, "probe", required=True)
         self.two_s0 = _integer(_require(probe, "two_s0", "probe"), "probe.two_s0", 1, MAX_TWO_S0)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .partition import _power
 from .spins import ProbeState, ladder_overlap
-from .zeros import ZeroSet, bracket_root, cosine_series
+from .zeros import ZeroSet, bracket_root, cosine_series, fundamental_period
 
 
 _PAIR_BLOCK = 2**16  # most predicted x detected distances that correlate holds at once
@@ -65,7 +65,7 @@ class TimeSeries:
 
     @property
     def period(self):
-        return 2 * np.pi / (self.lam * self.delta)
+        return fundamental_period(self.lam, self.delta)
 
     def evaluate(self, t):
         """Exact signal value at arbitrary time(s), not an interpolation."""
@@ -113,7 +113,7 @@ def expectation_series(
     if not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if t_max is None:
-        t_max = 2 * np.pi / (lam * delta)
+        t_max = fundamental_period(lam, delta)
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     # The largest phases sampled, as Python floats, which overflow to inf without

@@ -74,10 +74,20 @@ class ZeroSet:
             raise ValueError(f"lam must be finite and positive, got {lam}")
         if not isinstance(delta, int) or delta < 1:
             raise ValueError(f"delta must be a positive integer, got {delta!r}")
-        period = 2 * np.pi / (float(lam) * delta)  # a Python float: inf, with no warning
-        if period == np.inf:
-            raise ValueError(f"the period 2pi/(lam*delta) must be finite, got lam = {lam}")
+        fundamental_period(lam, delta)  # refuses a period that is not finite and positive
         return np.mod(-np.array([a for a, _ in self.clusters]), 2 * np.pi) / (lam * delta)
+
+
+def fundamental_period(lam, delta):
+    """The signal's fundamental period 2pi/(lam*delta), refused where it is not finite
+    and positive: a tiny lam makes it inf, and a lam*delta past the float range 0."""
+    period = 2 * np.pi / (float(lam) * delta)  # a Python float: inf or 0, with no warning
+    if not 0 < period < math.inf:
+        raise ValueError(
+            f"the period 2pi/(lam*delta) must be finite and positive, "
+            f"got lam = {lam}, delta = {delta}"
+        )
+    return period
 
 
 def bracket_root(f, a, b, fa, fb, xtol):

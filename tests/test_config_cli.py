@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -54,6 +55,80 @@ NUMBER_FIELDS = {
     "model.couplings": lambda v: base_config(
         model={"kind": "exact", "n_spins": 2, "two_s": 1, "couplings": [[0, v], [v, 0]]}
     ),
+}
+
+
+def long_range(n):
+    return {"kind": "long_range", "n_spins": n, "two_s": 1}
+
+
+def exact(n, couplings=None):
+    model = {"kind": "exact", "n_spins": n, "two_s": 1}
+    return model if couplings is None else dict(model, couplings=couplings)
+
+
+def two_sides(within):
+    """Couplings of K_32,32 spin-1/2: 1 across its two sides, within(i, j) inside one."""
+    return [[1.0 if (i < 32) != (j < 32) else within(i, j) for j in range(64)] for i in range(64)]
+
+
+# Configs that `correlate` runs with every predicted zero matched once and no
+# zero detected unmatched: (config, number of zeros).
+MATCHED_RUNS = {
+    # a zero between the last sample and t_max is bracketed up to t_max:
+    # 5.9545393160333822 for fig2 at T = J on 16 steps, 15/16 of the period
+    "fig2 T=J 16 steps": (base_config(
+        model={"kind": "exact", "n_spins": 2, "two_s": 5}, probe={"two_s0": 5},
+        temperature={"T_over_J": 1}, grid={"steps": 16},
+    ), 10),
+    # ... and pi for a free ring on 2 steps
+    "free ring 2 steps": (base_config(
+        model={"kind": "ring", "n_spins": 4, "two_s": 1}, probe={"two_s0": 1},
+        temperature={"T_over_J": "inf"}, grid={"steps": 2},
+    ), 1),
+    # samples 0 and pi bracket the first zero time, pi and t_max the second
+    "long_range N=2 2 steps": (base_config(
+        model=long_range(2), temperature={"T_over_J": 2}, grid={"steps": 2}
+    ), 2),
+    # one zero of 200 at pi, where the sampled product underflows
+    "long_range N=200 T=inf": (base_config(model=long_range(200)), 1),
+    "lambda 1e12": (base_config(
+        model=long_range(4), temperature={"T_over_J": 0.0625}, **{"lambda": 1e12}
+    ), 4),
+    # three pairs of zeros, each within 2 grid steps
+    "ring s=1 N=3 beta=1e-6": (base_config(
+        model={"kind": "ring", "n_spins": 3, "two_s": 2}, temperature={"beta": 1e-6}
+    ), 6),
+    # blocks of 3 and 5 spins, J = 1 within each, at T = 2J: pi, a zero of
+    # both factors, is reported once
+    "split 3+5": (base_config(
+        model=exact(8, [[float(i != j and (i < 3) == (j < 3)) for j in range(8)] for i in range(8)]),
+        temperature={"T_over_J": 2},
+    ), 7),
+    # two pairs with J = 1 and 1.0005 at T = J: zeros of the two factors 0.12 grid steps apart
+    "close pairs": (base_config(
+        model=exact(4, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1.0005], [0, 0, 1.0005, 0]]),
+        temperature={"T_over_J": 1},
+    ), 4),
+    # 2^64 configurations, enumerated as one collective spin of 65 states
+    "exact N=64 all-to-all": (base_config(model=exact(64), temperature={"T_over_J": 1}), 64),
+    # beta*J = 2 has a zero mantissa, and the block is still two twin classes of 33 states
+    "K32,32 T=J/2": (base_config(
+        model=exact(64, two_sides(lambda i, j: 0.0)), temperature={"T_over_J": 0.5}
+    ), 64),
+    # -0.0 on the pairs within a side with (i + j) % 3 == 0 correlates as 0.0 does
+    "K32,32 negative zeros T=2J": (base_config(
+        model=exact(64, two_sides(lambda i, j: -0.0 if i != j and (i + j) % 3 == 0 else 0.0)),
+        temperature={"T_over_J": 2},
+    ), 64),
+    # <(S+)^170> of a spin 100 is about 2.0e291, though its largest matrix
+    # element passes the float range
+    "probe spin-750": (base_config(
+        model=long_range(4), temperature={"T_over_J": 2}, probe={"two_s0": 1500, "delta": 1}
+    ), 4),
+    "probe spin-100 delta-170": (base_config(
+        model=long_range(4), temperature={"T_over_J": 2}, probe={"two_s0": 200, "delta": 170}
+    ), 4),
 }
 
 
@@ -255,6 +330,8 @@ class TestRunConfigValidation:
         (base_config(grid=None), "grid: expected an object"),
         (base_config(tolerances=[1e-6]), "tolerances: expected an object"),
         (base_config(temperature={"T_over_J": -1}), "temperature.T_over_J: must be positive"),
+        (base_config(temperature={"T_over_J": 1e-310}),
+         "temperature.T_over_J: beta = 1/T_over_J must be finite, got 1e-310"),
         (base_config(probe={"two_s0": 1, "state": [[1, 0, 0], 1]}),
          "probe.state[0]: expected a number or [re, im] pair"),
         (base_config(probe={"two_s0": 1, "state": [0, [0, -0.0]]}),
@@ -264,8 +341,9 @@ class TestRunConfigValidation:
     ], ids=[
         "missing-field", "not-a-number", "not-an-integer", "top-level-not-object",
         "model-not-object", "temperature-not-object", "probe-not-object", "grid-not-object",
-        "tolerances-not-object", "negative-T_over_J", "state-entry-neither-number-nor-pair",
-        "all-zero-amplitudes", "state-neither-sx_max-nor-list",
+        "tolerances-not-object", "negative-T_over_J", "T_over_J-with-infinite-beta",
+        "state-entry-neither-number-nor-pair", "all-zero-amplitudes",
+        "state-neither-sx_max-nor-list",
     ])
     def test_malformed_config_rejected(self, tmp_path, capsys, data, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -286,20 +364,25 @@ class TestRunConfigValidation:
 
 
 class TestCliCommands:
-    def test_zeros_command(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, base_config())
+    @pytest.mark.parametrize("data, zeros", [
+        (base_config(), 2),
+        # long-range spin-1/2 N=1100 at beta = 0: 1,100 zeros at pi, written in several blocks
+        (base_config(model=long_range(1100)), 1100),
+    ], ids=["two spins", "long_range N=1100"])
+    def test_zeros_command(self, tmp_path, capsys, data, zeros):
+        cfg = write_config(tmp_path, data)
         out = tmp_path / "zeros.csv"
         assert main(["zeros", "--config", cfg, "--out", str(out)]) == 0
         assert "circle_deviation=" in capsys.readouterr().out
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        header, data = rows[0], rows[1:]
+        header, body = rows[0], rows[1:]
         assert header == "index,re,im,theta,abs_minus_1,multiplicity,predicted_time"
-        assert len(data) == 2
-        for row in data:
+        assert len(body) == zeros
+        for row in body:
             fields = row.split(",")
             assert float(fields[3]) == pytest.approx(np.pi, abs=1e-8)
             assert float(fields[6]) == pytest.approx(np.pi, abs=1e-8)
-            assert fields[5] == "2"
+            assert fields[5] == str(zeros)
 
     @pytest.mark.parametrize("option", ["--steps", "--t-max"])
     def test_zeros_takes_no_grid_option(self, tmp_path, option):
@@ -367,20 +450,12 @@ class TestCliCommands:
         assert len(report.matches) == len(report.predicted)
         assert report.unmatched_detected == []
 
-    @pytest.mark.parametrize("model, probe, T_over_J, steps, matched", [
-        ({"kind": "exact", "n_spins": 2, "two_s": 5}, {"two_s0": 5}, 1, 16, 10),
-        ({"kind": "ring", "n_spins": 4, "two_s": 1}, {"two_s0": 1}, "inf", 2, 1),
-    ], ids=["fig2 T=J 16 steps", "free ring 2 steps"])
-    def test_zero_after_the_last_sample_matched(
-        self, tmp_path, model, probe, T_over_J, steps, matched
-    ):
-        # a zero between the last sample and t_max is bracketed up to t_max:
-        # 5.9545393160333822 for fig2 at 16 steps, pi for the ring at 2
-        data = base_config(
-            model=model, probe=probe, temperature={"T_over_J": T_over_J}, grid={"steps": steps}
-        )
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data, matched", MATCHED_RUNS.values(), ids=MATCHED_RUNS)
+    def test_correlate_matches_every_zero_once(self, tmp_path, capsys, data, matched):
         cfg, out = write_config(tmp_path, data), tmp_path / "report.json"
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         report = json.loads(out.read_text())
         assert len(report["matches"]) == len(report["predicted"]) == matched
         assert report["unmatched_detected"] == []
@@ -453,42 +528,49 @@ class TestCliCommands:
         assert len(report["matches"]) == len(report["predicted"]) == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command, data, message", [
-        ("evolve", base_config(**{"lambda": 1e300}, grid={"t_max": 1e300}),
+    @pytest.mark.parametrize("command, data, code, message", [
+        ("evolve", base_config(**{"lambda": 1e300}, grid={"t_max": 1e300}), 1,
          "the sample phase (2Ns/2)*lam*delta*t_max must be finite"),
+        ("evolve", base_config(
+            model={"kind": "ring", "n_spins": 4, "two_s": 2}, **{"lambda": 1e300},
+            grid={"t_max": 1e300},
+        ), 1, "the sample phase (2Ns/2)*lam*delta*t_max must be finite"),
         ("correlate", base_config(
             model={"kind": "ring", "n_spins": 4, "two_s": 2}, temperature={"beta": 1e308}
-        ), "beta * J must be finite"),
-        ("correlate", base_config(**{"lambda": 5e-324}, grid={"t_max": 1.0}),
+        ), 1, "beta * J must be finite"),
+        ("correlate", base_config(**{"lambda": 5e-324}, grid={"t_max": 1.0}), 1,
          "the period 2pi/(lam*delta) must be finite"),
+        # the default t_max is the period
+        ("evolve", base_config(**{"lambda": 1e-320}), 1,
+         "the period 2pi/(lam*delta) must be finite and positive, got lam = 1e-320, delta = 1"),
+        # lam*delta = 2e308 passes the float range, and the period is 0
+        ("zeros", base_config(**{"lambda": 1e308}, probe={"two_s0": 2, "delta": 2}), 1,
+         "the period 2pi/(lam*delta) must be finite and positive, got lam = 1e+308, delta = 2"),
+        ("evolve", base_config(**{"lambda": 1e308}, probe={"two_s0": 2, "delta": 2}), 1,
+         "the period 2pi/(lam*delta) must be finite and positive, got lam = 1e+308, delta = 2"),
         # <(S+)^1030> of the sx_max state, 1030! / 2^1030 (about 5e2347), is beyond the float range
-        ("correlate", base_config(probe={"two_s0": 1030, "delta": 1030}),
+        ("correlate", base_config(probe={"two_s0": 1030, "delta": 1030}), 1,
          "<(S+)^1030> of a spin 2s0 = 1030 exceeds the float range"),
         # so is perm(200, 187) / 2^187, about 6.5e308, the first past it at 2s0 = 200
-        ("correlate", base_config(probe={"two_s0": 200, "delta": 187}),
+        ("correlate", base_config(probe={"two_s0": 200, "delta": 187}), 1,
          "<(S+)^187> of a spin 2s0 = 200 exceeds the float range"),
-    ], ids=["evolve-phase", "correlate-log-weight", "correlate-period", "correlate-prefactor",
-            "correlate-prefactor-delta-187"])
-    def test_overflowing_run_exits_one(self, tmp_path, capsys, command, data, message):
+        # at beta = 1e-8 the series of degree 5 is flat to rounding noise
+        ("correlate", base_config(model=long_range(5), temperature={"beta": 1e-8}), 1,
+         "found 39 of 2 sign changes of the cosine series on [0, pi] for degree 5; more than "
+         "the factor has zeros, so its series is at rounding noise"),
+        ("correlate", base_config(model=exact(2, [[0, "1"], ["1", 0]])), 2,
+         "model.couplings: expected a matrix of finite numbers"),
+        ("correlate", base_config(
+            model=long_range(4), temperature={"T_over_J": 2}, probe={"two_s0": 2100, "delta": 1}
+        ), 2, "probe.two_s0: must be <= 2048, got 2100"),
+    ], ids=["evolve-phase", "evolve-phase-ring", "correlate-log-weight", "correlate-period",
+            "evolve-default-period", "zeros-period-zero", "evolve-period-zero",
+            "correlate-prefactor", "correlate-prefactor-delta-187",
+            "correlate-rounding-noise", "correlate-string-couplings", "correlate-probe-over-cap"])
+    def test_refused_run_prints_its_reason(self, tmp_path, capsys, command, data, code, message):
         cfg = write_config(tmp_path, data)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err.startswith(f"error: {message}")
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "two_s0, delta", [(1500, 1), (200, 170)], ids=["spin-750", "spin-100-delta-170"]
-    )
-    def test_large_probe_matches_every_zero(self, tmp_path, two_s0, delta):
-        # long-range spin-1/2 N=4 at T = 2J; <(S+)^170> of a spin 100 is about
-        # 2.0e291, though its largest matrix element passes the float range
-        data = base_config(
-            model={"kind": "long_range", "n_spins": 4, "two_s": 1},
-            temperature={"T_over_J": 2}, probe={"two_s0": two_s0, "delta": delta},
-        )
-        out = tmp_path / "r.json"
-        assert main(["correlate", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert len(report["matches"]) == len(report["predicted"]) == 4
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(temperature={"T_over_J": 0}))
@@ -1058,3 +1140,18 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_src_imports_numpy_and_the_standard_library_alone():
+    # an install without the test extra runs the package: a lazy `import mpmath`
+    # in a function would fail there, and importing the package would not show it
+    found = set()
+    for path in sorted(Path(leeyang.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert ("probe.py", "numpy") in found
+    allowed = {"numpy", *sys.stdlib_module_names}
+    assert sorted((file, name) for file, name in found if name not in allowed) == []

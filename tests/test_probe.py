@@ -98,14 +98,20 @@ class TestExpectationSeries:
         with pytest.raises(ValueError):
             expectation_series(two_half_t_inf, state, 0.0, 1)
 
-    @pytest.mark.parametrize("lam, t_max, name", [
-        (math.nan, None, "lam"), (math.inf, None, "lam"), (-1.0, None, "lam"),
-        (1.0, math.nan, "t_max"), (1.0, math.inf, "t_max"), (1.0, -1.0, "t_max"),
-        (1e-320, None, "t_max"),  # the default period overflows
-    ])
-    def test_non_finite_grid_rejected(self, two_half_t_inf, lam, t_max, name):
+    @pytest.mark.parametrize("lam, t_max, message", [
+        (math.nan, None, "lam must be finite and positive"),
+        (math.inf, None, "lam must be finite and positive"),
+        (-1.0, None, "lam must be finite and positive"),
+        (1.0, math.nan, "t_max must be finite and positive"),
+        (1.0, math.inf, "t_max must be finite and positive"),
+        (1.0, -1.0, "t_max must be finite and positive"),
+        (1e-320, None,
+         "the period 2pi/(lam*delta) must be finite and positive, got lam = 1e-320, delta = 1"),
+    ], ids=["lam-nan", "lam-inf", "lam-negative", "t_max-nan", "t_max-inf", "t_max-negative",
+            "default-t_max-overflows"])
+    def test_non_finite_grid_rejected(self, two_half_t_inf, lam, t_max, message):
         state = sx_top_eigenstate(HalfInt(1))
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             expectation_series(two_half_t_inf, state, lam, 1, t_max=t_max)
 
     @pytest.mark.filterwarnings("error")
