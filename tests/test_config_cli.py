@@ -392,17 +392,32 @@ class TestCliCommands:
             main(["zeros", "--config", cfg, "--out", str(tmp_path / "z.csv"), option, "16"])
         assert exc.value.code == 2
 
-    def test_evolve_round_trip_and_closed_form(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
+    # the exact pair's closed form, and ring 2s=2 N=10 at T = 8J with a probe
+    # field h0 = 0.3, so that im is nonzero
+    @pytest.mark.parametrize("data", [
+        base_config(),
+        base_config(
+            model={"kind": "ring", "n_spins": 10, "two_s": 2}, temperature={"T_over_J": 8},
+            probe={"two_s0": 1, "h0": 0.3},
+        ),
+    ], ids=["closed-form", "ring-h0"])
+    def test_evolve_round_trip_and_closed_form(self, tmp_path, data):
+        cfg = write_config(tmp_path, data)
         out = tmp_path / "series.csv"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "t,re,im,abs"
-        data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
-        t, re, im, mag = data.T
-        np.testing.assert_allclose(re, 0.5 * np.cos(t / 2) ** 2, atol=1e-12)
-        # 17 significant digits round-trip bit-exactly
-        np.testing.assert_array_equal(mag, np.abs(re + 1j * im))
+        fields = [r.split(",") for r in rows[1:]]
+        assert len(fields) == 4096
+        assert all(len(r) == 4 and all(f == "%.17g" % float(f) for f in r) for r in fields)
+        t, re, im, mag = np.array(fields, dtype=float).T
+        # 17 significant digits round-trip bit-exactly; numpy's complex abs
+        # can differ from hypot in the last bit, Python's cannot
+        assert all(a == abs(complex(x, y)) for x, y, a in zip(re.tolist(), im.tolist(), mag.tolist()))
+        if "h0" in data["probe"]:
+            assert np.any(im != 0)
+        else:
+            np.testing.assert_allclose(re, 0.5 * np.cos(t / 2) ** 2, atol=1e-12)
 
     def test_evolve_overrides(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -643,6 +658,9 @@ class TestCliCommands:
             assert float(header.split()[0]) == column_max
             report = json.loads((base / "report.json").read_text())
             assert report["circle_deviation"] == column_max
+            # every panel matches at the base window
+            assert report["window"] == 1e-6
+            assert report["max_deviation"] <= 1e-9
 
     def test_reproduce_fig4(self, tmp_path):
         assert main(["reproduce", "fig4", "--out-dir", str(tmp_path)]) == 0

@@ -688,10 +688,11 @@ class TestInvariants:
         lr = build_long_range(10, HalfInt(2), 1.0, 50.0)
         assert np.all(np.isfinite(lr.log_coeffs))
 
-    @pytest.mark.parametrize("n, beta", [(10, 400.0), (500, 0.5)])
+    @pytest.mark.parametrize("n, beta", [(10, 400.0), (500, 0.5), (1000, 0.5)])
     def test_ring_total_matches_transfer_eigenvalues(self, n, beta):
         # Z(beta, 0) = Tr T^N for T = exp(beta J m m'); beta*J = 400 spans
-        # e^4000 across the matrix entries, and N = 500 gives degree 1000.
+        # e^4000 across the matrix entries, and N = 500 and 1000 give degree
+        # 1000 and 2000.
         lc = build_ring(n, HalfInt(2), 1.0, beta).log_coeffs
         assert np.all(np.isfinite(lc))
         np.testing.assert_allclose(lc, lc[::-1], rtol=0, atol=1e-12 * abs(lc).max())
@@ -701,10 +702,12 @@ class TestInvariants:
         log_z = n * math.log(abs(top)) + math.log(np.sum((eig / top) ** n))
         assert np.logaddexp.reduce(lc) == pytest.approx(log_z, rel=1e-12)
 
-    def test_long_range_beyond_double_range(self):
-        # C(1100, 550) > 1.8e308: the coefficients exist only as logs.
+    @pytest.mark.parametrize("n", [1000, 1100])
+    def test_long_range_beyond_double_range(self, n):
+        # C(1000, 500) < 1.8e308 < C(1100, 550): at N = 1100 the coefficients
+        # exist only as logs.
         # s = 1/2: p_n = C(N, n) exp(a (N/2 - n)^2 - N a / 4), a = beta J / 2N
-        n, beta = 1100, 0.5
+        beta = 0.5
         a = beta / (2 * n)
         k = np.arange(n + 1)
         ref = np.array([
