@@ -34,11 +34,30 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+# The keys each section reads; any other key is refused, so that a misspelled
+# one is not run as its default.
+_KEYS = {
+    "top level": {"model", "temperature", "probe", "lambda", "grid", "tolerances"},
+    "model": {"kind", "n_spins", "two_s", "J", "couplings"},
+    "temperature": {"beta", "T_over_J"},
+    "probe": {"two_s0", "delta", "h0", "state"},
+    "grid": {"steps", "t_max"},
+    "tolerances": {"magnitude_tol", "match_window"},
+}
+
+
+def _check_keys(mapping, where):
+    for key in mapping:
+        if key not in _KEYS[where]:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def _section(data, key, required=False):
-    """The object at data[key]; an optional section that is absent is empty."""
+    """The object at data[key], its keys checked; an optional section that is absent is empty."""
     section = _require(data, key, "top level") if required else data.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{key}: expected an object")
+    _check_keys(section, key)
     return section
 
 
@@ -78,6 +97,7 @@ class RunConfig:
     def __init__(self, data):
         if not isinstance(data, dict):
             raise ConfigError("top level: expected a JSON object")
+        _check_keys(data, "top level")
 
         model = _section(data, "model", required=True)
         self.model_kind = _require(model, "kind", "model")
@@ -125,8 +145,7 @@ class RunConfig:
             raise ConfigError("model.n_spins: a ring needs at least 3 spins")
 
         temp = _section(data, "temperature", required=True)
-        keys = set(temp) & {"beta", "T_over_J"}
-        if len(keys) != 1:
+        if len(temp) != 1:
             raise ConfigError(
                 "temperature: exactly one of 'beta' or 'T_over_J' must be given"
             )

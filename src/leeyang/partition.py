@@ -149,6 +149,8 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     J = np.asarray(couplings, dtype=float) + 0.0  # -0.0 becomes 0.0, as _twin_classes needs
     if J.shape != (n, n):
         raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
+    if not (np.isfinite(J.min()) and np.isfinite(J.max())):  # a NaN is both
+        raise ValueError("couplings must be finite")
     if not np.array_equal(J, J.T):
         if not np.allclose(J, J.T, rtol=0, atol=1e-12):
             raise ValueError("couplings matrix must be symmetric")

@@ -42,6 +42,36 @@ def spins(two_s, n):
     return [HalfInt(two_s)] * n
 
 
+# a 3-spin path with J01 = 1 and J12 = 2
+THREE_SPIN_PATH = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+
+
+def block_diagonal(*blocks):
+    """The couplings of independent blocks: each square block on the diagonal, in order."""
+    n = sum(len(b) for b in blocks)
+    mat, start = np.zeros((n, n)), 0
+    for b in blocks:
+        mat[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return mat
+
+
+def closed_form_angles(n, beta_j):
+    """Zero angles of the spin-1/2 ring of n spins, ascending.
+
+    Lee & Yang 1952: sin^2(theta_k / 2) = sin^2 phi_k + e^{-beta J} cos^2 phi_k,
+    phi_k = (2k + 1) pi / (2N); k and N - 1 - k give the same angle.  Written
+    as an arctangent, which stays well conditioned near pi.
+    """
+    phi = (2 * np.arange((n + 1) // 2) + 1) * np.pi / (2 * n)
+    a = math.exp(-beta_j)
+    half = np.arctan2(
+        np.sqrt(np.sin(phi) ** 2 + a * np.cos(phi) ** 2),
+        np.abs(np.cos(phi)) * math.sqrt(-math.expm1(-beta_j)),
+    )
+    return np.sort(np.concatenate([2 * half, -2 * half[: n // 2]]))
+
+
 def assert_roots_match(got, expected, atol=1e-9):
     """Compare two root multisets, paired in order of angle in [0, 2*pi).
 

@@ -26,13 +26,12 @@ cell rewrites the file and says which cells moved.  To rewrite it:
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import kappa2_gap
+from helpers import closed_form_angles, kappa2_gap
 from leeyang import RootConvergenceError, RunConfig
 from leeyang.cli import _run_correlation
 
@@ -68,21 +67,6 @@ def groups():
         ],
         "closed_form": [("ring", 1, n, 0.5) for n in CLOSED_FORM_NS],
     }
-
-
-def closed_form_angles(n, beta_j):
-    """Zero angles of the spin-1/2 ring, ascending, as in test_spin_half_zeros_match_closed_form.
-
-    Lee & Yang 1952: sin^2(theta_k / 2) = sin^2 phi_k + e^{-beta J} cos^2 phi_k,
-    phi_k = (2k + 1) pi / (2N), written as an arctangent.
-    """
-    phi = (2 * np.arange((n + 1) // 2) + 1) * np.pi / (2 * n)
-    a = math.exp(-beta_j)
-    half = np.arctan2(
-        np.sqrt(np.sin(phi) ** 2 + a * np.cos(phi) ** 2),
-        np.abs(np.cos(phi)) * math.sqrt(-math.expm1(-beta_j)),
-    )
-    return np.sort(np.concatenate([2 * half, -2 * half[: n // 2]]))
 
 
 def measure(kind, two_s, n, beta):

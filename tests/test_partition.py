@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     brute_force_log_sectors,
+    closed_form_angles,
     coupling_blocks_oracle,
     enumerate_unweighted,
     eval_ratio,
@@ -45,6 +46,26 @@ from leeyang.spins import HalfInt
 from leeyang.zeros import find_zeros
 
 
+# The start of a builder's refusal of a log weight past the bound, and
+# PartitionPolynomial's refusal of a factor that is not a finite 1-D array
+WEIGHT = "beta * J must be finite and keep the largest log weight at most 2.24712e+307; it is "
+ARRAY = "each factor must be a finite, non-empty 1-D array"
+
+# Refused by build_ring and build_long_range alike: (N, 2s, J, beta, message)
+BOTH_BUILDERS = {
+    "beta-nan": (10, 2, 1.0, math.nan, WEIGHT + "nan at beta = nan"),
+    "beta-inf": (10, 2, 1.0, math.inf, WEIGHT + "inf at beta = inf"),
+    "beta--inf": (10, 2, 1.0, -math.inf, "beta must be finite and non-negative, got -inf"),
+    "beta-negative": (10, 2, 1.0, -1.0, "beta must be finite and non-negative, got -1.0"),
+    "beta-J-overflows": (10, 2, 1e200, 1e200, WEIGHT + "inf at beta = 1e+200"),
+    # W = N beta J s^2 (ring) or half that (long_range), with N = 10, s = 1:
+    # beyond the float range
+    "W-overflows": (10, 2, 1.0, 1e308, WEIGHT + "inf at beta = 1e+308"),
+    **{f"J-{J}": (4, 1, J, 0.5, f"J must be finite and non-negative (ferromagnetic), got {J}")
+       for J in (math.nan, math.inf, -1.0)},
+}
+
+
 def rel_coeff_diff(a, b):
     return np.max(np.abs(np.exp(a.log_coeffs - b.log_coeffs) - 1.0))
 
@@ -64,11 +85,6 @@ class TestBuildExact:
         np.testing.assert_allclose(
             np.exp(poly.log_coeffs), [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1], rtol=1e-12
         )
-
-    def test_asymmetric_couplings_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            build_exact(spins(1, 2), bad, 1.0)
 
     def test_near_symmetric_couplings_build_as_their_symmetric_part(self, monkeypatch):
         # within 1e-12 of J.T, J builds bit for bit as 0.5*J + 0.5*J.T, on
@@ -99,14 +115,32 @@ class TestBuildExact:
         build_exact(spins(1, 6), J, 0.7)
         assert seen == [[0, 0, 2, 2, 2, 2]]
 
-    @pytest.mark.parametrize("spin_list, couplings, error, match", [
-        ([], np.zeros((0, 0)), ValueError, "at least one bath spin"),
-        (spins(1, 2), np.zeros((2, 3)), ValueError, r"couplings must be 2x2, got \(2, 3\)"),
-        ([HalfInt(1), 0.5], uniform_couplings(2, 1.0), TypeError, "must be a HalfInt"),
-    ], ids=["no-spins", "wrong-shape", "not-a-half-int"])
-    def test_malformed_bath_refused(self, spin_list, couplings, error, match):
-        with pytest.raises(error, match=match):
-            build_exact(spin_list, couplings, 1.0)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spin_list, coupling, beta, error, message", [
+        ([], np.zeros((0, 0)), 1.0, ValueError, "need at least one bath spin"),
+        (spins(1, 2), np.zeros((2, 3)), 1.0, ValueError, "couplings must be 2x2, got (2, 3)"),
+        ([HalfInt(1), 0.5], 1.0, 1.0, TypeError, "spin magnitude must be a HalfInt"),
+        ([HalfInt(1), HalfInt(0)], 1.0, 1.0, ValueError,
+         "invalid spin magnitude 0: must be >= 1/2"),
+        (spins(1, 2), [[0.0, 1.0], [0.5, 0.0]], 1.0, ValueError,
+         "couplings matrix must be symmetric"),
+        (spins(1, 2), [[1.0, 1.0], [1.0, 0.0]], 1.0, ValueError,
+         "couplings matrix must have zero diagonal"),
+        (spins(1, 2), -1.0, 1.0, ValueError, "couplings must be non-negative (ferromagnetic)"),
+        (spins(1, 2), math.nan, 1.0, ValueError, "couplings must be finite"),
+        (spins(1, 2), math.inf, 0.0, ValueError, "couplings must be finite"),
+        (spins(1, 2), 1e308, 10.0, ValueError, WEIGHT + "inf at beta = 10.0"),
+        (spins(1, 2), 1.0, math.nan, ValueError, WEIGHT + "nan at beta = nan"),
+        (spins(1, 2), 1.0, math.inf, ValueError, WEIGHT + "nan at beta = inf"),
+        (spins(1, 2), 1.0, 1e308, ValueError, WEIGHT + "2.5e+307 at beta = 1e+308"),
+    ], ids=["no-spins", "wrong-shape", "not-a-half-int", "spin-zero", "asymmetric",
+            "nonzero-diagonal", "antiferromagnetic", "nan-coupling", "inf-coupling-at-beta-0",
+            "overflow", "nan-beta", "inf-beta", "log-weight-beyond-bound"])
+    def test_malformed_bath_refused(self, spin_list, coupling, beta, error, message):
+        # a number is the coupling of the pair
+        couplings = [[0.0, coupling], [coupling, 0.0]] if np.ndim(coupling) == 0 else coupling
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_exact(spin_list, couplings, beta)
 
     def test_twin_free_block_of_18_spins(self):
         # no twins, so all 2^18 configurations are enumerated: the one exact
@@ -125,16 +159,6 @@ class TestBuildExact:
         order = rng.permutation(n)
         permuted = build_exact(spins(1, n), J[np.ix_(order, order)], beta).log_coeffs
         assert np.all(np.abs(lc - permuted) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
-
-    def test_nonzero_diagonal_rejected(self):
-        bad = np.array([[1.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            build_exact(spins(1, 2), bad, 1.0)
-
-    def test_antiferromagnetic_rejected(self):
-        bad = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError, match="ferromagnetic"):
-            build_exact(spins(1, 2), bad, 1.0)
 
     def test_split_bath_is_product_of_blocks(self):
         a = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
@@ -208,20 +232,6 @@ class TestBuildExact:
         lc = brute_force_log_sectors(block, couplings, beta)
         got = build_exact(block, couplings, beta).log_coeffs
         assert np.all(np.abs(got - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "coupling, beta",
-        [(math.inf, 0.0), (1e308, 10.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1e308)],
-        ids=["inf-at-beta-0", "overflow", "nan-beta", "inf-beta", "log-weight-beyond-bound"],
-    )
-    def test_non_finite_beta_j_rejected(self, coupling, beta):
-        with pytest.raises(ValueError, match="finite"):
-            build_exact(spins(1, 2), [[0.0, coupling], [coupling, 0.0]], beta)
-
-    def test_invalid_spin_rejected(self):
-        with pytest.raises(ValueError, match="magnitude"):
-            build_exact([HalfInt(1), HalfInt(0)], uniform_couplings(2, 1.0), 1.0)
 
     def test_enumeration_cap(self):
         n = 21  # 2^21 > cap; a chain has no twins
@@ -564,20 +574,26 @@ class TestBuildLongRange:
             ex = build_exact(spins(1, 2), uniform_couplings(2, 0.5), beta)
             assert rel_coeff_diff(lr, ex) < 1e-12
 
+    @pytest.mark.parametrize("beta_j, edge", [(0.5, 1.757421), (1.0, 1.228370), (2.0, 0.570796)])
+    def test_spin_half_zeros_lie_above_the_yang_lee_edge(self, beta_j, edge):
+        # the mean-field edge theta_c = phi - (beta J / 2) tan(phi / 2), with
+        # cos^2(phi / 2) = beta J / 4: every zero angle lies above it, and the
+        # first comes closer as N grows
+        phi = 2 * math.acos(math.sqrt(beta_j / 4))
+        theta_c = phi - beta_j / 2 * math.tan(phi / 2)
+        assert theta_c == pytest.approx(edge, abs=1e-6)
+        first = [
+            np.min(np.abs(find_zeros(build_long_range(n, HalfInt(1), 1.0, beta_j)).angles))
+            for n in (4, 10, 20)
+        ]
+        gaps = np.array(first) - theta_c
+        assert 0 < gaps[2] < gaps[1] < gaps[0]
+
     def test_matches_integral_oracle(self):
         poly = build_long_range(4, HalfInt(1), 1.0, 0.8)
         for n in range(poly.two_ns + 1):
             oracle = long_range_integral_oracle(4, HalfInt(1), 1.0, 0.8, n)
             assert math.exp(poly.log_coeffs[n]) == pytest.approx(oracle, rel=1e-8)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            build_long_range(0, HalfInt(1), 1.0, 1.0)
-
-    def test_negative_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            build_long_range(3, HalfInt(1), -1.0, 1.0)
-
 
 class TestIntegralOracle:
     def test_single_spin_sector(self):
@@ -591,27 +607,24 @@ class TestIntegralOracle:
         oracle = long_range_integral_oracle(3, HalfInt(2), 1.0, 1.0, 3)
         assert built == pytest.approx(oracle, rel=1e-8)
 
-    def test_out_of_range_sector(self):
-        with pytest.raises(ValueError):
-            long_range_integral_oracle(2, HalfInt(1), 1.0, 1.0, 3)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError, match="N must be a positive integer"):
-            long_range_integral_oracle(0, HalfInt(1), 1.0, 1.0, 0)
-
     def test_imaginary_residue_refused(self):
         # p_0 of 40 spins is about 1e-11 of the sum of all p_n, which sets the
         # quadrature's rounding: its imaginary residue is far above 1e-10 of it
         with pytest.raises(RuntimeError, match=r"quadrature imaginary residue \S+ too large"):
             long_range_integral_oracle(40, HalfInt(1), 1.0, 0.5, 0)
 
-    @pytest.mark.parametrize("J, beta, name", [
-        (1.0, math.nan, "beta"), (1.0, math.inf, "beta"), (1.0, -1.0, "beta"),
-        (math.nan, 1.0, "J"), (math.inf, 1.0, "J"),
+    @pytest.mark.parametrize("N, J, beta, n, message", [
+        (2, 1.0, math.nan, 1, "beta must be finite and non-negative, got nan"),
+        (2, 1.0, math.inf, 1, "beta must be finite and non-negative, got inf"),
+        (2, 1.0, -1.0, 1, "beta must be finite and non-negative, got -1.0"),
+        (2, math.nan, 1.0, 1, "J must be finite and non-negative (ferromagnetic), got nan"),
+        (2, math.inf, 1.0, 1, "J must be finite and non-negative (ferromagnetic), got inf"),
+        (2, 1.0, 1.0, 3, "n=3 out of range [0, 2]"),
+        (0, 1.0, 1.0, 0, "N must be a positive integer, got 0"),
     ])
-    def test_non_finite_arguments_rejected(self, J, beta, name):
-        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
-            long_range_integral_oracle(2, HalfInt(1), J, beta, 1)
+    def test_non_finite_arguments_rejected(self, N, J, beta, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            long_range_integral_oracle(N, HalfInt(1), J, beta, n)
 
 
 class TestBuildRing:
@@ -637,22 +650,9 @@ class TestBuildRing:
     @pytest.mark.parametrize("beta_j", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [9, 10, 14])
     def test_spin_half_zeros_match_closed_form(self, n, beta_j):
-        # Lee & Yang 1952: sin^2(theta_k / 2) = sin^2 phi_k + e^{-beta J} cos^2 phi_k,
-        # phi_k = (2k + 1) pi / (2N); k and N - 1 - k give the same angle.
-        # Written as an arctangent, which stays well conditioned near pi.
-        phi = (2 * np.arange((n + 1) // 2) + 1) * np.pi / (2 * n)
-        a = math.exp(-beta_j)
-        half = np.arctan2(
-            np.sqrt(np.sin(phi) ** 2 + a * np.cos(phi) ** 2),
-            np.abs(np.cos(phi)) * math.sqrt(-math.expm1(-beta_j)),
-        )
-        expected = np.sort(np.concatenate([2 * half, -2 * half[: n // 2]]))
         got = find_zeros(build_ring(n, HalfInt(1), 1.0, beta_j)).angles
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got, closed_form_angles(n, beta_j), rtol=0, atol=1e-10)
 
-    def test_open_chain_rejected(self):
-        with pytest.raises(ValueError):
-            build_ring(2, HalfInt(1), 1.0, 1.0)
 
 
 class TestInvariants:
@@ -913,29 +913,25 @@ class TestEvalRatio:
 
 
 class TestPartitionPolynomial:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PartitionPolynomial(0.0, [(np.array([0.0, -np.inf]), 1)], {})
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            PartitionPolynomial(-1.0, [(np.array([0.0, 0.0]), 1)], {})
-
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_beta(self, beta):
-        with pytest.raises(ValueError, match="beta must be finite and non-negative"):
-            PartitionPolynomial(beta, [(np.array([0.0, 0.0]), 1)], {})
-
-    @pytest.mark.parametrize("J, beta", [
-        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, -1.0), (1e200, 1e200),
-        # W = N beta J s^2 (ring) or half that (long_range), with N = 10, s = 1:
-        # beyond the float range, and finite but above the bound
-        (1.0, 1e308), (1.0, 5e306),
+    @pytest.mark.parametrize("build, N, two_s, J, beta, message", [
+        *(pytest.param(build, *row, id=f"{build.__name__}-{name}")
+          for build in (build_ring, build_long_range) for name, row in BOTH_BUILDERS.items()),
+        # finite but above the bound
+        pytest.param(build_ring, 10, 2, 1.0, 5e306, WEIGHT + "5e+307 at beta = 5e+306",
+                     id="build_ring-W-above-bound"),
+        pytest.param(build_long_range, 10, 2, 1.0, 5e306, WEIGHT + "2.5e+307 at beta = 5e+306",
+                     id="build_long_range-W-above-bound"),
+        pytest.param(build_long_range, 3, 1, -1.0, 1.0,
+                     "J must be finite and non-negative (ferromagnetic), got -1.0",
+                     id="build_long_range-N-3-negative-J"),
+        pytest.param(build_long_range, 0, 1, 1.0, 1.0, "N must be a positive integer, got 0",
+                     id="build_long_range-no-spins"),
+        pytest.param(build_ring, 2, 1, 1.0, 1.0, "ring needs N >= 3 spins, got 2",
+                     id="build_ring-open-chain"),
     ])
-    @pytest.mark.parametrize("build", [build_ring, build_long_range])
-    def test_builders_refuse_beta(self, build, J, beta):
-        with pytest.raises(ValueError, match="beta"):
-            build(10, HalfInt(2), J, beta)
+    def test_builders_refuse(self, build, N, two_s, J, beta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(N, HalfInt(two_s), J, beta)
 
     @pytest.mark.filterwarnings("error")
     def test_log_weight_below_bound_builds(self):
@@ -943,28 +939,24 @@ class TestPartitionPolynomial:
         poly = build_ring(3, HalfInt(1), 1.0, 1e307)
         np.testing.assert_array_equal(poly.log_coeffs, [7.5e306, -2.5e306, -2.5e306, 7.5e306])
 
-    @pytest.mark.parametrize("J", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("build", [build_ring, build_long_range])
-    def test_builders_refuse_coupling(self, build, J):
-        with pytest.raises(ValueError, match="J must be finite and non-negative"):
-            build(4, HalfInt(1), J, 0.5)
-
-    @pytest.mark.parametrize(
-        "factors, message",
-        [
-            ([(np.zeros(3), 0)], "count must be an integer >= 1, got 0"),
-            ([(np.zeros(2), 2.0)], "count must be an integer >= 1, got 2.0"),
-            ([(np.zeros(2), 1.5)], "count must be an integer >= 1, got 1.5"),
-            ([(np.array([0.0, np.nan, 0.0]), 1)], "finite, non-empty 1-D array"),
-            ([(np.zeros((1, 3)), 1)], "finite, non-empty 1-D array"),
-            ([(np.zeros(1), 1)], "degree sum, 0"),
-            ([], "degree sum, 0"),
-        ],
-        ids=["count-0", "float-count", "fractional-count", "nan", "2-D", "degree-0", "no-factors"],
-    )
-    def test_rejects_invalid_factors(self, factors, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            PartitionPolynomial(0.0, factors, {})
+    @pytest.mark.parametrize("beta, factors, message", [
+        (0.0, [(np.zeros(3), 0)], "a factor's count must be an integer >= 1, got 0"),
+        (0.0, [(np.zeros(2), 2.0)], "a factor's count must be an integer >= 1, got 2.0"),
+        (0.0, [(np.zeros(2), 1.5)], "a factor's count must be an integer >= 1, got 1.5"),
+        (0.0, [(np.array([0.0, np.nan, 0.0]), 1)], ARRAY),
+        (0.0, [(np.array([0.0, -np.inf]), 1)], ARRAY),
+        (0.0, [(np.zeros((1, 3)), 1)], ARRAY),
+        (0.0, [(np.zeros(1), 1)], "the factors' degree sum, 0, must be >= 1"),
+        (0.0, [], "the factors' degree sum, 0, must be >= 1"),
+        (-1.0, [(np.zeros(2), 1)], "beta must be finite and non-negative, got -1.0"),
+        (math.nan, [(np.zeros(2), 1)], "beta must be finite and non-negative, got nan"),
+        (math.inf, [(np.zeros(2), 1)], "beta must be finite and non-negative, got inf"),
+        (-math.inf, [(np.zeros(2), 1)], "beta must be finite and non-negative, got -inf"),
+    ], ids=["count-0", "float-count", "fractional-count", "nan", "-inf", "2-D", "degree-0",
+            "no-factors", "negative-beta", "nan-beta", "inf-beta", "-inf-beta"])
+    def test_rejects_invalid_factors(self, beta, factors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartitionPolynomial(beta, factors, {})
 
     def test_counts_factors_by_degree(self):
         poly = PartitionPolynomial(0.0, [(np.zeros(2), 3), (np.zeros(3), 2)], {})

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    THREE_SPIN_PATH,
+    block_diagonal,
     eval_ratio,
     figure_panels,
     log_coeffs_60_digits,
@@ -37,14 +39,13 @@ def triangle_beta_one():
     return build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0)
 
 
+TRIANGLE = np.array([[0.0, 0.4, 0.9], [0.4, 0.0, 1.3], [0.9, 1.3, 0.0]])
+
+
 def spin_half_blocks(blocks, beta):
     """Spin-1/2 bath of (size, J) blocks, all-to-all J within each block."""
-    n = sum(size for size, _ in blocks)
-    couplings, start = np.zeros((n, n)), 0
-    for size, J in blocks:
-        couplings[start:start + size, start:start + size] = uniform_couplings(size, J)
-        start += size
-    return build_exact(spins(1, n), couplings, beta)
+    couplings = block_diagonal(*(uniform_couplings(size, J) for size, J in blocks))
+    return build_exact(spins(1, len(couplings)), couplings, beta)
 
 
 def oracle_baths():
@@ -87,32 +88,24 @@ class TestExpectationSeries:
         ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
         assert ser.values[0] == pytest.approx(2.5, abs=1e-13)
 
-    def test_delta_exceeding_two_s0(self, two_half_t_inf):
-        with pytest.raises(ValueError, match="annihilates"):
-            expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 2)
-
-    def test_invalid_grid(self, two_half_t_inf):
-        state = sx_top_eigenstate(HalfInt(1))
-        with pytest.raises(ValueError):
-            expectation_series(two_half_t_inf, state, 1.0, 1, steps=1)
-        with pytest.raises(ValueError):
-            expectation_series(two_half_t_inf, state, 0.0, 1)
-
-    @pytest.mark.parametrize("lam, t_max, message", [
-        (math.nan, None, "lam must be finite and positive"),
-        (math.inf, None, "lam must be finite and positive"),
-        (-1.0, None, "lam must be finite and positive"),
-        (1.0, math.nan, "t_max must be finite and positive"),
-        (1.0, math.inf, "t_max must be finite and positive"),
-        (1.0, -1.0, "t_max must be finite and positive"),
-        (1e-320, None,
+    @pytest.mark.parametrize("lam, delta, t_max, steps, message", [
+        (math.nan, 1, None, 4096, "lam must be finite and positive, got nan"),
+        (math.inf, 1, None, 4096, "lam must be finite and positive, got inf"),
+        (-1.0, 1, None, 4096, "lam must be finite and positive, got -1.0"),
+        (0.0, 1, None, 4096, "lam must be finite and positive, got 0.0"),
+        (1.0, 1, math.nan, 4096, "t_max must be finite and positive, got nan"),
+        (1.0, 1, math.inf, 4096, "t_max must be finite and positive, got inf"),
+        (1.0, 1, -1.0, 4096, "t_max must be finite and positive, got -1.0"),
+        (1e-320, 1, None, 4096,
          "the period 2pi/(lam*delta) must be finite and positive, got lam = 1e-320, delta = 1"),
-    ], ids=["lam-nan", "lam-inf", "lam-negative", "t_max-nan", "t_max-inf", "t_max-negative",
-            "default-t_max-overflows"])
-    def test_non_finite_grid_rejected(self, two_half_t_inf, lam, t_max, message):
+        (1.0, 1, None, 1, "steps must be an integer >= 2, got 1"),
+        (1.0, 2, None, 4096, "delta=2 exceeds 2*s0=1: operator annihilates"),
+    ], ids=["lam-nan", "lam-inf", "lam-negative", "lam-zero", "t_max-nan", "t_max-inf",
+            "t_max-negative", "default-t_max-overflows", "one-step", "delta-exceeds-2s0"])
+    def test_non_finite_grid_rejected(self, two_half_t_inf, lam, delta, t_max, steps, message):
         state = sx_top_eigenstate(HalfInt(1))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            expectation_series(two_half_t_inf, state, lam, 1, t_max=t_max)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            expectation_series(two_half_t_inf, state, lam, delta, t_max=t_max, steps=steps)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("poly, lam, t_max, h0, name", [
@@ -553,17 +546,6 @@ class TestDetectZeroTimes:
         assert len(report.matches) == len(report.predicted) == 5
         assert report.unmatched_detected == []
 
-    def test_invalid_tolerance(self, two_half_t_inf):
-        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        with pytest.raises(ValueError):
-            detect_zero_times(ser, 0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_rejected(self, two_half_t_inf, tol):
-        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        with pytest.raises(ValueError, match="magnitude_tol must be finite and positive"):
-            detect_zero_times(ser, tol)
-
     def test_magnitude_tol_rejects_the_larger_residuals(self):
         # fig6/b: at magnitude_tol = 1 every zero is kept, with |F|/F(0) from
         # 1.8e-19 to 1.8e-16; a tolerance between the 10th and 11th smallest
@@ -680,40 +662,45 @@ class TestCorrelate:
         assert report.predicted == sorted(np.mod(-a, 2 * np.pi) for a, _ in zs.clusters)
         assert report.all_matched
 
-    def test_permuted_blocks_form_one_factor(self):
-        # two triangles with the same couplings on relabelled spins: their
-        # coupling bytes differ but their polynomials are equal
-        triangle = np.array([[0.0, 0.4, 0.9], [0.4, 0.0, 1.3], [0.9, 1.3, 0.0]])
-        order = [2, 0, 1]
-        couplings = np.zeros((6, 6))
-        couplings[:3, :3] = triangle
-        couplings[3:, 3:] = triangle[np.ix_(order, order)]
-        assert couplings[3:, 3:].tobytes() != triangle.tobytes()
-        poly = build_exact(spins(1, 6), couplings, 0.7)
+    # blocks whose couplings differ in their bytes but whose polynomials are
+    # equal: two triangles with the same couplings on relabelled spins, and a
+    # 3-spin path on either side of its mirror image
+    @pytest.mark.parametrize("two_s, blocks, beta", [
+        (1, [TRIANGLE, TRIANGLE[np.ix_([2, 0, 1], [2, 0, 1])]], 0.7),
+        (2, [THREE_SPIN_PATH, THREE_SPIN_PATH[::-1, ::-1], THREE_SPIN_PATH], 0.5),
+    ], ids=["permuted-triangles", "mirror-image-paths"])
+    def test_permuted_blocks_form_one_factor(self, two_s, blocks, beta):
+        assert len({block.tobytes() for block in blocks}) == 2
+        poly = build_exact(spins(two_s, 3 * len(blocks)), block_diagonal(*blocks), beta)
         (_, count), = poly.factors
-        assert count == 2
+        assert count == len(blocks)
         zs = find_zeros(poly)
-        assert {m for _, m in zs.clusters} == {2}
+        assert {m for _, m in zs.clusters} == {count}
         report = correlate(zs, expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1))
         assert report.all_matched and not report.unmatched_detected
 
-    def test_lambda_metadata_mismatch(self, triangle_beta_one):
-        zs = find_zeros(triangle_beta_one)
-        ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
-        with pytest.raises(ValueError, match="lambda"):
-            correlate(zs, ser, lam=2.0)
-        with pytest.raises(ValueError, match="delta"):
-            correlate(zs, ser, delta=2)
-
-    @pytest.mark.parametrize("window, magnitude_tol, name", [
-        (math.nan, 1e-6, "window"), (math.inf, 1e-6, "window"), (0.0, 1e-6, "window"),
-        (-1e-6, 1e-6, "window"), (1e-6, math.nan, "magnitude_tol"),
+    @pytest.mark.parametrize("entry, arguments, message", [
+        ("correlate", {"window": math.nan}, "window must be finite and positive, got nan"),
+        ("correlate", {"window": math.inf}, "window must be finite and positive, got inf"),
+        ("correlate", {"window": 0.0}, "window must be finite and positive, got 0.0"),
+        ("correlate", {"window": -1e-6}, "window must be finite and positive, got -1e-06"),
+        ("correlate", {"magnitude_tol": math.nan},
+         "magnitude_tol must be finite and positive, got nan"),
+        ("correlate", {"lam": 2.0}, "lambda metadata mismatch: series has 1.0, expected 2.0"),
+        ("correlate", {"delta": 2}, "delta metadata mismatch: series has 1, expected 2"),
+        ("detect", {"magnitude_tol": 0.0}, "magnitude_tol must be finite and positive, got 0.0"),
+        ("detect", {"magnitude_tol": math.nan},
+         "magnitude_tol must be finite and positive, got nan"),
+        ("detect", {"magnitude_tol": math.inf},
+         "magnitude_tol must be finite and positive, got inf"),
     ])
-    def test_tolerances_outside_range_rejected(self, two_half_t_inf, window, magnitude_tol, name):
-        zs = find_zeros(two_half_t_inf)
+    def test_tolerances_outside_range_rejected(self, two_half_t_inf, entry, arguments, message):
         ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            correlate(zs, ser, window=window, magnitude_tol=magnitude_tol)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if entry == "detect":
+                detect_zero_times(ser, **arguments)
+            else:
+                correlate(find_zeros(two_half_t_inf), ser, **arguments)
 
     def test_susceptibility_channel_times_halved(self, triangle_beta_one):
         state = sx_top_eigenstate(HalfInt(5))

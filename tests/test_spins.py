@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,13 +32,6 @@ class TestProjections:
 
     def test_spin_five_half_count(self):
         assert len(projections(HalfInt(5))) == 6
-
-    def test_invalid_magnitude(self):
-        with pytest.raises(ValueError):
-            projections(HalfInt(0))
-        with pytest.raises(ValueError):
-            projections(HalfInt(-2))
-
 
 class TestLadder:
     def test_spin_half_norm(self):
@@ -110,21 +104,6 @@ class TestSxTopEigenstate:
 
 
 class TestProbeState:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            ProbeState(HalfInt(1), np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize(
-        "amps", [[math.nan, math.nan], [math.nan, 1]], ids=["nan-nan", "nan-1"]
-    )
-    def test_rejects_nan_amplitudes(self, amps):
-        with pytest.raises(ValueError, match="state not normalized: sum\\|a_m\\|\\^2 = nan"):
-            ProbeState(HalfInt(1), np.array(amps))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            ProbeState(HalfInt(2), np.array([1.0, 0.0]))
-
     def test_ladder_overlap_is_sx_expectation(self):
         # delta = 1 overlap of the x-polarized state equals <Sx> = s0
         for d0 in (1, 2, 5):
@@ -149,18 +128,27 @@ class TestProbeState:
             exact = math.perm(d0, delta) / 2**delta
             assert ladder_overlap(state, delta) == pytest.approx(exact, rel=4e-15, abs=0)
 
-    @pytest.mark.parametrize("delta", [187, 200])
-    def test_ladder_overlap_refuses_past_the_float_range(self, delta):
+    @pytest.mark.parametrize("d0, delta, message", [
         # perm(200, 187) / 2^187 is about 6.5e308; 200! / 2^200 about 4.9e314
-        state = sx_top_eigenstate(HalfInt(200))
-        with pytest.raises(ValueError, match=rf"<\(S\+\)\^{delta}> of a spin 2s0 = 200 exceeds"):
-            ladder_overlap(state, delta)
+        (200, 187, "<(S+)^187> of a spin 2s0 = 200 exceeds the float range"),
+        (200, 200, "<(S+)^200> of a spin 2s0 = 200 exceeds the float range"),
+        (1, 2, "delta=2 exceeds 2*s0=1: operator annihilates"),
+        (1, 0, "delta must be a positive integer, got 0"),
+    ], ids=["past-the-float-range", "all-of-2s0", "delta-too-large", "delta-zero"])
+    def test_ladder_overlap_refused(self, d0, delta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ladder_overlap(sx_top_eigenstate(HalfInt(d0)), delta)
 
-    def test_ladder_overlap_delta_too_large(self):
-        state = sx_top_eigenstate(HalfInt(1))
-        with pytest.raises(ValueError):
-            ladder_overlap(state, 2)
 
-    def test_ladder_overlap_delta_zero(self):
-        with pytest.raises(ValueError, match="delta must be a positive integer"):
-            ladder_overlap(sx_top_eigenstate(HalfInt(1)), 0)
+@pytest.mark.parametrize("make, args, message", [
+    (projections, (HalfInt(0),), "invalid spin magnitude 0: must be >= 1/2"),
+    (projections, (HalfInt(-2),), "invalid spin magnitude -1: must be >= 1/2"),
+    (ProbeState, (HalfInt(1), np.array([1.0, 1.0])), "state not normalized: sum|a_m|^2 = 2.0"),
+    (ProbeState, (HalfInt(1), np.array([math.nan, math.nan])),
+     "state not normalized: sum|a_m|^2 = nan"),
+    (ProbeState, (HalfInt(1), np.array([math.nan, 1])), "state not normalized: sum|a_m|^2 = nan"),
+    (ProbeState, (HalfInt(2), np.array([1.0, 0.0])), "expected 3 amplitudes, got (2,)"),
+], ids=["spin-zero", "negative-spin", "unnormalized", "nan-nan", "nan-1", "wrong-length"])
+def test_malformed_spin_or_state_refused(make, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(*args)
