@@ -149,16 +149,18 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     J = np.asarray(couplings, dtype=float) + 0.0  # -0.0 becomes 0.0, as _twin_classes needs
     if J.shape != (n, n):
         raise ValueError(f"couplings must be {n}x{n}, got {J.shape}")
-    if not (np.isfinite(J.min()) and np.isfinite(J.max())):  # a NaN is both
+    low, high = np.minimum.reduce(J, axis=None), np.maximum.reduce(J, axis=None)
+    if not (np.isfinite(low) and np.isfinite(high)):  # a NaN is both
         raise ValueError("couplings must be finite")
     if not np.array_equal(J, J.T):
         if not np.allclose(J, J.T, rtol=0, atol=1e-12):
             raise ValueError("couplings matrix must be symmetric")
         # the quadratic form reads only the symmetric part; twin classes need it
         J = 0.5 * J + 0.5 * J.T
-    if np.any(np.abs(np.diag(J)) > 0):
+        low = np.minimum.reduce(J, axis=None)  # an entry within 1e-12 of 0 may reach it
+    if J.diagonal().any():
         raise ValueError("couplings matrix must have zero diagonal")
-    if np.any(J < 0):
+    if low < 0:
         raise ValueError("couplings must be non-negative (ferromagnetic)")
     for s in spins:
         _check_magnitude(s)
@@ -173,19 +175,21 @@ def build_exact(spins, couplings, beta) -> PartitionPolynomial:
     by_length = {}  # length -> (indices into groups, their log_coeffs as rows)
     for idx in _coupling_blocks(bJ > 0):
         block = [spins[i] for i in idx]
-        block_bJ = bJ if len(idx) == n else bJ[np.ix_(idx, idx)]
+        block_bJ = bJ if len(idx) == n else bJ.take(idx, 0).take(idx, 1)
         key = (tuple(s.doubled for s in block), block_bJ.tobytes())
         if key not in group_of:
             lc = _block_polynomial(block, block_bJ)
-            # the first group, in insertion order, equal to lc within 1e-12*max(1, |lc|)
-            indices, rows = by_length.setdefault(len(lc), ([], np.empty((0, len(lc)))))
-            close = np.all(np.abs(rows - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)), axis=1)
-            if close.any():
-                group_of[key] = indices[close.argmax()]
+            # the first group, in insertion order, equal to lc within 1e-12*max(1, |lc|);
+            # the first polynomial of its length is compared with none
+            indices, rows = by_length.get(len(lc), ((), np.empty((0, len(lc)))))
+            close = indices and np.all(
+                np.abs(rows - lc) <= 1e-12 * np.maximum(1.0, np.abs(lc)), axis=1
+            ).nonzero()[0]
+            if len(close):
+                group_of[key] = indices[close[0]]
             else:
                 group_of[key] = len(groups)
-                indices.append(len(groups))
-                by_length[len(lc)] = indices, np.vstack([rows, lc])
+                by_length[len(lc)] = (*indices, len(groups)), np.vstack([rows, lc])
                 groups.append([lc, 0])
         groups[group_of[key]][1] += 1
     tag = {
@@ -213,7 +217,7 @@ def _coupling_blocks(linked):
         seen[start] = True
         block, level = [start], [start]
         while len(level):
-            level = np.flatnonzero(linked[level].any(axis=0) & ~seen)
+            level = (np.logical_or.reduce(linked[level]) > seen).nonzero()[0]  # reached, unseen
             seen[level] = True
             block.extend(level.tolist())
         blocks.append(tuple(sorted(block)))
@@ -232,7 +236,7 @@ def _block_polynomial(spins, bJ):
     """
     rep = _twin_classes([s.doubled for s in spins], bJ)
     own = np.arange(len(spins))
-    first = np.flatnonzero(rep == own)  # each class's lowest spin
+    first = (rep == own).nonzero()[0]  # each class's lowest spin
     sizes = np.bincount(rep)[first]
     units = [HalfInt(int(n) * spins[i].doubled) for i, n in zip(first, sizes)]
     count = math.prod(u.doubled + 1 for u in units)
@@ -243,7 +247,7 @@ def _block_polynomial(spins, bJ):
             f"configurations, which exceed the enumeration cap {ENUMERATION_CAP}"
         )
     intra = np.zeros(len(spins))  # beta*J_C, at each class's lowest spin
-    others = np.flatnonzero(rep != own)
+    others = (rep != own).nonzero()[0]
     intra[rep[others]] = bJ[others, rep[others]]
     log_weights = []
     for i, n, unit in zip(first, sizes, units):
@@ -292,7 +296,7 @@ def _twin_classes(two_spins, S):
     differ += h[:, None]
     differ -= h
     rep = ((differ == 0) & (spin[:, None] == spin)).argmax(axis=1)  # <= i, the diagonal
-    i = np.flatnonzero(rep != np.arange(n))
+    i = (rep != np.arange(n)).nonzero()[0]
     j = rep[i]
     rows_i, rows_j = S[i], S[j]
     rows_i[np.arange(len(i)), i] = rows_j[np.arange(len(i)), j] = S[i, j]
@@ -352,7 +356,7 @@ def _enumerate(spins, bJ, log_weights):
     L, up_L, w_L = _configurations(spins[split:], log_weights[split:])
     order = np.argsort(up_L, kind="stable")
     L, up_L, w_L = L[order], up_L[order], w_L[order]
-    starts = np.flatnonzero(np.diff(up_L, prepend=-1))
+    starts = np.diff(up_L, prepend=-1).nonzero()[0]
     runs = list(enumerate(zip(starts, [*starts[1:], len(L)])))
     HJ = H @ bJ[:split]
     # zero diagonal makes each full quadratic form twice its i<j pair sum
@@ -434,17 +438,18 @@ def _log_polymat_mul(A, B):
     da, db = A.shape[0] - 1, B.shape[0] - 1
     D = A.shape[1]
     same = B is A  # every squaring of _power: prepare the one operand once
-    peak_a = A.max()
-    peak_b = peak_a if same else B.max()
+    peak, floor = np.maximum.reduce, np.minimum.reduce  # no ndarray.max wrapper
+    peak_a = peak(A, axis=None)
+    peak_b = peak_a if same else peak(B, axis=None)
     if peak_a == -np.inf or peak_b == -np.inf:
         return np.full((da + db + 1, D, D), -np.inf)
-    low_a = A.min()
-    low_b = low_a if same else B.min()
+    low_a = floor(A, axis=None)
+    low_b = low_a if same else floor(B, axis=None)
     dense = low_a > -np.inf and low_b > -np.inf  # no absent term
     if low_a == -np.inf:
-        low_a = A[A > -np.inf].min()
+        low_a = floor(A[A > -np.inf])
     if low_b == -np.inf:
-        low_b = low_a if same else B[B > -np.inf].min()
+        low_b = low_a if same else floor(B[B > -np.inf])
     linear = peak_a + peak_b - (low_a + low_b) <= _LINEAR_RANGE
     if linear:
         A = np.exp(A - peak_a)
@@ -455,7 +460,7 @@ def _log_polymat_mul(A, B):
     # contiguous run over (p, l), lined up with A's, read in place.
     At = np.ascontiguousarray(A.transpose(1, 0, 2))
     R = db + 1 + 2 * da
-    Br = np.full((D, R, D), 0.0 if linear else -np.inf)
+    Br = np.zeros((D, R, D)) if linear else np.full((D, R, D), -np.inf)
     Br[:, da:da + db + 1] = B[::-1].transpose(2, 0, 1)
     # windows[r], a view into Br, is the run of da + 1 degrees from r on, over
     # (p, l), for each j

@@ -130,7 +130,7 @@ def expectation_series(
     for factor in poly.factors:
         g = cosine_series(*factor.unit_terms, x)
         amplitude = amplitude * _power(g[:-1], factor.count)
-        i = np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))
+        i = (np.signbit(g[:-1]) != np.signbit(g[1:])).nonzero()[0]
         brackets.append((x[i], x[i + 1], g[i], g[i + 1]))
     return TimeSeries(lam, delta, h0, grid[:-1], amplitude, tuple(brackets), poly, overlap)
 
@@ -213,7 +213,7 @@ def correlate(
     for lo in range(0, len(predicted), rows):
         d = np.abs(predicted_column[lo:lo + rows] - detected_times) % period
         d = np.minimum(d, period - d)
-        i, j = np.nonzero(d <= window)
+        i, j = (d <= window).nonzero()
         pairs += zip(d[i, j].tolist(), (i + lo).tolist(), j.tolist())
     used_p, used_d, matches = set(), set(), []
     for dev, i, j in sorted(pairs):

@@ -167,9 +167,10 @@ class Factor(namedtuple("Factor", "log_coeffs count")):
         """F(x)/F(0) at a scalar angle, summed over Python floats without numpy dispatch."""
         k, w = self.unit_terms
         terms, cos = list(zip(k.tolist(), w.tolist())), math.cos
+        start = terms.pop(0)[1] if terms[0][0] == 0 else 0.0  # 0.0 + w_0 cos 0 = w_0
 
         def F(x):
-            total = 0.0
+            total = start
             for kk, wk in terms:
                 total += wk * cos(kk * x)
             return total
@@ -180,9 +181,20 @@ class Factor(namedtuple("Factor", "log_coeffs count")):
 def cosine_series(k, w, theta):
     """F(theta) = sum_k w_k cos(k theta) at an array of angles, summed term by term.
 
-    It holds one array of the angles' size at a time.
+    It holds two arrays of the angles' size, the sum and one term formed in place.
+    A k = 0 term starts the sum at w_0 with no cosine; else it starts from 0, as
+    sum() does, so a first term of -0.0 sums to +0.0: the plain sum's bits.
     """
-    return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
+    term = np.empty(np.shape(theta), np.result_type(theta, k))
+    total = 0  # 0 + the first term is a new array
+    for kk, wk in zip(k, w):
+        if kk == 0:  # 0 + w_0 cos 0 = w_0
+            total = np.full_like(term, wk)
+            continue
+        np.cos(np.multiply(theta, kk, out=term), out=term)
+        term *= wk
+        total += term
+    return total
 
 
 def _factor_zeros(factor):
@@ -204,7 +216,7 @@ def _factor_zeros(factor):
         if d % 2:
             # in place of F(pi) = 0, F(pi - h) to first order, which has its sign
             vals[-1] = (theta[-1] - theta[-2]) * (w * k * np.sin(k * np.pi)).sum()
-        change = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+        change = (np.signbit(vals[:-1]) != np.signbit(vals[1:])).nonzero()[0]
         if len(change) >= expected:
             break
         # Halve the grid spacing, and resample around the deepest local minima

@@ -102,6 +102,15 @@ def enumerate_unweighted(block, bJ):
     return _enumerate(block, bJ, [np.zeros(s.doubled + 1) for s in block])
 
 
+def plain_cosine_series(k, w, theta):
+    """sum_k w_k cos(k theta), each whole term formed anew and added to a sum from 0.
+
+    The reference for ``zeros.cosine_series``, which forms its terms in place
+    and must give the same bits, signed zeros included.
+    """
+    return sum(wk * np.cos(kk * theta) for kk, wk in zip(k, w))
+
+
 def eval_ratio(poly, z):
     """Z(beta, h_complex) / Z(beta, 0) at z = exp(-beta*h_complex).
 

@@ -559,7 +559,7 @@ class TestCliCommands:
         finally:
             tracemalloc.stop()
         assert len(series.times) == MAX_STEPS and report.all_matched
-        assert peak < 48 * 2**20
+        assert peak < 40 * 2**20  # 35.0 MiB traced: cosine_series holds two grid arrays
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
     def test_t_max_override_must_be_positive_and_finite(self, tmp_path, t_max):

@@ -98,6 +98,10 @@ class TestBuildExact:
         np.testing.assert_array_equal(lc, build_exact(block, 0.5 * J + 0.5 * J.T, 0.7).log_coeffs)
         ref = brute_force_log_sectors(block, J, 0.7)
         assert np.all(np.abs(lc - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        # a -1e-13 whose mirror is +1e-13 has the symmetric part 0: two free spins
+        lifted = build_exact(spins(1, 2), [[0.0, -1e-13], [1e-13, 0.0]], 0.7)
+        free = build_exact(spins(1, 2), np.zeros((2, 2)), 0.7)
+        np.testing.assert_array_equal(lifted.log_coeffs, free.log_coeffs)
         J[0, 1] = J[1, 0] + 1e-11
         with pytest.raises(ValueError, match="symmetric"):
             build_exact(block, J, 0.7)
@@ -133,9 +137,18 @@ class TestBuildExact:
         (spins(1, 2), 1.0, math.nan, ValueError, WEIGHT + "nan at beta = nan"),
         (spins(1, 2), 1.0, math.inf, ValueError, WEIGHT + "nan at beta = inf"),
         (spins(1, 2), 1.0, 1e308, ValueError, WEIGHT + "2.5e+307 at beta = 1e+308"),
+        # two checks fail at once: the first in the order above refuses
+        (spins(1, 2), [[0.0, -1.0], [-0.5, 0.0]], 1.0, ValueError,
+         "couplings matrix must be symmetric"),
+        (spins(1, 2), [[1.0, -1.0], [-1.0, 0.0]], 1.0, ValueError,
+         "couplings matrix must have zero diagonal"),
+        (spins(1, 3), [[0.0, math.nan, 1.0], [math.nan, 0.0, -1.0], [2.0, -1.0, 0.0]], 1.0,
+         ValueError, "couplings must be finite"),
     ], ids=["no-spins", "wrong-shape", "not-a-half-int", "spin-zero", "asymmetric",
             "nonzero-diagonal", "antiferromagnetic", "nan-coupling", "inf-coupling-at-beta-0",
-            "overflow", "nan-beta", "inf-beta", "log-weight-beyond-bound"])
+            "overflow", "nan-beta", "inf-beta", "log-weight-beyond-bound",
+            "asymmetric-and-negative", "nonzero-diagonal-and-negative",
+            "nan-in-a-symmetric-pair"])
     def test_malformed_bath_refused(self, spin_list, coupling, beta, error, message):
         # a number is the coupling of the pair
         couplings = [[0.0, coupling], [coupling, 0.0]] if np.ndim(coupling) == 0 else coupling

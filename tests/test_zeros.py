@@ -7,11 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
+import leeyang.zeros
+
 from helpers import (
     assert_roots_match,
     coeffs,
     eval_ratio,
     figure_panels,
+    plain_cosine_series,
     spins,
     uniform_couplings,
 )
@@ -329,13 +332,39 @@ class TestCosineSeries:
     def terms(self):
         return Factor(build_ring(7, HalfInt(3), 1.0, 0.6).log_coeffs, 1).terms
 
-    def test_scalar_equals_array_element_in_extended_precision(self, terms):
-        k, w = terms
-        theta = np.linspace(0.0, np.pi, 101).astype(np.longdouble)
-        grid = cosine_series(k, w, theta)
-        for i in range(len(theta)):
-            # the finder's bracket solve evaluates F at one angle this way
-            assert w @ np.cos(k * theta[i]) == grid[i]
+    @pytest.mark.parametrize("builder, n, two_s, beta", [
+        *((build_long_range, d, 1, 0.5) for d in (1, 2, 3, 4, 10, 20)),
+        (build_ring, 7, 3, 0.6),
+    ])
+    def test_in_place_kernel_matches_the_plain_sum(self, monkeypatch, builder, n, two_s, beta):
+        # same values and sign bits as the plain sum: on the sampling pass's
+        # float64 grid, and on the finder's longdouble grid, whose every point the
+        # finder's bracket solve also evaluates as the grid does
+        factor = Factor(builder(n, HalfInt(two_s), 1.0, beta).log_coeffs, 1)
+        d = len(factor.log_coeffs) - 1
+        finder_theta = np.linspace(0.0, np.pi, 8 * (d + 1) + 1).astype(np.longdouble)
+        samples = np.linspace(0.0, 2 * np.pi, 4097)
+        grids = [
+            (*factor.unit_terms, samples),
+            (*factor.terms, finder_theta),
+            # zero weights: every term is -0.0 where cos(k theta) < 0, and the sum +0.0
+            (np.array([0.5, 1.5]), np.zeros(2), samples),
+        ]
+        for k, w, theta in grids:
+            got, ref = cosine_series(k, w, theta), plain_cosine_series(k, w, theta)
+            assert got.dtype == ref.dtype == theta.dtype
+            # by value: a longdouble's padding bytes are not part of it
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        solved = []
+        monkeypatch.setattr(
+            leeyang.zeros, "bracket_root", lambda F, a, *rest: solved.append(F) or a
+        )
+        leeyang.zeros._factor_zeros(factor)
+        assert len(solved) == d // 2
+        grid = cosine_series(*factor.terms, finder_theta)
+        for F in solved:
+            np.testing.assert_array_equal(np.array([F(t) for t in finder_theta]), grid)
 
     def test_scalar_matches_array_element_in_double(self, terms):
         k, w = terms
