@@ -10,7 +10,7 @@ from .partition import build_exact, build_long_range, build_ring
 from .spins import HalfInt, ProbeState, sx_top_eigenstate
 
 MODEL_KINDS = ("exact", "long_range", "ring")
-# Largest time grid: the series and detection at 2**20 steps trace a 35 MiB peak
+# Largest time grid: the series and detection at 2**20 steps trace a 32 MiB peak
 # (ring 2s=2 N=10), and 48 MiB once the series is written, as the complex signal
 # is formed only then.
 # `reproduce` also holds its figure's time column as a byte matrix, one row per

@@ -26,9 +26,10 @@ correlation never hold it.
 """
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -93,7 +94,8 @@ class CorrelationReport:
 
 def _amplitude(factors, x):
     """F(x)/F(0), the product of the factors' cosine series raised to their counts."""
-    return math.prod(_power(cosine_series(*f.unit_terms, x), f.count) for f in factors)
+    powers = (_power(cosine_series(*f.unit_terms, x), f.count) for f in factors)
+    return reduce(operator.mul, powers)
 
 
 def expectation_series(
@@ -126,10 +128,11 @@ def expectation_series(
             raise ValueError(f"the sample phase {name} must be finite, got {phase}")
     grid = np.linspace(0.0, t_max, steps + 1)  # the samples, then t_max
     x = lam * delta * grid
-    amplitude, brackets = 1, []
+    amplitude, brackets = None, []
     for factor in poly.factors:
         g = cosine_series(*factor.unit_terms, x)
-        amplitude = amplitude * _power(g[:-1], factor.count)
+        power = _power(g[:-1], factor.count)
+        amplitude = power if amplitude is None else amplitude * power
         i = (np.signbit(g[:-1]) != np.signbit(g[1:])).nonzero()[0]
         brackets.append((x[i], x[i + 1], g[i], g[i + 1]))
     return TimeSeries(lam, delta, h0, grid[:-1], amplitude, tuple(brackets), poly, overlap)

@@ -197,18 +197,13 @@ def test_power_matches_libm_pow():
 
 
 class TestSignalInvariants:
-    def panels(self):
-        yield build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0), HalfInt(5)
-        yield build_long_range(4, HalfInt(1), 1.0, 2.0), HalfInt(1)
-        yield build_ring(10, HalfInt(2), 1.0, 0.125), HalfInt(1)
-
     def test_reality_with_x_polarized_state(self):
-        for poly, s0 in self.panels():
+        for _, poly, s0 in figure_panels():
             ser = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
             assert np.max(np.abs(ser.values.imag)) < 1e-12
 
     def test_boundedness(self):
-        for poly, s0 in self.panels():
+        for _, poly, s0 in figure_panels():
             ser = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
             assert np.max(np.abs(ser.values)) <= abs(ser.values[0]) + 1e-12
 
@@ -702,26 +697,29 @@ class TestCorrelate:
             else:
                 correlate(find_zeros(two_half_t_inf), ser, **arguments)
 
-    def test_susceptibility_channel_times_halved(self, triangle_beta_one):
+    @pytest.mark.parametrize("beta", [0.0, 1 / 32, 1 / 8, 1.0])
+    def test_susceptibility_channel_times_halved(self, beta):
+        poly = build_exact(spins(5, 2), uniform_couplings(2, 1.0), beta)
         state = sx_top_eigenstate(HalfInt(5))
-        s1 = expectation_series(triangle_beta_one, state, 1.0, 1)
-        s2 = expectation_series(triangle_beta_one, state, 1.0, 2)
+        s1 = expectation_series(poly, state, 1.0, 1)
+        s2 = expectation_series(poly, state, 1.0, 2)
         t1 = np.array([t for t, _ in detect_zero_times(s1, 1e-6)])
         t2 = np.array([t for t, _ in detect_zero_times(s2, 1e-6)])
         np.testing.assert_allclose(np.sort(t2), np.sort(t1) / 2, atol=1e-9)
 
+    @pytest.mark.parametrize("lam", [1.0, 1e12])
     @pytest.mark.parametrize("poly, s0", [
         pytest.param(poly, s0, id=name) for name, poly, s0 in figure_panels()
     ])
-    def test_every_panel_matches_at_large_lambda(self, poly, s0):
+    def test_every_panel_matches_at_any_lambda(self, poly, s0, lam):
         # t = x / (lam*delta) has no scale: at lam = 1e12 the period is 6.3e-12 s,
         # so the default 1e-6 s window spans 1.6e5 periods and the deviation is
-        # bounded in angle units, as CI bounds it at lam = 1
-        lam = 1e12
+        # bounded in angle units, as at lam = 1
         ser = expectation_series(poly, sx_top_eigenstate(s0), lam, 1)
         report = correlate(find_zeros(poly), ser)
         assert report.all_matched and not report.unmatched_detected
         assert report.max_deviation * lam <= 1e-9
+        assert max(residual for _, residual in report.detected) < 1e-10
 
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e12])
     def test_pairing_matches_all_pairs_oracle(self, two_half_t_inf, lam, monkeypatch):

@@ -71,6 +71,53 @@ def test_eval_ratio_bounded_on_unit_circle(kind, n, two_s, beta, theta):
     assert eval_ratio(poly, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_fixed_and_seeded_random_baths():
+    # Each bath: coefficient symmetry, one zero per degree, closure under
+    # conjugation (so the angles are symmetric under negation), the product of
+    # the zeros, and |Z/Z(1)| <= 1 at an angle.  First four fixed rings, then
+    # 200 baths from a fixed seed with random J in [0, 1.5) (random symmetric
+    # couplings for exact): hypothesis would also draw baths that find_zeros
+    # rightly refuses, such as long_range 2s=2 N=8 at J = 0.5, beta = 1e-3.
+    def check(poly, theta):
+        scale = max(1.0, np.abs(poly.log_coeffs).max())
+        np.testing.assert_allclose(
+            poly.log_coeffs, poly.log_coeffs[::-1], rtol=0, atol=1e-12 * scale
+        )
+        zs = find_zeros(poly)
+        assert len(zs.roots) == poly.two_ns
+        assert_roots_match(zs.roots, np.conj(zs.roots), atol=1e-9)
+        non_real = zs.angles[np.abs(np.abs(zs.angles) - np.pi) > 1e-9]
+        np.testing.assert_allclose(np.sort(non_real), np.sort(-non_real), atol=1e-9)
+        c = coeffs(poly)
+        assert np.prod(zs.roots) == pytest.approx(
+            (-1) ** poly.two_ns * c[0] / c[-1], rel=1e-9
+        )
+        assert abs(eval_ratio(poly, np.exp(1j * theta))) <= 1 + 1e-14
+
+    for n, two_s, beta, degree in [(5, 2, 0.7, 10), (7, 1, 1.3, 7), (6, 2, 0.4, 12),
+                                   (9, 1, 0.8, 9)]:
+        poly = build_ring(n, HalfInt(two_s), 1.0, beta)
+        assert poly.two_ns == degree
+        check(poly, 1.0)
+
+    rng = np.random.default_rng(20240817)
+    for _ in range(200):
+        kind = rng.choice(["exact", "long_range", "ring"])
+        two_s = int(rng.integers(1, 4))
+        beta = float(rng.uniform(0.0, 4.0))
+        if kind == "exact":
+            n = int(rng.integers(2, 6))
+            J = np.triu(rng.uniform(0.0, 1.5, (n, n)), 1)
+            poly = build_exact(spins(two_s, n), J + J.T, beta)
+        elif kind == "long_range":
+            n = int(rng.integers(2, 9))
+            poly = build_long_range(n, HalfInt(two_s), float(rng.uniform(0, 1.5)), beta)
+        else:
+            n = int(rng.integers(3, 9))
+            poly = build_ring(n, HalfInt(two_s), float(rng.uniform(0, 1.5)), beta)
+        check(poly, rng.uniform(-np.pi, np.pi))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_ladder_coefficients_positive_and_symmetric(data):
