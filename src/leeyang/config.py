@@ -241,10 +241,12 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or too many digits
+        raise ConfigError(f"{path}: {exc}")
     return RunConfig(data)

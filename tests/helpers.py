@@ -92,6 +92,19 @@ def assert_roots_match(got, expected, atol=1e-9):
     assert worst < atol, f"root sets differ by {worst:.3e}"
 
 
+def assert_log_coeffs_close(got, ref, atol, rtol):
+    """Log coefficients (or two polynomials') of equal length, |got - ref| <= max(atol, rtol |ref|).
+
+    t * max(1, |ref|) is atol = rtol = t; a relative bound r on the linear
+    coefficients is atol = log1p(r), rtol = 0, which is never looser."""
+    got, ref = (np.asarray(getattr(x, "log_coeffs", x)) for x in (got, ref))
+    assert got.shape == ref.shape, f"{got.shape} coefficients, expected {ref.shape}"
+    err, bound = np.abs(got - ref), np.maximum(atol, rtol * np.abs(ref))
+    assert np.all(err <= bound), (
+        f"log coefficient {np.argmax(err - bound)} beyond its bound by {np.max(err - bound):.3g}"
+    )
+
+
 def coeffs(poly):
     """Max-normalized linear coefficients c_n = exp(log p_n - max log p)."""
     return np.exp(poly.log_coeffs - poly.log_coeffs.max())

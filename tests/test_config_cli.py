@@ -326,16 +326,28 @@ class TestRunConfigValidation:
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_parse_error_reports_location(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{\n  "model": }')
-        with pytest.raises(ConfigError, match=r"broken\.json:2:"):
+    @pytest.mark.parametrize("content, reason", [
+        (None, ": No such file or directory"),
+        (b'{\n  "model": }', ":2:12: Expecting value"),
+        # the interpreter's own words: a byte that is not UTF-8, a parser
+        # recursion limit, and a limit on the digits of an integer
+        (b'{"model": "\xff"}', None),
+        (b"[" * 100_000 + b"]" * 100_000, None),
+        (b'{"lambda": ' + b"9" * 5000 + b"}", None),
+    ], ids=["missing", "broken-json", "not-utf-8", "nested-100000-deep", "5000-digit-integer"])
+    def test_unreadable_file_refused(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_bytes(content)
+        if reason is None:
+            with pytest.raises((ValueError, RecursionError)) as exc:
+                json.loads(content.decode("utf-8"))
+            reason = f": {exc.value}"
+        message = f"{path}{reason}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(str(path))
-
-    def test_missing_file(self, tmp_path):
-        path = str(tmp_path / "nope.json")
-        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: No such file or directory$"):
-            load_config(path)
+        assert main(["zeros", "--config", str(path), "--out", str(tmp_path / "z.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCliCommands:
@@ -665,9 +677,9 @@ def check_series_file(path, series, tag):
     assert_same_text(path.read_text(), reference_series_csv(series, tag))
     t, re, im, mag = read_columns(path)
     assert np.array_equal(t, series.times)
-    assert np.array_equal(re, series.values.real)
-    assert np.array_equal(im, series.values.imag)
-    assert np.array_equal(mag, [abs(v) for v in series.values])
+    assert np.array_equal(re, series.values.real, equal_nan=True)
+    assert np.array_equal(im, series.values.imag, equal_nan=True)
+    assert np.array_equal(mag, [abs(v) for v in series.values], equal_nan=True)
 
 
 def panel_config(figure, panel, steps=4096):
@@ -684,6 +696,64 @@ def panel_config(figure, panel, steps=4096):
 FIGURE_PANELS = [
     (figure, panel) for figure, preset in cli.FIGURE_PRESETS.items() for panel, _ in preset["panels"]
 ]
+
+
+def hand_made_series():
+    """(values, times, h0, rows, check of the values) for the series writer;
+    ``rows`` maps a data row to the last fields it must be written with."""
+    n, block = 2 * cli._BLOCK_ROWS + 5, cli._BLOCK_ROWS
+    times = np.linspace(0.0, 3.0, n, endpoint=False)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values *= 10.0 ** rng.integers(-300, 300, n)
+    values[:3] = [complex(-0.0, 0.0), complex(5e-324, -0.0), complex(1e300, -1e300)]
+    yield pytest.param(values, np.concatenate([[-0.0], times[1:]]), 0.0,
+                       {0: ["-0", "-0", "0", "0"]}, None, id="special values over a partial block")
+
+    # rows with im == 0 take abs from re's text, the others from hypot
+    rng = np.random.default_rng(3)
+    re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    im = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    im[rng.random(n) < 0.5] = 0.0
+    special = [-0.0, 0.0, -np.inf, np.inf, -5e-324, 5e-324, -2.5, -1e300, -1e-310]
+    for lo in (0, block - 4, n - len(special) - 1):
+        re[lo:lo + len(special)] = special
+        im[lo:lo + len(special)] = [0.0, -0.0] * 4 + [0.0]
+    im[-1] = 1.0
+    values = re.astype(complex)
+    values.imag = im
+    yield pytest.param(values, times, 0.0, {}, lambda v: all(
+        0 < np.count_nonzero(v[lo:lo + block].imag == 0) < len(v[lo:lo + block])
+        for lo in range(0, n, block)), id="real rows mixed with complex rows")
+
+    # h0 != 0 leaves im != 0 on every row but t = 0, so no row takes re's text
+    poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
+    full = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.7, steps=n + 1)
+    yield pytest.param(full.values[1:], full.times[1:], full.h0, {},
+                       lambda v: np.all(v.imag != 0), id="h0=0.7")
+
+    # %.17g prints NaN unsigned whatever its sign bit, so no "-" goes in front of it
+    nan = float("nan")
+    values = np.array([nan, -nan, nan, -nan, nan, -nan, -nan, 1.5, -2.5]).astype(complex)
+    values.imag = [0.0, -0.0, -0.0, 0.0, 2.5, -1e-300, np.inf, -0.0, 0.0]
+    yield pytest.param(values, np.linspace(0.0, 1.0, len(values)), 0.0,
+                       {i: ["nan", im, "nan"] for i, im in enumerate(["0", "-0", "-0", "0"])},
+                       lambda v: np.signbit(v.real).tolist() == [0, 1, 0, 1, 0, 1, 1, 0, 1],
+                       id="NaN rows")
+
+    # at h0 = 0 every panel's im is a zero of the sign opposite to re's
+    n = block + 37
+    rng = np.random.default_rng(11)
+    re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1e300, -1e300]
+    for lo in (0, block - 3, n - len(special)):
+        re[lo:lo + len(special)] = special
+    values = re.astype(complex)
+    values.imag = np.copysign(0.0, -re)
+    yield pytest.param(values, np.linspace(0.0, 3.0, n, endpoint=False), 0.0,
+                       {0: ["0", "-0", "0"], 1: ["-0", "0", "0"]},
+                       lambda v: np.all(np.signbit(v.imag) != np.signbit(v.real)),
+                       id="signed zero im opposite to re over a partial block")
 
 
 class TestWriters:
@@ -732,86 +802,15 @@ class TestWriters:
                 reference_zeros_csv(zeros, cfg.lam, cfg.delta, poly.model_tag),
             )
 
-    def test_special_values_over_a_partial_block(self, tmp_path):
-        n = 2 * cli._BLOCK_ROWS + 5
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        values *= 10.0 ** rng.integers(-300, 300, n)
-        values[:3] = [complex(-0.0, 0.0), complex(5e-324, -0.0), complex(1e300, -1e300)]
-        times = np.linspace(0.0, 3.0, n, endpoint=False)
-        times[0] = -0.0
+    @pytest.mark.parametrize("values, times, h0, rows, check", hand_made_series())
+    def test_hand_made_series_match_the_reference(self, tmp_path, values, times, h0, rows, check):
+        assert check is None or check(values)
         poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = _series_to_write(times, values, poly)
         path = tmp_path / "series.csv"
-        check_series_file(path, series, poly.model_tag)
-        assert path.read_text().splitlines()[3] == "-0,-0,0,0"
-
-    def test_real_rows_mixed_with_complex_rows(self, tmp_path):
-        # rows with im == 0 take abs from re's text, the others from hypot
-        n = 2 * cli._BLOCK_ROWS + 5
-        rng = np.random.default_rng(3)
-        re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        im = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        im[rng.random(n) < 0.5] = 0.0
-        special = [-0.0, 0.0, -np.inf, np.inf, -5e-324, 5e-324, -2.5, -1e300, -1e-310]
-        for lo in (0, cli._BLOCK_ROWS - 4, n - len(special) - 1):
-            re[lo:lo + len(special)] = special
-            im[lo:lo + len(special)] = [0.0, -0.0] * 4 + [0.0]
-        im[-1] = 1.0
-        values = re.astype(complex)
-        values.imag = im
-        for lo in range(0, n, cli._BLOCK_ROWS):
-            real_rows = np.count_nonzero(values.imag[lo:lo + cli._BLOCK_ROWS] == 0)
-            assert 0 < real_rows < len(values[lo:lo + cli._BLOCK_ROWS])
-        times = np.linspace(0.0, 3.0, n, endpoint=False)
-        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = _series_to_write(times, values, poly)
-        check_series_file(tmp_path / "series.csv", series, poly.model_tag)
-
-        # h0 != 0 leaves im != 0 on every row but t = 0, so no row takes re's text
-        full = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1, h0=0.7, steps=n + 1)
-        series = _series_to_write(full.times[1:], full.values[1:], poly, h0=full.h0)
-        assert np.all(series.values.imag != 0)
-        check_series_file(tmp_path / "series.csv", series, poly.model_tag)
-
-    def test_nan_rows_match_the_reference_text(self, tmp_path):
-        # %.17g prints NaN unsigned whatever its sign bit, so no "-" goes in
-        # front of it; compared as text, since NaN does not equal itself
-        nan = float("nan")
-        re = np.array([nan, -nan, nan, -nan, nan, -nan, -nan, 1.5, -2.5])
-        im = np.array([0.0, -0.0, -0.0, 0.0, 2.5, -1e-300, np.inf, -0.0, 0.0])
-        assert np.signbit(re).tolist() == [False, True] * 3 + [True, False, True]
-        values = re.astype(complex)
-        values.imag = im
-        n = len(values)
-        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = _series_to_write(np.linspace(0.0, 1.0, n), values, poly)
-        path = tmp_path / "series.csv"
-        cli.write_series_csv(path, series)
-        text = path.read_text()
-        assert_same_text(text, reference_series_csv(series, poly.model_tag))
-        assert [row.split(",")[1:] for row in text.splitlines()[3:7]] == [
-            ["nan", "0", "nan"], ["nan", "-0", "nan"], ["nan", "-0", "nan"], ["nan", "0", "nan"],
-        ]
-
-    def test_signed_zero_im_opposite_to_re_over_a_partial_block(self, tmp_path):
-        # at h0 = 0 every panel's im is a zero of the sign opposite to re's
-        n = cli._BLOCK_ROWS + 37
-        rng = np.random.default_rng(11)
-        re = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1e300, -1e300]
-        for lo in (0, cli._BLOCK_ROWS - 3, n - len(special)):
-            re[lo:lo + len(special)] = special
-        values = re.astype(complex)
-        values.imag = np.copysign(0.0, -re)
-        assert np.all(np.signbit(values.imag) != np.signbit(values.real))
-        times = np.linspace(0.0, 3.0, n, endpoint=False)
-        poly = build_long_range(2, HalfInt(1), 1.0, 0.5)
-        series = _series_to_write(times, values, poly)
-        path = tmp_path / "series.csv"
-        check_series_file(path, series, poly.model_tag)
-        rows = path.read_text().splitlines()[3:5]
-        assert [row.split(",", 1)[1] for row in rows] == ["0,-0,0", "-0,0,0"]
+        check_series_file(path, _series_to_write(times, values, poly, h0), poly.model_tag)
+        lines = path.read_text().splitlines()[3:]
+        for i, fields in rows.items():
+            assert lines[i].split(",")[-len(fields):] == fields
 
     def test_time_text_is_formatted_once_and_reused(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 5

@@ -34,11 +34,6 @@ def two_half_t_inf():
     return build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0)
 
 
-@pytest.fixture
-def triangle_beta_one():
-    return build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0)
-
-
 TRIANGLE = np.array([[0.0, 0.4, 0.9], [0.4, 0.0, 1.3], [0.9, 1.3, 0.0]])
 
 
@@ -73,20 +68,105 @@ def oracle_baths():
 ORACLE_BATHS = oracle_baths()
 
 
+def one_factor_of(blocks):
+    """Blocks that differ in their bytes, whose polynomials form one factor of their count."""
+    return lambda zeros, series, report: (
+        len({block.tobytes() for block in blocks}) == 2
+        and [c for _, c in series.poly.factors] == [len(blocks)]
+        and {m for _, m in zeros.clusters} == {len(blocks)})
+
+
+def steps_apart(gap):
+    """The closest predicted times lie ``gap`` grid steps apart, to 0.01."""
+    return lambda zeros, series, report: abs(
+        np.diff(report.predicted).min() * len(series.times) / series.period - gap) <= 0.01
+
+
+def at_pi(zeros, series, report):
+    return report.predicted == [math.pi]
+
+
+def correlated(name, poly, count, check=None, deviation=1e-9, residual=1e-10, s0=HalfInt(1),
+               lam=1.0):
+    """A row of ``test_correlation_matches_every_zero``; the bounds default to the panels'."""
+    return pytest.param(poly, s0, lam, count, deviation, residual, check, id=name)
+
+
+# distinct zero times of each figure at beta = 0: the (2s+1)-th roots of unity but 1
+PANEL_TIMES_AT_T_INF = {"fig2": 5, "fig4": 1, "fig6": 2}
+CORRELATIONS = [
+    *(correlated(f"{name}-{lam}", poly, PANEL_TIMES_AT_T_INF[name[:4]] if poly.beta == 0
+                 else poly.two_ns, s0=s0, lam=lam)
+      for lam in (1.0, 1e12) for name, poly, s0 in figure_panels()),
+    # cos^2(x/2): a touching zero at pi
+    correlated("2 free spins", build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), 1, at_pi,
+               residual=1e-12),
+    # cos(x/2): a sign change at pi
+    correlated("1 free spin", build_exact(spins(1, 1), np.zeros((1, 1)), 0.0), 1, at_pi,
+               deviation=1e-12),
+    # (1 + z)^12: one 12-fold zero at pi, flat to rounding over +-0.2
+    correlated("long_range 2s=1 N=12 T=inf", build_long_range(12, HalfInt(1), 1.0, 0.0), 1, at_pi,
+               deviation=1e-6),
+    # cos(x/2)^n: one n-fold zero at pi; from n = 200 on the sampled
+    # product underflows to 0 around it
+    *(correlated(f"{n} free spins", build_exact(spins(1, n), np.zeros((n, n)), 0.0), 1, at_pi,
+                 deviation=1e-12) for n in (20, 30, 60, 100, 200, 1000)),
+    # every zero is as multiple as a factor's count, and the sampled product
+    # underflows to 0 over a stretch of the grid around it
+    *(correlated(name, poly, count, lambda zeros, series, report: np.any(series.values[1:] == 0))
+      for name, poly, count in [
+          *((f"long_range N={n}", build_long_range(n, HalfInt(1), 1.0, 0.0), 1)
+            for n in (150, 200, 400)),
+          *((f"{n} pairs beta=0.5", build_exact(
+              spins(1, 2 * n), np.kron(np.eye(n), uniform_couplings(2, 1.0)), 0.5), 2)
+            for n in (100, 200))]),
+    # blocks of 3 and 5 spins have odd degree, so both factors vanish at pi;
+    # their two solves differ by rounding (by 4e-11 at beta = 1e-3, where pi
+    # is ill-conditioned), and only one is reported
+    *(correlated(f"3+5 beta={beta}", spin_half_blocks(blocks, beta), 7,
+                 lambda zeros, series, report: len(series.poly.factors) == 2)
+      for blocks, beta in [([(3, 1.0), (5, 1.0)], 0.5), ([(3, 0.5), (5, 1.3)], 1e-3)]),
+    # two pairs with J = 1 and j2 at beta = 1 have zeros under a grid step
+    # apart; each is a sign change of its own factor
+    *(correlated(f"pairs J=1 and {j2}", spin_half_blocks([(2, 1.0), (2, j2)], 1.0), 4,
+                 steps_apart(gap)) for j2, gap in [(1.004, 0.99), (1.002, 0.50), (1.0005, 0.12)]),
+    # 64 pairs with J uniform in [0.5, 1.5]: 128 zeros in 4096 steps, some of
+    # them a fraction of a grid step apart
+    correlated("64 random pairs", spin_half_blocks(
+        [(2, j) for j in np.random.default_rng(0).uniform(0.5, 1.5, 64)], 1.0), 128),
+    # two 3-spin blocks share the zero at pi, and at this small beta their
+    # other zeros lie 0.21 grid steps apart
+    correlated("3+3 beta=0.0064", spin_half_blocks([(3, 1.125), (3, 1.12)], 0.0064), 5),
+    # (1 + z + z^2)^6: two zeros, each of multiplicity 6, and one time each
+    correlated("ring 2s=2 N=6 T=inf", build_ring(6, HalfInt(2), 1.0, 0.0), 2,
+               lambda zeros, series, report: report.predicted == sorted(
+                   np.mod(-a, 2 * np.pi) for a, _ in zeros.clusters)),
+    # blocks whose couplings differ in their bytes but whose polynomials are
+    # equal: two triangles with the same couplings on relabelled spins, and a
+    # 3-spin path on either side of its mirror image
+    *(correlated(name, build_exact(spins(two_s, 3 * len(blocks)), block_diagonal(*blocks), beta),
+                 count, one_factor_of(blocks)) for name, two_s, blocks, beta, count in [
+        ("permuted triangles", 1, [TRIANGLE, TRIANGLE[np.ix_([2, 0, 1], [2, 0, 1])]], 0.7, 3),
+        ("mirror-image paths", 2, [THREE_SPIN_PATH, THREE_SPIN_PATH[::-1, ::-1], THREE_SPIN_PATH],
+         0.5, 6),
+    ]),
+]
+
+
 class TestExpectationSeries:
-    def test_value_at_time_zero(self, two_half_t_inf):
-        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        assert ser.values[0] == pytest.approx(0.5, abs=1e-14)
-
-    def test_cosine_squared_closed_form(self, two_half_t_inf):
-        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        expected = 0.5 * np.cos(ser.times / 2) ** 2
-        np.testing.assert_allclose(ser.values.real, expected, atol=1e-13)
-        assert np.max(np.abs(ser.values.imag)) < 1e-13
-
-    def test_high_spin_intercept(self, triangle_beta_one):
-        ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
-        assert ser.values[0] == pytest.approx(2.5, abs=1e-13)
+    @pytest.mark.parametrize("poly, s0, samples, f, atol", [
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), HalfInt(1), slice(1),
+         lambda t: 0.5, 1e-14),
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), HalfInt(1), slice(None),
+         lambda t: 0.5 * np.cos(t / 2) ** 2, 1e-13),
+        (build_exact(spins(1, 1), np.zeros((1, 1)), 0.0), HalfInt(1), slice(None),
+         lambda t: 0.5 * np.cos(t / 2), 1e-13),
+        (build_exact(spins(5, 2), uniform_couplings(2, 1.0), 1.0), HalfInt(5), slice(1),
+         lambda t: 2.5, 1e-13),
+    ], ids=["2 free spins at t=0", "2 free spins", "1 free spin", "pair 5/2 beta=1 at t=0"])
+    def test_closed_form_series(self, poly, s0, samples, f, atol):
+        ser = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
+        assert np.all(np.abs(ser.values[samples] - f(ser.times[samples])) < atol)
 
     @pytest.mark.parametrize("lam, delta, t_max, steps, message", [
         (math.nan, 1, None, 4096, "lam must be finite and positive, got nan"),
@@ -197,14 +277,10 @@ def test_power_matches_libm_pow():
 
 
 class TestSignalInvariants:
-    def test_reality_with_x_polarized_state(self):
+    def test_real_and_bounded_with_x_polarized_state(self):
         for _, poly, s0 in figure_panels():
             ser = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
             assert np.max(np.abs(ser.values.imag)) < 1e-12
-
-    def test_boundedness(self):
-        for _, poly, s0 in figure_panels():
-            ser = expectation_series(poly, sx_top_eigenstate(s0), 1.0, 1)
             assert np.max(np.abs(ser.values)) <= abs(ser.values[0]) + 1e-12
 
     def test_magnitude_periodicity(self):
@@ -290,30 +366,19 @@ class TestSignalInvariants:
 
 
 class TestDetectZeroTimes:
-    def test_cosine_squared_touching_zero(self, two_half_t_inf):
-        ser = expectation_series(two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        detected = detect_zero_times(ser, 1e-6)
-        assert len(detected) == 1
-        t, residual = detected[0]
-        assert t == pytest.approx(np.pi, abs=1e-9)
-        assert residual < 1e-12
-
-    def test_sign_change_zero_single_spin_bath(self):
-        poly = build_exact(spins(1, 1), np.zeros((1, 1)), 0.0)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        expected = 0.5 * np.cos(ser.times / 2)
-        np.testing.assert_allclose(ser.values.real, expected, atol=1e-13)
-        detected = detect_zero_times(ser, 1e-6)
-        assert len(detected) == 1
-        assert detected[0][0] == pytest.approx(np.pi, abs=1e-12)
-
-    def test_no_zeros_in_window(self, two_half_t_inf):
-        # restrict the grid to a region where the signal stays above 0.1
-        ser = expectation_series(
-            two_half_t_inf, sx_top_eigenstate(HalfInt(1)), 1.0, 1, t_max=1.5, steps=512
-        )
-        assert np.min(np.abs(ser.values)) > 0.1
-        assert detect_zero_times(ser, 1e-6) == []
+    @pytest.mark.parametrize("poly, t_max, steps, check", [
+        # a grid over which the signal stays above 0.1
+        (build_exact(spins(1, 2), uniform_couplings(2, 1.0), 0.0), 1.5, 512,
+         lambda v: np.min(np.abs(v)) > 0.1),
+        # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
+        (PartitionPolynomial(0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {}), None, 4096,
+         lambda v: np.argmin(np.abs(v)) == len(v) // 2),
+    ], ids=["no zero in the window", "minimum without sign change"])
+    def test_no_zero_detected(self, poly, t_max, steps, check):
+        state = sx_top_eigenstate(HalfInt(1))
+        ser = expectation_series(poly, state, 1.0, 1, t_max=t_max, steps=steps)
+        assert check(ser.values)
+        assert detect_zero_times(ser) == []
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9])
     def test_zero_in_last_grid_interval_detected(self, p):
@@ -383,14 +448,6 @@ class TestDetectZeroTimes:
         assert len(y_times) == len(x_times) == poly.two_ns
         np.testing.assert_allclose(y_times, x_times, rtol=0, atol=1e-12)
 
-    def test_flat_zero_detected_once(self):
-        # (1 + z)^12: one 12-fold zero at t = pi, flat to rounding over +-0.2
-        poly = build_long_range(12, HalfInt(1), 1.0, 0.0)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        detected = detect_zero_times(ser, 1e-6)
-        assert len(detected) == 1
-        assert detected[0][0] == pytest.approx(np.pi, abs=1e-6)
-
     def test_multiple_zero_centred(self):
         # identical blocks make every zero as multiple as the block count:
         # three or four blocks a sign change, two or four a touching zero.
@@ -410,38 +467,6 @@ class TestDetectZeroTimes:
                 assert report.all_matched, f"seed {seed}, 2s={two_s}, {blocks}x{size}"
                 worst = max(worst, report.max_deviation / report.window)
         assert worst <= 1e-6
-
-    @pytest.mark.parametrize("n", [20, 30, 60, 100, 200, 1000])
-    def test_free_spins_match_at_the_base_window(self, n):
-        # cos(x/2)^n at T = inf: one n-fold zero at t = pi; from n = 200 on the
-        # sampled product underflows to 0 around it
-        poly = build_exact(spins(1, n), np.zeros((n, n)), 0.0)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        assert report.window == 1e-6
-        assert report.all_matched and not report.unmatched_detected
-        assert abs(report.matches[0][1] - np.pi) <= 1e-12
-
-    @pytest.mark.parametrize("poly", [
-        *(build_long_range(n, HalfInt(1), 1.0, 0.0) for n in (150, 200, 400)),
-        *(build_exact(spins(1, 2 * n), np.kron(np.eye(n), uniform_couplings(2, 1.0)), 0.5)
-          for n in (100, 200)),
-    ], ids=["long_range N=150", "long_range N=200", "long_range N=400",
-            "100 pairs beta=0.5", "200 pairs beta=0.5"])
-    def test_underflowing_product_matches_at_the_base_window(self, poly):
-        # every zero is as multiple as a factor's count, and the sampled
-        # product underflows to 0 over a stretch of the grid around it
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        assert np.any(ser.values[1:] == 0)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        assert report.all_matched and not report.unmatched_detected
-
-    def test_minimum_without_sign_change_is_not_a_zero(self):
-        # 1 + 3z + z^2: F = 3 + 2 cos(x) has a minimum of 1/5 F(0) at x = pi
-        poly = PartitionPolynomial(0.0, [(np.log([1.0, 3.0, 1.0]), 1)], {})
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        assert np.argmin(np.abs(ser.values)) == len(ser.times) // 2
-        assert detect_zero_times(ser) == []
 
     def test_small_beta_split_baths_match(self):
         # at small beta the zeros of a block sit close together, and each is
@@ -495,52 +520,6 @@ class TestDetectZeroTimes:
         assert len(detected) == len(find_zeros(poly).clusters)
         assert scalar_calls <= 40 * len(detected)
 
-    @pytest.mark.parametrize("blocks, beta", [
-        ([(3, 1.0), (5, 1.0)], 0.5),
-        ([(3, 0.5), (5, 1.3)], 1e-3),
-    ], ids=["3+5 beta=0.5", "3+5 beta=1e-3"])
-    def test_zero_shared_by_factors_detected_once(self, blocks, beta):
-        # blocks of 3 and 5 spins have odd degree, so both factors vanish at
-        # pi; their two solves differ by rounding (by 4e-11 at beta = 1e-3,
-        # where pi is ill-conditioned), and only one is reported
-        poly = spin_half_blocks(blocks, beta)
-        assert len(poly.factors) == 2
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        assert len(report.matches) == len(report.predicted) == 7
-        assert report.unmatched_detected == []
-
-    @pytest.mark.parametrize("j2, steps_apart", [(1.004, 0.99), (1.002, 0.50), (1.0005, 0.12)])
-    def test_close_zeros_of_distinct_factors_both_detected(self, j2, steps_apart):
-        # two pairs with J = 1 and j2 at beta = 1 have zeros under a grid
-        # step apart; each is a sign change of its own factor
-        poly = spin_half_blocks([(2, 1.0), (2, j2)], 1.0)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        gap = np.diff(report.predicted).min() * len(ser.times) / ser.period
-        assert gap == pytest.approx(steps_apart, abs=0.01)
-        assert len(report.matches) == len(report.predicted) == 4
-        assert report.unmatched_detected == []
-
-    def test_close_zeros_of_random_pairs_all_detected(self):
-        # 64 pairs with J uniform in [0.5, 1.5]: 128 zeros in 4096 steps,
-        # some of them a fraction of a grid step apart
-        J = np.random.default_rng(0).uniform(0.5, 1.5, 64)
-        poly = spin_half_blocks([(2, j) for j in J], 1.0)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        assert len(report.matches) == len(report.predicted) == 128
-        assert report.unmatched_detected == []
-
-    def test_close_zeros_beside_a_shared_zero(self):
-        # two 3-spin blocks share the zero at pi, and at this small beta their
-        # other zeros lie 0.21 grid steps apart
-        poly = spin_half_blocks([(3, 1.125), (3, 1.12)], 0.0064)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(find_zeros(poly), ser, window=1e-6)
-        assert len(report.matches) == len(report.predicted) == 5
-        assert report.unmatched_detected == []
-
     def test_magnitude_tol_rejects_the_larger_residuals(self):
         # fig6/b: at magnitude_tol = 1 every zero is kept, with |F|/F(0) from
         # 1.8e-19 to 1.8e-16; a tolerance between the 10th and 11th smallest
@@ -558,16 +537,6 @@ class TestDetectZeroTimes:
         report = correlate(find_zeros(poly), ser, magnitude_tol=tol)
         assert len(report.matches) == 10
         assert len(report.unmatched_predicted) == 10
-
-    def test_simple_root_refinement_accuracy(self, triangle_beta_one):
-        zs = find_zeros(triangle_beta_one)
-        ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
-        detected = detect_zero_times(ser, 1e-6)
-        predicted = np.mod(-zs.angles, 2 * np.pi)
-        assert len(detected) == len(predicted)
-        for t, residual in detected:
-            assert np.min(np.abs(np.sort(predicted) - t)) < 1e-8
-            assert residual < 1e-10
 
     @pytest.mark.parametrize("poly", [
         build_long_range(1, HalfInt(1), 1.0, 0.5),
@@ -630,50 +599,6 @@ class TestDetectZeroTimes:
 
 
 class TestCorrelate:
-    def test_triangle_beta_one_end_to_end(self, triangle_beta_one):
-        zs = find_zeros(triangle_beta_one)
-        ser = expectation_series(triangle_beta_one, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
-        report = correlate(zs, ser)
-        assert report.all_matched
-        assert not report.unmatched_detected
-        assert report.max_deviation < 1e-6
-
-    def test_degenerate_roots_merge_predictions(self):
-        poly = build_exact(spins(5, 2), uniform_couplings(2, 1.0), 0.0)
-        zs = find_zeros(poly)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(5)), 1.0, 1)
-        report = correlate(zs, ser)
-        assert len(report.predicted) == 5
-        assert len(report.detected) == 5
-        assert report.all_matched
-        assert report.max_deviation < 1e-6
-
-    def test_one_prediction_per_cluster(self):
-        # (1 + z + z^2)^6: two zeros, each of multiplicity 6
-        poly = build_ring(6, HalfInt(2), 1.0, 0.0)
-        zs = find_zeros(poly)
-        ser = expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1)
-        report = correlate(zs, ser)
-        assert report.predicted == sorted(np.mod(-a, 2 * np.pi) for a, _ in zs.clusters)
-        assert report.all_matched
-
-    # blocks whose couplings differ in their bytes but whose polynomials are
-    # equal: two triangles with the same couplings on relabelled spins, and a
-    # 3-spin path on either side of its mirror image
-    @pytest.mark.parametrize("two_s, blocks, beta", [
-        (1, [TRIANGLE, TRIANGLE[np.ix_([2, 0, 1], [2, 0, 1])]], 0.7),
-        (2, [THREE_SPIN_PATH, THREE_SPIN_PATH[::-1, ::-1], THREE_SPIN_PATH], 0.5),
-    ], ids=["permuted-triangles", "mirror-image-paths"])
-    def test_permuted_blocks_form_one_factor(self, two_s, blocks, beta):
-        assert len({block.tobytes() for block in blocks}) == 2
-        poly = build_exact(spins(two_s, 3 * len(blocks)), block_diagonal(*blocks), beta)
-        (_, count), = poly.factors
-        assert count == len(blocks)
-        zs = find_zeros(poly)
-        assert {m for _, m in zs.clusters} == {count}
-        report = correlate(zs, expectation_series(poly, sx_top_eigenstate(HalfInt(1)), 1.0, 1))
-        assert report.all_matched and not report.unmatched_detected
-
     @pytest.mark.parametrize("entry, arguments, message", [
         ("correlate", {"window": math.nan}, "window must be finite and positive, got nan"),
         ("correlate", {"window": math.inf}, "window must be finite and positive, got inf"),
@@ -707,19 +632,20 @@ class TestCorrelate:
         t2 = np.array([t for t, _ in detect_zero_times(s2, 1e-6)])
         np.testing.assert_allclose(np.sort(t2), np.sort(t1) / 2, atol=1e-9)
 
-    @pytest.mark.parametrize("lam", [1.0, 1e12])
-    @pytest.mark.parametrize("poly, s0", [
-        pytest.param(poly, s0, id=name) for name, poly, s0 in figure_panels()
-    ])
-    def test_every_panel_matches_at_any_lambda(self, poly, s0, lam):
+    @pytest.mark.parametrize("poly, s0, lam, count, deviation, residual, check", CORRELATIONS)
+    def test_correlation_matches_every_zero(self, poly, s0, lam, count, deviation, residual, check):
         # t = x / (lam*delta) has no scale: at lam = 1e12 the period is 6.3e-12 s,
         # so the default 1e-6 s window spans 1.6e5 periods and the deviation is
         # bounded in angle units, as at lam = 1
-        ser = expectation_series(poly, sx_top_eigenstate(s0), lam, 1)
-        report = correlate(find_zeros(poly), ser)
+        zeros = find_zeros(poly)
+        series = expectation_series(poly, sx_top_eigenstate(s0), lam, 1)
+        report = correlate(zeros, series)
+        assert report.window == 1e-6
         assert report.all_matched and not report.unmatched_detected
-        assert report.max_deviation * lam <= 1e-9
-        assert max(residual for _, residual in report.detected) < 1e-10
+        assert len(report.detected) == len(report.matches) == len(report.predicted) == count
+        assert report.max_deviation * lam <= deviation
+        assert max(r for _, r in report.detected) < residual
+        assert check is None or check(zeros, series, report)
 
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e12])
     def test_pairing_matches_all_pairs_oracle(self, two_half_t_inf, lam, monkeypatch):

@@ -1,5 +1,6 @@
-"""The README's library example runs as printed, and its config block names every key."""
+"""The README's library example runs, its config block names every key, and its tests exist."""
 
+import ast
 import json
 import pathlib
 import re
@@ -26,3 +27,18 @@ def test_config_block_names_every_key():
     keys["temperature"].add("beta")
     keys["model"].add("couplings")
     assert keys == config._KEYS
+
+
+def test_every_test_it_names_exists():
+    # a backticked `tests/<file>.py[::Test...::test_...]`, or a bare test or class name
+    tests = pathlib.Path(__file__).parent
+    defined = {
+        path.name: {node.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for path in tests.glob("*.py")
+    }
+    for text in re.findall(r"`([^`]*)`", README):
+        path = re.match(r"tests/(\w+\.py)", text)
+        assert path is None or path[1] in defined, text
+        names = set(re.findall(r"\b(?:test_|Test)\w*", text[path.end():] if path else text))
+        assert names <= (defined[path[1]] if path else set().union(*defined.values())), text
